@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-short bench bench-json bench-regress loadgen-slo loadgen-smoke iwtop-smoke proxy-smoke evict-smoke figures fig4 fig5 fig6 fig7 examples cluster-demo cover doccheck linkcheck clean
+.PHONY: all build vet test race race-short bench bench-e2e bench-json bench-regress loadgen-slo loadgen-smoke iwtop-smoke proxy-smoke evict-smoke figures fig4 fig5 fig6 fig7 examples cluster-demo cover doccheck linkcheck clean
 
 all: build vet test
 
@@ -24,6 +24,14 @@ race-short:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The repository's yardstick (BENCHMARK.json, benchmark/README.md):
+# five end-to-end workloads against in-process servers and proxies.
+# benchmark/ is a nested module the root build never compiles, so this
+# (and CI's `cd benchmark && go vet ./... && go test ./...`) is also
+# what catches an internal API move that breaks it.
+bench-e2e:
+	bash benchmark/run.sh
 
 # Machine-readable benchmark snapshot: writes BENCH_<UTC-date>.json at
 # the repo root (schema interweave-bench/1). Pass flags through

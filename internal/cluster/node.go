@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -9,6 +10,7 @@ import (
 
 	"interweave/internal/obs"
 	"interweave/internal/protocol"
+	"interweave/internal/session"
 )
 
 // Options configures a Node.
@@ -586,17 +588,12 @@ func (n *Node) Call(addr string, req protocol.Message) (protocol.Message, error)
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(n.opts.DialTimeout))
-	if err := protocol.WriteFrame(conn, 1, req); err != nil {
-		return nil, err
-	}
-	_, reply, err := protocol.ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	if e, ok := reply.(*protocol.ErrorReply); ok {
+	reply, err := session.RoundTrip(conn, req)
+	var e *protocol.ErrorReply
+	if errors.As(err, &e) {
 		return nil, fmt.Errorf("cluster: peer %s: %w", addr, e)
 	}
-	return reply, nil
+	return reply, err
 }
 
 // pushRing offers ms to addr.

@@ -14,7 +14,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -29,6 +28,7 @@ import (
 	"interweave/internal/mem"
 	"interweave/internal/obs"
 	"interweave/internal/protocol"
+	"interweave/internal/session"
 	"interweave/internal/types"
 )
 
@@ -157,15 +157,7 @@ func NewClient(opts Options) (*Client, error) {
 	if opts.NoDiffResample <= 0 {
 		opts.NoDiffResample = 8
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 10 * time.Second
-	}
-	if opts.Dial == nil {
-		dt := opts.DialTimeout
-		opts.Dial = func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, dt)
-		}
-	}
+	opts.Dial = session.Dialer(opts.Dial, opts.DialTimeout)
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 3
 	}
@@ -227,13 +219,10 @@ func (c *Client) Close() error {
 		conns = append(conns, sc)
 	}
 	c.mu.Unlock()
-	var first error
 	for _, sc := range conns {
-		if err := sc.close(); err != nil && first == nil {
-			first = err
-		}
+		sc.Close()
 	}
-	return first
+	return nil
 }
 
 // serverAddrOf extracts the server address from a segment URL of the
@@ -263,7 +252,7 @@ func (c *Client) connFor(segName string) (*serverConn, error) {
 // the lock released. Dial failures carry ErrUnavailable so callers
 // can surface a typed error once retries are spent.
 func (c *Client) connTo(addr string) (*serverConn, error) {
-	if sc, ok := c.conns[addr]; ok && !sc.isClosed() {
+	if sc, ok := c.conns[addr]; ok && !sc.Closed() {
 		return sc, nil
 	}
 	c.mu.Unlock()
@@ -276,12 +265,12 @@ func (c *Client) connTo(addr string) (*serverConn, error) {
 		_ = conn.Close()
 		return nil, errors.New("core: client closed")
 	}
-	if sc, ok := c.conns[addr]; ok && !sc.isClosed() {
+	if sc, ok := c.conns[addr]; ok && !sc.Closed() {
 		// Someone else won the race; use theirs.
 		_ = conn.Close()
 		return sc, nil
 	}
-	sc := newServerConn(conn, addr, c.onNotify)
+	sc := &serverConn{Dialed: session.NewDialed(conn, c.pushed), addr: addr}
 	c.conns[addr] = sc
 	if c.ins != nil {
 		c.ins.dials.Inc()
@@ -291,13 +280,21 @@ func (c *Client) connTo(addr string) (*serverConn, error) {
 	// session from MaxSessions admission (DESIGN.md §11). The intro
 	// frame is written synchronously — it must be the session-creating
 	// frame at the server, ahead of any concurrent first RPC, or the
-	// exemption is lost to a race — but its reply is drained in the
-	// background so dialing stays one write, not a round trip.
+	// exemption is lost to a race (later calls serialize behind the
+	// same write path) — but its reply is drained in the background so
+	// dialing stays one write, not a round trip; an error reply closes
+	// the connection.
 	var intro protocol.Message = &protocol.Hello{ClientName: c.opts.Name, Profile: c.prof.Name}
 	if c.opts.ProxyAddr != "" {
 		intro = &protocol.ProxyHello{ProxyAddr: c.opts.ProxyAddr, Name: c.opts.Name}
 	}
-	sc.send(intro)
+	if _, ch, err := sc.Start(0, intro, protocol.TraceContext{}); err == nil {
+		go func() {
+			if _, refused := (<-ch).(*protocol.ErrorReply); refused {
+				sc.Close()
+			}
+		}()
+	}
 	return sc, nil
 }
 
@@ -319,7 +316,7 @@ func (c *Client) callSeg(s *segment, m protocol.Message, sp *obs.Span) (protocol
 	var lastErr error
 	hops := 0
 	for attempt := 0; ; attempt++ {
-		if s.conn == nil || s.conn.isClosed() {
+		if s.conn == nil || s.conn.Closed() {
 			sc, derr := c.connFor(s.name)
 			if derr != nil {
 				lastErr = fmt.Errorf("core: reconnecting to server of %q: %w", s.name, derr)
@@ -424,13 +421,13 @@ func (c *Client) callObserved(sc *serverConn, m protocol.Message, sp *obs.Span, 
 		tc = protocol.TraceContext{TraceID: sctx.TraceID, SpanID: sctx.SpanID}
 	}
 	if c.ins == nil {
-		reply, err := sc.callT(m, c.timeoutFor(m), tc)
+		reply, err := sc.CallOrdered(m, tc, c.timeoutFor(m))
 		endRPCSpan(asp, err)
 		return reply, wrapShed(err)
 	}
 	rpc := rpcName(m)
 	start := time.Now()
-	reply, err := sc.callT(m, c.timeoutFor(m), tc)
+	reply, err := sc.CallOrdered(m, tc, c.timeoutFor(m))
 	if err != nil && isTransport(err) {
 		c.ins.transportErrors(rpc).Inc()
 	} else {
@@ -556,185 +553,30 @@ func (c *Client) onNotify(segName string, version uint32) {
 	}
 }
 
-// serverConn multiplexes synchronous calls and asynchronous
-// notifications over one TCP connection — the cached connection of
-// the paper's segment table.
+// serverConn is the cached connection of the paper's segment table:
+// one dialed connection (internal/session) on which the client speaks
+// only the implicit session, so replies arrive in request order and an
+// overdue one fails the whole connection (CallOrdered).
 type serverConn struct {
-	conn net.Conn
+	*session.Dialed
 	// addr is the server address this connection was dialed for —
 	// the pool key, which redirect handling uses to identify the
 	// server a reply actually came from.
-	addr   string
-	notify func(seg string, version uint32)
-
-	mu      sync.Mutex
-	nextID  uint32
-	pending map[uint32]chan protocol.Message
-	err     error
-	closed  bool
+	addr string
 }
 
-func newServerConn(conn net.Conn, addr string, notify func(string, uint32)) *serverConn {
-	sc := &serverConn{
-		conn:    conn,
-		addr:    addr,
-		notify:  notify,
-		nextID:  1,
-		pending: make(map[uint32]chan protocol.Message),
-	}
-	go sc.readLoop()
-	return sc
-}
-
-func (sc *serverConn) readLoop() {
-	for {
-		id, msg, err := protocol.ReadFrame(sc.conn)
-		if err != nil {
-			sc.fail(err)
-			return
-		}
-		if id == 0 {
-			if n, ok := msg.(*protocol.Notify); ok && sc.notify != nil {
-				// Dispatch asynchronously: the client may be holding
-				// its mutex while waiting for a reply on this very
-				// connection, and invalidation order is immaterial.
-				go sc.notify(n.Seg, n.Version)
-			}
-			continue
-		}
-		sc.mu.Lock()
-		ch, ok := sc.pending[id]
-		delete(sc.pending, id)
-		sc.mu.Unlock()
-		if ok {
-			ch <- msg
-		}
-	}
-}
-
-func (sc *serverConn) fail(err error) {
-	sc.mu.Lock()
-	if sc.err == nil {
-		if errors.Is(err, io.EOF) {
-			err = errors.New("core: server connection closed")
-		}
-		sc.err = err
-	}
-	sc.closed = true
-	pending := sc.pending
-	sc.pending = make(map[uint32]chan protocol.Message)
-	sc.mu.Unlock()
-	_ = sc.conn.Close()
-	for _, ch := range pending {
-		close(ch)
-	}
-}
-
-func (sc *serverConn) isClosed() bool {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.closed
-}
-
-func (sc *serverConn) close() error {
-	sc.fail(errors.New("core: connection closed by client"))
-	return nil
-}
-
-// call sends one request and waits for its reply. ErrorReply payloads
-// are returned as errors.
+// call is an untraced, unbounded CallOrdered.
 func (sc *serverConn) call(m protocol.Message) (protocol.Message, error) {
-	return sc.callT(m, 0, protocol.TraceContext{})
+	return sc.CallOrdered(m, protocol.TraceContext{}, 0)
 }
 
-// send writes one request synchronously but drains its reply in the
-// background, closing the connection if the server answered with an
-// error. Used for the Hello/ProxyHello introduction, whose frame must
-// precede any later call's on the wire (later calls serialize behind
-// the same write path under sc.mu) without costing a round trip.
-func (sc *serverConn) send(m protocol.Message) {
-	sc.mu.Lock()
-	if sc.closed {
-		sc.mu.Unlock()
-		return
+// pushed handles a server-initiated frame on one of the client's
+// connections.
+func (c *Client) pushed(_ uint32, m protocol.Message) {
+	if n, ok := m.(*protocol.Notify); ok {
+		// Dispatch asynchronously: the client may be holding its
+		// mutex while waiting for a reply on this very connection,
+		// and invalidation order is immaterial.
+		go c.onNotify(n.Seg, n.Version)
 	}
-	id := sc.nextID
-	sc.nextID++
-	if sc.nextID == 0 {
-		sc.nextID = 1
-	}
-	ch := make(chan protocol.Message, 1)
-	sc.pending[id] = ch
-	err := protocol.WriteFrameCtx(sc.conn, id, m, protocol.TraceContext{})
-	sc.mu.Unlock()
-	if err != nil {
-		sc.fail(err)
-		return
-	}
-	go func() {
-		if reply, ok := <-ch; ok {
-			if _, isErr := reply.(*protocol.ErrorReply); isErr {
-				_ = sc.close()
-			}
-		}
-	}()
-}
-
-// callT is call with an optional timeout and an optional trace
-// context to attach to the outgoing frame (a zero context sends the
-// classic frame format). A timeout fails the whole connection:
-// replies on a multiplexed stream arrive in server order, so once one
-// is overdue the stream's state is unknowable and every later reply
-// suspect.
-func (sc *serverConn) callT(m protocol.Message, timeout time.Duration, tc protocol.TraceContext) (protocol.Message, error) {
-	sc.mu.Lock()
-	if sc.closed {
-		err := sc.err
-		sc.mu.Unlock()
-		if err == nil {
-			err = errors.New("core: connection closed")
-		}
-		return nil, err
-	}
-	id := sc.nextID
-	sc.nextID++
-	if sc.nextID == 0 {
-		sc.nextID = 1
-	}
-	ch := make(chan protocol.Message, 1)
-	sc.pending[id] = ch
-	err := protocol.WriteFrameCtx(sc.conn, id, m, tc)
-	sc.mu.Unlock()
-	if err != nil {
-		sc.fail(err)
-		return nil, err
-	}
-	var timeoutCh <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
-	}
-	var reply protocol.Message
-	var ok bool
-	select {
-	case reply, ok = <-ch:
-	case <-timeoutCh:
-		sc.fail(fmt.Errorf("core: %T RPC timed out after %v", m, timeout))
-		// The reply may have raced in before fail closed the channel.
-		reply, ok = <-ch
-	}
-	if !ok {
-		sc.mu.Lock()
-		err := sc.err
-		sc.mu.Unlock()
-		if err == nil {
-			err = errors.New("core: connection closed")
-		}
-		return nil, err
-	}
-	if e, isErr := reply.(*protocol.ErrorReply); isErr {
-		return nil, e
-	}
-	return reply, nil
 }

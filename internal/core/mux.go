@@ -3,12 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"interweave/internal/protocol"
+	"interweave/internal/session"
 )
 
 // Session multiplexing, client side (DESIGN.md §10, PROTOCOL.md
@@ -55,18 +55,16 @@ type MuxOptions struct {
 	OnEvict func(s *MuxSession, reason string)
 }
 
-// MuxConn is one TCP connection multiplexing many logical sessions.
+// MuxConn is one TCP connection multiplexing many logical sessions:
+// a dialed connection (internal/session) whose sessions the server
+// serves concurrently, so an overdue reply fails only its own call.
 type MuxConn struct {
-	conn net.Conn
+	d    *session.Dialed
 	opts MuxOptions
 
 	mu       sync.Mutex
-	nextID   uint32
 	nextSID  uint32
-	pending  map[uint32]chan protocol.Message
 	sessions map[uint32]*MuxSession
-	err      error
-	closed   bool
 }
 
 // MuxSession is one logical session on a MuxConn. Its methods are
@@ -84,51 +82,17 @@ type MuxSession struct {
 
 // DialMux connects to a server for session-multiplexed use.
 func DialMux(addr string, opts MuxOptions) (*MuxConn, error) {
-	dial := opts.Dial
-	if dial == nil {
-		dt := opts.DialTimeout
-		if dt <= 0 {
-			dt = 10 * time.Second
-		}
-		dial = func(a string) (net.Conn, error) {
-			return net.DialTimeout("tcp", a, dt)
-		}
-	}
-	conn, err := dial(addr)
+	conn, err := session.Dialer(opts.Dial, opts.DialTimeout)(addr)
 	if err != nil {
 		return nil, fmt.Errorf("core: connecting to %s: %w (%v)", addr, ErrUnavailable, err)
 	}
 	mc := &MuxConn{
-		conn:     conn,
 		opts:     opts,
-		nextID:   1,
 		nextSID:  1,
-		pending:  make(map[uint32]chan protocol.Message),
 		sessions: make(map[uint32]*MuxSession),
 	}
-	go mc.readLoop()
+	mc.d = session.NewDialed(conn, mc.handlePush)
 	return mc, nil
-}
-
-func (mc *MuxConn) readLoop() {
-	for {
-		id, msg, _, sid, err := protocol.ReadFrameMux(mc.conn)
-		if err != nil {
-			mc.fail(err)
-			return
-		}
-		if id == 0 {
-			mc.handlePush(sid, msg)
-			continue
-		}
-		mc.mu.Lock()
-		ch, ok := mc.pending[id]
-		delete(mc.pending, id)
-		mc.mu.Unlock()
-		if ok {
-			ch <- msg
-		}
-	}
 }
 
 // handlePush routes server-initiated frames: invalidation Notifies,
@@ -155,28 +119,10 @@ func (mc *MuxConn) handlePush(sid uint32, msg protocol.Message) {
 	}
 }
 
-func (mc *MuxConn) fail(err error) {
-	mc.mu.Lock()
-	if mc.err == nil {
-		if errors.Is(err, io.EOF) {
-			err = errors.New("core: server connection closed")
-		}
-		mc.err = err
-	}
-	mc.closed = true
-	pending := mc.pending
-	mc.pending = make(map[uint32]chan protocol.Message)
-	mc.mu.Unlock()
-	_ = mc.conn.Close()
-	for _, ch := range pending {
-		close(ch)
-	}
-}
-
 // Close tears the connection down; the server implicitly closes every
 // session it carried.
 func (mc *MuxConn) Close() error {
-	mc.fail(errors.New("core: connection closed by client"))
+	mc.d.Close()
 	return nil
 }
 
@@ -186,14 +132,6 @@ func (mc *MuxConn) Close() error {
 // admission control refused the session.
 func (mc *MuxConn) NewSession(name, profile string) (*MuxSession, error) {
 	mc.mu.Lock()
-	if mc.closed {
-		err := mc.err
-		mc.mu.Unlock()
-		if err == nil {
-			err = errors.New("core: connection closed")
-		}
-		return nil, err
-	}
 	sid := mc.nextSID
 	mc.nextSID++
 	s := &MuxSession{mc: mc, sid: sid}
@@ -271,57 +209,5 @@ func (s *MuxSession) Close() error {
 
 // call performs one request/reply round trip addressed to a session.
 func (mc *MuxConn) call(sid uint32, m protocol.Message) (protocol.Message, error) {
-	mc.mu.Lock()
-	if mc.closed {
-		err := mc.err
-		mc.mu.Unlock()
-		if err == nil {
-			err = errors.New("core: connection closed")
-		}
-		return nil, err
-	}
-	id := mc.nextID
-	mc.nextID++
-	if mc.nextID == 0 {
-		mc.nextID = 1
-	}
-	ch := make(chan protocol.Message, 1)
-	mc.pending[id] = ch
-	err := protocol.WriteFrameMux(mc.conn, id, m, protocol.TraceContext{}, sid)
-	mc.mu.Unlock()
-	if err != nil {
-		mc.fail(err)
-		return nil, err
-	}
-	var timeoutCh <-chan time.Time
-	if mc.opts.RPCTimeout > 0 {
-		timer := time.NewTimer(mc.opts.RPCTimeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
-	}
-	var reply protocol.Message
-	var ok bool
-	select {
-	case reply, ok = <-ch:
-	case <-timeoutCh:
-		// Replies are matched by ID, so only this call fails; a late
-		// reply finds no pending entry and is discarded.
-		mc.mu.Lock()
-		delete(mc.pending, id)
-		mc.mu.Unlock()
-		return nil, fmt.Errorf("core: %T RPC timed out after %v", m, mc.opts.RPCTimeout)
-	}
-	if !ok {
-		mc.mu.Lock()
-		err := mc.err
-		mc.mu.Unlock()
-		if err == nil {
-			err = errors.New("core: connection closed")
-		}
-		return nil, err
-	}
-	if e, isErr := reply.(*protocol.ErrorReply); isErr {
-		return nil, e
-	}
-	return reply, nil
+	return mc.d.Call(sid, m, protocol.TraceContext{}, mc.opts.RPCTimeout)
 }

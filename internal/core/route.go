@@ -151,7 +151,7 @@ func (c *Client) refreshMembership(skip string) {
 		if err != nil {
 			continue
 		}
-		reply, err := sc.callT(&protocol.RingGet{HaveEpoch: ms.Epoch}, c.opts.RPCTimeout, protocol.TraceContext{})
+		reply, err := sc.CallOrdered(&protocol.RingGet{HaveEpoch: ms.Epoch}, protocol.TraceContext{}, c.opts.RPCTimeout)
 		if err != nil {
 			continue
 		}
@@ -182,7 +182,7 @@ func (c *Client) RefreshRing(addr string) error {
 	if c.ms != nil {
 		have = c.ms.Epoch
 	}
-	reply, err := sc.callT(&protocol.RingGet{HaveEpoch: have}, c.opts.RPCTimeout, protocol.TraceContext{})
+	reply, err := sc.CallOrdered(&protocol.RingGet{HaveEpoch: have}, protocol.TraceContext{}, c.opts.RPCTimeout)
 	if err != nil {
 		return err
 	}

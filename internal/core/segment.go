@@ -433,7 +433,7 @@ func (c *Client) RUnlock(h *Segment) error {
 // attempt and diff-apply child spans. Caller holds c.mu.
 func (c *Client) ensureFresh(s *segment, sp *obs.Span) error {
 	now := time.Now()
-	if s.state.Subscribed && s.conn.isClosed() {
+	if s.state.Subscribed && s.conn.Closed() {
 		// The server holding our subscription is gone; notifications
 		// can no longer arrive, so local freshness cannot be trusted.
 		s.state.Subscribed = false

@@ -2,356 +2,26 @@ package proxy
 
 import (
 	"errors"
-	"io"
-	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"interweave/internal/coherence"
 	"interweave/internal/core"
 	"interweave/internal/protocol"
+	"interweave/internal/session"
 )
 
-// Downstream transport: the proxy speaks the same framed protocol as
-// a server, including session multiplexing, so every existing client
+// Downstream requests. The proxy speaks the same framed protocol as a
+// server — it is the other host of the session transport
+// (internal/session, DESIGN.md §10) — so every existing client
 // (core.Client, core.MuxConn, tools/loadgen) points at a proxy with
-// nothing but an address change. The structure mirrors the server's
-// wireConn — one bounded writer queue per connection, replies may
-// block for space, notifications never do (a slow consumer is shed).
+// nothing but an address change. This file is what the proxy does with
+// a frame once the transport hands it over.
 
-// downConnSendQueue bounds the per-connection writer queue.
-const downConnSendQueue = 1024
-
-// downWriteTimeout bounds how long a reply waits for queue space
-// before the connection is declared stuck.
-const downWriteTimeout = 10 * time.Second
-
-// dFrame is one queued outbound frame.
-type dFrame struct {
-	sess *downSess
-	sid  uint32
-	id   uint32
-	m    protocol.Message
-}
-
-// downConn is one accepted downstream connection and the logical
-// sessions it carries.
-type downConn struct {
-	p    *Proxy
-	conn net.Conn
-
-	sendCh   chan dFrame
-	dead     chan struct{}
-	deadOnce sync.Once
-
-	mu       sync.Mutex
-	sessions map[uint32]*downSess
-
-	handlers sync.WaitGroup
-}
-
-// downSess is one logical downstream session.
-type downSess struct {
-	dc  *downConn
-	sid uint32
-
-	name  string
-	proxy bool // introduced by ProxyHello: a chained proxy
-
-	queued atomic.Int32
-	closed atomic.Bool
-
-	// fwdMu guards fwd, the lazily created upstream write-forwarding
-	// client. Each downstream session forwards through its own
-	// upstream session so write-lock ownership and at-most-once
-	// records stay per-writer upstream, exactly as if the writer had
-	// connected directly.
-	fwdMu sync.Mutex
-	fwd   *core.Client
-
-	// touchedMu guards touched, the mirrors this session subscribed
-	// to; teardown sweeps only these.
-	touchedMu sync.Mutex
-	touched   map[*mirror]struct{}
-}
-
-func (p *Proxy) newDownConn(conn net.Conn) *downConn {
-	return &downConn{
-		p:        p,
-		conn:     conn,
-		sendCh:   make(chan dFrame, downConnSendQueue),
-		dead:     make(chan struct{}),
-		sessions: make(map[uint32]*downSess),
-	}
-}
-
-func (dc *downConn) shut() {
-	dc.deadOnce.Do(func() {
-		close(dc.dead)
-		_ = dc.conn.Close()
-	})
-}
-
-func (dc *downConn) writeLoop() {
-	for {
-		select {
-		case f := <-dc.sendCh:
-			err := protocol.WriteFrameMux(dc.conn, f.id, f.m, protocol.TraceContext{}, f.sid)
-			if f.sess != nil {
-				f.sess.queued.Add(-1)
-			}
-			if err != nil {
-				dc.shut()
-				return
-			}
-		case <-dc.dead:
-			return
-		}
-	}
-}
-
-func (dc *downConn) serve() {
-	defer dc.cleanup()
-	go dc.writeLoop()
-	for {
-		id, msg, _, sid, err := protocol.ReadFrameMux(dc.conn)
-		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				dc.p.logf("proxy: conn %s: %v", dc.conn.RemoteAddr(), err)
-			}
-			return
-		}
-		if _, ok := msg.(*protocol.SessionClose); ok {
-			dc.mu.Lock()
-			sess := dc.sessions[sid]
-			dc.mu.Unlock()
-			if sess != nil {
-				dc.p.teardownSess(sess)
-			}
-			if !dc.sendConnLevel(sid, id, &protocol.Ack{}) {
-				return
-			}
-			continue
-		}
-		sess, refusal := dc.sessionFor(sid, msg)
-		if refusal != nil {
-			if !dc.sendConnLevel(sid, id, refusal) {
-				return
-			}
-			continue
-		}
-		if sid == 0 {
-			// The implicit session keeps the classic contract: strict
-			// per-connection ordering, handled inline.
-			if reply := sess.dispatch(msg); reply != nil {
-				if err := sess.send(id, reply); err != nil {
-					return
-				}
-			}
-		} else {
-			dc.handlers.Add(1)
-			go func() {
-				defer dc.handlers.Done()
-				if reply := sess.dispatch(msg); reply != nil {
-					_ = sess.send(id, reply)
-				}
-			}()
-		}
-	}
-}
-
-// sessionFor resolves a frame's session, creating it lazily. Like the
-// server, a non-zero session must be created by Hello (or a chained
-// proxy's ProxyHello). Unlike the server there is no admission cap:
-// absorbing arbitrarily many cheap read sessions is the proxy's job.
-func (dc *downConn) sessionFor(sid uint32, msg protocol.Message) (*downSess, protocol.Message) {
-	dc.mu.Lock()
-	if sess, ok := dc.sessions[sid]; ok {
-		dc.mu.Unlock()
-		return sess, nil
-	}
-	dc.mu.Unlock()
-	if sid != 0 {
-		_, isHello := msg.(*protocol.Hello)
-		_, isProxy := msg.(*protocol.ProxyHello)
-		if !isHello && !isProxy {
-			return nil, errReply(protocol.CodeNoSession, "no session %d on this connection (send Hello first)", sid)
-		}
-	}
-	p := dc.p
-	sess := &downSess{dc: dc, sid: sid}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, errReply(protocol.CodeInternal, "proxy shutting down")
-	}
-	p.sessions++
-	p.mu.Unlock()
-	if p.ins != nil {
-		p.ins.sessionsOpened.Inc()
-	}
-	dc.mu.Lock()
-	dc.sessions[sid] = sess
-	dc.mu.Unlock()
-	return sess, nil
-}
-
-// sendConnLevel queues a frame belonging to no live session.
-func (dc *downConn) sendConnLevel(sid, id uint32, m protocol.Message) bool {
-	t := time.NewTimer(downWriteTimeout)
-	defer t.Stop()
-	select {
-	case dc.sendCh <- dFrame{sid: sid, id: id, m: m}:
-		return true
-	case <-dc.dead:
-		return false
-	case <-t.C:
-		dc.shut()
-		return false
-	}
-}
-
-// send queues a reply; it may block for queue space up to the write
-// timeout, after which the stuck connection is evicted whole.
-func (sess *downSess) send(id uint32, m protocol.Message) error {
-	dc := sess.dc
-	if sess.closed.Load() {
-		if !dc.sendConnLevel(sess.sid, id, m) {
-			return net.ErrClosed
-		}
-		return nil
-	}
-	sess.queued.Add(1)
-	f := dFrame{sess: sess, sid: sess.sid, id: id, m: m}
-	select {
-	case dc.sendCh <- f:
-		return nil
-	default:
-	}
-	t := time.NewTimer(downWriteTimeout)
-	defer t.Stop()
-	select {
-	case dc.sendCh <- f:
-		return nil
-	case <-dc.dead:
-		sess.queued.Add(-1)
-		return net.ErrClosed
-	case <-t.C:
-		sess.queued.Add(-1)
-		dc.shut()
-		return errors.New("proxy: write timeout")
-	}
-}
-
-// sendNotify queues a Notify without ever blocking; a session (or
-// connection) over its bound sheds the notification and is torn down,
-// for the same reason the server evicts: a subscriber that missed a
-// Notify would trust stale data forever.
-func (sess *downSess) sendNotify(m protocol.Message) {
-	if sess.closed.Load() {
-		return
-	}
-	dc := sess.dc
-	if int(sess.queued.Load()) >= downConnSendQueue/4 {
-		dc.p.shedSess(sess, "session queue bound")
-		return
-	}
-	sess.queued.Add(1)
-	select {
-	case dc.sendCh <- dFrame{sess: sess, sid: sess.sid, id: 0, m: m}:
-	case <-dc.dead:
-		sess.queued.Add(-1)
-	default:
-		sess.queued.Add(-1)
-		dc.p.shedSess(sess, "connection queue full")
-	}
-}
-
-func (p *Proxy) shedSess(sess *downSess, why string) {
-	p.logf("proxy: conn %s session %d: shedding slow consumer (%s)", sess.dc.conn.RemoteAddr(), sess.sid, why)
-	p.teardownSess(sess)
-	if sess.sid == 0 {
-		sess.dc.shut()
-		return
-	}
-	select {
-	case sess.dc.sendCh <- dFrame{sid: sess.sid, id: 0, m: errReply(protocol.CodeOverloaded, "session evicted: %s", why)}:
-	default:
-	}
-}
-
-// teardownSess removes one downstream session: its subscriptions on
-// every touched mirror and its upstream forwarder. Idempotent.
-func (p *Proxy) teardownSess(sess *downSess) {
-	if !sess.closed.CompareAndSwap(false, true) {
-		return
-	}
-	dc := sess.dc
-	dc.mu.Lock()
-	if dc.sessions[sess.sid] == sess {
-		delete(dc.sessions, sess.sid)
-	}
-	dc.mu.Unlock()
-	p.mu.Lock()
-	p.sessions--
-	p.mu.Unlock()
-	sess.touchedMu.Lock()
-	touched := make([]*mirror, 0, len(sess.touched))
-	for m := range sess.touched {
-		touched = append(touched, m)
-	}
-	sess.touched = nil
-	sess.touchedMu.Unlock()
-	for _, m := range touched {
-		m.mu.Lock()
-		delete(m.subs, sess)
-		m.mu.Unlock()
-	}
-	sess.fwdMu.Lock()
-	fwd := sess.fwd
-	sess.fwd = nil
-	sess.fwdMu.Unlock()
-	if fwd != nil {
-		// Closing the forwarder drops its upstream session, which
-		// releases any write lock the downstream writer still held.
-		_ = fwd.Close()
-	}
-}
-
-func (sess *downSess) touch(m *mirror) {
-	sess.touchedMu.Lock()
-	if sess.touched == nil {
-		sess.touched = make(map[*mirror]struct{})
-	}
-	sess.touched[m] = struct{}{}
-	sess.touchedMu.Unlock()
-}
-
-func (dc *downConn) cleanup() {
-	dc.shut()
-	dc.mu.Lock()
-	sessions := make([]*downSess, 0, len(dc.sessions))
-	for _, sess := range dc.sessions {
-		sessions = append(sessions, sess)
-	}
-	dc.mu.Unlock()
-	for _, sess := range sessions {
-		dc.p.teardownSess(sess)
-	}
-	dc.handlers.Wait()
-	p := dc.p
-	p.mu.Lock()
-	delete(p.conns, dc)
-	p.mu.Unlock()
-}
-
-// dispatch routes one downstream request. Reads are served from the
-// mirror; the write path is forwarded upstream; ring RPCs serve the
-// proxy's adopted view so gossip probes and fleet tools see through
-// it.
-func (sess *downSess) dispatch(msg protocol.Message) protocol.Message {
-	p := sess.dc.p
+// Handle routes one downstream request (session.Host). Reads are
+// served from the mirror; the write path is forwarded upstream; ring
+// RPCs serve the proxy's adopted view so gossip probes and fleet tools
+// see through it.
+func (p *Proxy) Handle(ts *session.Session, msg protocol.Message, _ protocol.TraceContext) protocol.Message {
+	sess := ts.Data.(*downstream)
 	switch m := msg.(type) {
 	case *protocol.Hello:
 		sess.name = m.ClientName
@@ -413,7 +83,7 @@ func (p *Proxy) handleOpen(m *protocol.OpenSegment) protocol.Message {
 	}
 }
 
-func (p *Proxy) handleReadLock(sess *downSess, m *protocol.ReadLock) protocol.Message {
+func (p *Proxy) handleReadLock(sess *downstream, m *protocol.ReadLock) protocol.Message {
 	mir, _, errRep := p.ensureMirror(m.Seg, false)
 	if errRep != nil {
 		return errRep
@@ -440,47 +110,21 @@ func (p *Proxy) handleReadLock(sess *downSess, m *protocol.ReadLock) protocol.Me
 	if mir.degraded && p.ins != nil {
 		p.ins.degradedReads.Inc()
 	}
-	return p.freshness(mir, sess, m.HaveVersion, m.Policy)
-}
-
-// freshness decides whether the downstream reader needs an update and
-// builds the LockReply from the mirror — the proxy-side twin of the
-// server's freshnessReply. Called with mir.mu held.
-func (p *Proxy) freshness(mir *mirror, sess *downSess, haveVer uint32, policy coherence.Policy) protocol.Message {
-	seg := mir.seg
-	unitsModified := 0
-	if policy.Model == coherence.ModelDiff {
-		if sub, ok := mir.subs[sess]; ok && sub.haveVersion == haveVer {
-			unitsModified = sub.unitsSince
-		} else {
-			unitsModified = seg.UnitsModifiedSince(haveVer)
-		}
-	}
-	if !policy.ShouldUpdate(haveVer, seg.Version, unitsModified, seg.TotalUnits()) {
-		if sub, ok := mir.subs[sess]; ok {
-			sub.notified = false
-		}
+	if !mir.subs.Stale(mir.seg, sess, m.HaveVersion, m.Policy) {
+		mir.subs.Rearm(sess)
 		return &protocol.LockReply{Fresh: true}
 	}
-	d, err := seg.CollectDiff(haveVer)
+	d, err := mir.subs.Collect(mir.seg, sess, m.HaveVersion)
 	if err != nil {
 		return errReply(protocol.CodeInternal, "collecting diff: %v", err)
 	}
 	if d == nil {
-		if sub, ok := mir.subs[sess]; ok {
-			sub.notified = false
-		}
-		return &protocol.LockReply{Fresh: true}
+		mir.subs.Rearm(sess)
 	}
-	if sub, ok := mir.subs[sess]; ok {
-		sub.haveVersion = seg.Version
-		sub.unitsSince = 0
-		sub.notified = false
-	}
-	return &protocol.LockReply{Diff: d}
+	return &protocol.LockReply{Fresh: d == nil, Diff: d}
 }
 
-func (p *Proxy) handleSubscribe(sess *downSess, m *protocol.Subscribe) protocol.Message {
+func (p *Proxy) handleSubscribe(sess *downstream, m *protocol.Subscribe) protocol.Message {
 	mir, _, errRep := p.ensureMirror(m.Seg, false)
 	if errRep != nil {
 		return errRep
@@ -491,21 +135,21 @@ func (p *Proxy) handleSubscribe(sess *downSess, m *protocol.Subscribe) protocol.
 	sess.touch(mir)
 	mir.mu.Lock()
 	defer mir.mu.Unlock()
-	if sess.closed.Load() {
+	if sess.Gone() {
 		return errReply(protocol.CodeNoSession, "session closed")
 	}
-	mir.subs[sess] = &downSub{policy: m.Policy, haveVersion: m.HaveVersion}
+	mir.subs.Subscribe(sess, m.Policy, m.HaveVersion)
 	return &protocol.Ack{}
 }
 
-func (p *Proxy) handleUnsubscribe(sess *downSess, m *protocol.Unsubscribe) protocol.Message {
+func (p *Proxy) handleUnsubscribe(sess *downstream, m *protocol.Unsubscribe) protocol.Message {
 	mir := p.mirrorOf(m.Seg)
 	if mir == nil {
 		return errReply(protocol.CodeNoSegment, "no segment %q", m.Seg)
 	}
 	mir.mu.Lock()
 	defer mir.mu.Unlock()
-	delete(mir.subs, sess)
+	mir.subs.Unsubscribe(sess)
 	return &protocol.Ack{}
 }
 
@@ -514,7 +158,7 @@ func (p *Proxy) handleUnsubscribe(sess *downSess, m *protocol.Unsubscribe) proto
 // verbatim. The forwarder follows Redirects and reroutes via the ring
 // itself, so a downstream client never sees a Redirect from a proxy —
 // which is what makes redirect-following loop-free across the tree.
-func (p *Proxy) forward(sess *downSess, msg protocol.Message) protocol.Message {
+func (p *Proxy) forward(sess *downstream, msg protocol.Message) protocol.Message {
 	seg := writeSegOf(msg)
 	if seg == "" {
 		return errReply(protocol.CodeBadRequest, "proxy: %T names no segment", msg)
@@ -559,10 +203,10 @@ func (p *Proxy) forward(sess *downSess, msg protocol.Message) protocol.Message {
 
 // forwarder returns the session's upstream write-forwarding client,
 // creating it on first use.
-func (sess *downSess) forwarder(p *Proxy) (*core.Client, error) {
+func (sess *downstream) forwarder(p *Proxy) (*core.Client, error) {
 	sess.fwdMu.Lock()
 	defer sess.fwdMu.Unlock()
-	if sess.closed.Load() {
+	if sess.Gone() {
 		return nil, errors.New("session closed")
 	}
 	if sess.fwd != nil {

@@ -26,6 +26,8 @@ const (
 	pmDownstreamNotifies = "iw_proxy_downstream_notifies_total"
 	pmSessions           = "iw_proxy_sessions"
 	pmSessionsOpened     = "iw_proxy_sessions_opened_total"
+	pmSessionsEvicted    = "iw_proxy_sessions_evicted_total"
+	pmShed               = "iw_proxy_shed_total"
 	pmMirrors            = "iw_proxy_mirrors"
 	pmDegradedMirrors    = "iw_proxy_mirrors_degraded"
 	pmLagVersions        = "iw_proxy_upstream_lag_versions"
@@ -45,6 +47,8 @@ type proxyInstruments struct {
 	upstreamNotifies   *obs.Counter
 	downstreamNotifies *obs.Counter
 	sessionsOpened     *obs.Counter
+	sessionsEvicted    *obs.Counter
+	shed               *obs.Counter
 }
 
 func newProxyInstruments(reg *obs.Registry) *proxyInstruments {
@@ -69,6 +73,10 @@ func newProxyInstruments(reg *obs.Registry) *proxyInstruments {
 			"Invalidation notifications fanned out to downstream subscribers."),
 		sessionsOpened: reg.Counter(pmSessionsOpened,
 			"Downstream sessions opened since start."),
+		sessionsEvicted: reg.Counter(pmSessionsEvicted,
+			"Downstream sessions torn down by the proxy for being slow consumers."),
+		shed: reg.Counter(pmShed,
+			"Downstream notifications dropped because a session's or connection's send queue was full; each shed evicts the session."),
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"interweave/internal/obs"
 	"interweave/internal/protocol"
 	"interweave/internal/server"
+	"interweave/internal/session"
 )
 
 // DefaultSyncEvery is the maintenance cadence: how often every mirror
@@ -88,10 +89,12 @@ type Options struct {
 type Proxy struct {
 	opts  Options
 	start time.Time
+	// transport is the downstream session transport's fixed bounds.
+	transport session.Config
 
 	mu        sync.Mutex // lifecycle: mirrors, conns, ln, ms, closed
 	mirrors   map[string]*mirror
-	conns     map[*downConn]struct{}
+	conns     map[*session.Conn]struct{}
 	sessions  int
 	ln        net.Listener
 	advertise string
@@ -135,17 +138,8 @@ type mirror struct {
 	// degraded marks the upstream unreachable as of the last attempt;
 	// reads served meanwhile are counted as degraded.
 	degraded bool
-	// subs are the downstream subscriptions (same bookkeeping as the
-	// server's subState).
-	subs map[*downSess]*downSub
-}
-
-// downSub is one downstream subscription's coherence bookkeeping.
-type downSub struct {
-	policy      coherence.Policy
-	haveVersion uint32
-	unitsSince  int
-	notified    bool
+	// subs are the downstream subscriptions.
+	subs server.Subscriptions[*downstream]
 }
 
 // New returns a proxy. It does not touch the network until Serve.
@@ -163,8 +157,14 @@ func New(opts Options) (*Proxy, error) {
 		opts:    opts,
 		start:   time.Now(),
 		mirrors: make(map[string]*mirror),
-		conns:   make(map[*downConn]struct{}),
+		conns:   make(map[*session.Conn]struct{}),
 		done:    make(chan struct{}),
+	}
+	p.transport = session.Config{
+		ConnQueue:    downstreamConnQueue,
+		SessionQueue: downstreamSessionQueue,
+		WriteTimeout: downstreamWriteTimeout,
+		Logf:         func(format string, args ...any) { p.logf("proxy: "+format, args...) },
 	}
 	if opts.Metrics != nil {
 		p.ins = newProxyInstruments(opts.Metrics)
@@ -235,7 +235,7 @@ func (p *Proxy) Serve(ln net.Listener) error {
 				return fmt.Errorf("proxy: accept: %w", err)
 			}
 		}
-		dc := p.newDownConn(conn)
+		dc := session.NewConn(conn, p, p.transport)
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
@@ -247,7 +247,10 @@ func (p *Proxy) Serve(ln net.Listener) error {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			dc.serve()
+			dc.Serve()
+			p.mu.Lock()
+			delete(p.conns, dc)
+			p.mu.Unlock()
 		}()
 	}
 }
@@ -275,7 +278,7 @@ func (p *Proxy) Close() error {
 	ln := p.ln
 	up := p.up
 	for dc := range p.conns {
-		dc.shut()
+		dc.Close()
 	}
 	p.mu.Unlock()
 	if ln != nil {
@@ -317,7 +320,6 @@ func (p *Proxy) ensureMirror(name string, create bool) (mir *mirror, created boo
 		name:        name,
 		seg:         server.NewSegment(name),
 		upstreamVer: or.Version,
-		subs:        make(map[*downSess]*downSub),
 	}
 	p.mu.Lock()
 	if existing, ok := p.mirrors[name]; ok {
@@ -457,14 +459,16 @@ func (p *Proxy) syncLocked(m *mirror) error {
 			m.mu.Unlock()
 			return nil
 		}
-		var sends []func()
+		var owed []*downstream
 		if lr.Diff.Version > m.seg.Version {
 			modified, aerr := m.seg.ApplyReplicatedDiff(lr.Diff, lr.Diff.Version)
 			if aerr != nil {
 				m.mu.Unlock()
 				return fmt.Errorf("proxy: applying pulled diff to %q: %w", m.name, aerr)
 			}
-			sends = p.fanout(m, lr.Diff.Version, modified)
+			// No downstream session is the writer of a pulled
+			// version: every subscriber the policy says to tell is told.
+			owed = m.subs.Advance(m.seg, nil, lr.Diff.Version, modified)
 		}
 		if m.upstreamVer < lr.Diff.Version {
 			m.upstreamVer = lr.Diff.Version
@@ -475,38 +479,19 @@ func (p *Proxy) syncLocked(m *mirror) error {
 			m.degraded = false
 		}
 		m.mu.Unlock()
-		for _, send := range sends {
-			send()
+		if len(owed) > 0 {
+			if p.ins != nil {
+				p.ins.downstreamNotifies.Add(uint64(len(owed)))
+			}
+			note := &protocol.Notify{Seg: m.name, Version: lr.Diff.Version}
+			for _, sess := range owed {
+				sess.Notify(note)
+			}
 		}
 		if caughtUp {
 			return nil
 		}
 	}
-}
-
-// fanout advances downstream subscription counters after the mirror
-// reached newVer and returns the Notify sends to perform once m.mu is
-// released — the same contract as the server's updateSubscribers.
-// Called with m.mu held.
-func (p *Proxy) fanout(m *mirror, newVer uint32, modified int) []func() {
-	var out []func()
-	for ds, sub := range m.subs {
-		sub.unitsSince += modified
-		if sub.notified {
-			continue
-		}
-		if sub.policy.ShouldUpdate(sub.haveVersion, newVer, sub.unitsSince, m.seg.TotalUnits()) {
-			sub.notified = true
-			target, name := ds, m.name
-			out = append(out, func() {
-				target.sendNotify(&protocol.Notify{Seg: name, Version: newVer})
-			})
-		}
-	}
-	if p.ins != nil && len(out) > 0 {
-		p.ins.downstreamNotifies.Add(uint64(len(out)))
-	}
-	return out
 }
 
 // setDegraded marks a mirror's upstream unreachable.
@@ -712,17 +697,7 @@ func (p *Proxy) gossipCandidates() []string {
 // — the gossip path, which must not ride the upstream client's
 // segment-routed machinery.
 func (p *Proxy) rpc(addr string, m protocol.Message) (protocol.Message, error) {
-	dial := p.opts.Dial
-	if dial == nil {
-		dt := p.opts.DialTimeout
-		if dt <= 0 {
-			dt = 10 * time.Second
-		}
-		dial = func(a string) (net.Conn, error) {
-			return net.DialTimeout("tcp", a, dt)
-		}
-	}
-	conn, err := dial(addr)
+	conn, err := session.Dialer(p.opts.Dial, p.opts.DialTimeout)(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -730,22 +705,7 @@ func (p *Proxy) rpc(addr string, m protocol.Message) (protocol.Message, error) {
 	if to := p.opts.RPCTimeout; to > 0 {
 		_ = conn.SetDeadline(time.Now().Add(to))
 	}
-	if err := protocol.WriteFrame(conn, 1, m); err != nil {
-		return nil, err
-	}
-	for {
-		id, reply, err := protocol.ReadFrame(conn)
-		if err != nil {
-			return nil, err
-		}
-		if id == 0 {
-			continue // stray push on a throwaway conn
-		}
-		if er, isErr := reply.(*protocol.ErrorReply); isErr {
-			return nil, er
-		}
-		return reply, nil
-	}
+	return session.RoundTrip(conn, m)
 }
 
 // errReply builds a protocol error reply.

@@ -105,20 +105,7 @@ func (s *Server) restore() error {
 		if err != nil {
 			return fmt.Errorf("server: checkpoint %s: %w", e.Name(), err)
 		}
-		if s.opts.DiffCacheCap != 0 {
-			n := s.opts.DiffCacheCap
-			if n < 0 {
-				n = 0
-			}
-			seg.SetDiffCacheCap(n)
-		}
-		st := &segState{
-			name:    seg.Name,
-			seg:     seg,
-			subs:    make(map[*session]*subState),
-			applied: applied,
-		}
-		s.reg.getOrCreate(seg.Name, func(string) *segState { return st })
+		s.reg.getOrCreate(seg.Name, func(string) *segState { return s.adoptSegState(seg, applied) })
 	}
 	return nil
 }

@@ -140,7 +140,7 @@ func (s *Server) redirectFor(seg string) protocol.Message {
 // is special: it is redirected only when every part shares a single
 // remote owner; parts split across owners are refused, since the
 // single-server atomic commit cannot span nodes.
-func (sess *session) clusterRedirect(msg protocol.Message) protocol.Message {
+func (sess *clientSession) clusterRedirect(msg protocol.Message) protocol.Message {
 	s := sess.srv
 	if s.cluster == nil {
 		return nil
@@ -170,7 +170,7 @@ func (sess *session) clusterRedirect(msg protocol.Message) protocol.Message {
 	return s.redirectFor(segOf(msg))
 }
 
-func (sess *session) handleRingGet(*protocol.RingGet) protocol.Message {
+func (sess *clientSession) handleRingGet(*protocol.RingGet) protocol.Message {
 	s := sess.srv
 	if s.cluster == nil {
 		return errReply(protocol.CodeBadRequest, "not in cluster mode")
@@ -178,7 +178,7 @@ func (sess *session) handleRingGet(*protocol.RingGet) protocol.Message {
 	return &protocol.RingReply{Ms: s.cluster.Membership()}
 }
 
-func (sess *session) handleRingPush(m *protocol.RingPush) protocol.Message {
+func (sess *clientSession) handleRingPush(m *protocol.RingPush) protocol.Message {
 	s := sess.srv
 	if s.cluster == nil {
 		return errReply(protocol.CodeBadRequest, "not in cluster mode")
@@ -219,7 +219,7 @@ func entriesFromApplied(applied map[string]appliedWrite) []protocol.AppliedEntry
 // still the owner until the SetOverride commit. A sender with a
 // strictly newer epoch is trusted: it knows a view this node has not
 // seen yet, and the gossip riding on the reply path converges us.
-func (sess *session) handleReplicate(m *protocol.Replicate) protocol.Message {
+func (sess *clientSession) handleReplicate(m *protocol.Replicate) protocol.Message {
 	s := sess.srv
 	if s.cluster == nil {
 		return errReply(protocol.CodeBadRequest, "not in cluster mode")
@@ -239,13 +239,7 @@ func (sess *session) handleReplicate(m *protocol.Replicate) protocol.Message {
 		if seg.Name != m.Seg {
 			return errReply(protocol.CodeBadRequest, "snapshot is of %q, not %q", seg.Name, m.Seg)
 		}
-		if s.opts.DiffCacheCap != 0 {
-			n := s.opts.DiffCacheCap
-			if n < 0 {
-				n = 0
-			}
-			seg.SetDiffCacheCap(n)
-		}
+		s.capDiffCache(seg)
 		st, err := s.getSeg(m.Seg, true)
 		if err != nil {
 			return errReply(protocol.CodeInternal, "%v", err)
@@ -329,7 +323,7 @@ func (s *Server) journalAdoptSnapshot(st *segState, raw []byte, applied []protoc
 // handlePull answers a promotion catch-up probe with this node's
 // version of the segment and a diff covering everything past the
 // requester's version.
-func (sess *session) handlePull(m *protocol.Pull) protocol.Message {
+func (sess *clientSession) handlePull(m *protocol.Pull) protocol.Message {
 	s := sess.srv
 	if s.cluster == nil {
 		return errReply(protocol.CodeBadRequest, "not in cluster mode")
@@ -671,24 +665,17 @@ func (s *Server) demoteSegLocked(st *segState) []func() {
 	// An evicted stub demotes like anything else: the journal reset
 	// below is what matters, plus a fresh empty image replacing it.
 	name, ver := st.name, st.residentVersionLocked()
-	for cl := range st.subs {
-		target := cl
+	st.subs.Each(func(target *clientSession) {
 		out = append(out, func() {
 			// Shed-on-overload is safe here too: a shed subscriber is
 			// evicted and re-validates on reconnect, which is exactly
 			// what this Notify would have made it do.
-			target.sendNotify(&protocol.Notify{Seg: name, Version: ver})
+			target.Notify(&protocol.Notify{Seg: name, Version: ver})
 		})
-	}
-	st.subs = make(map[*session]*subState)
+	})
+	st.subs = Subscriptions[*clientSession]{}
 	seg := NewSegment(name)
-	if s.opts.DiffCacheCap != 0 {
-		n := s.opts.DiffCacheCap
-		if n < 0 {
-			n = 0
-		}
-		seg.SetDiffCacheCap(n)
-	}
+	s.capDiffCache(seg)
 	st.seg = seg
 	st.evictedVer = 0
 	st.applied = make(map[string]appliedWrite)
@@ -775,7 +762,7 @@ func (s *Server) promoteSegment(seg string, ring *cluster.Ring, self string) {
 // snapshot to the target, pins the new owner with a membership
 // override, and gossips the bumped epoch. The dispatch-level redirect
 // has already routed this request to the owner.
-func (sess *session) handleMigrate(m *protocol.Migrate) protocol.Message {
+func (sess *clientSession) handleMigrate(m *protocol.Migrate) protocol.Message {
 	s := sess.srv
 	if s.cluster == nil {
 		return errReply(protocol.CodeBadRequest, "not in cluster mode")

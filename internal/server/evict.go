@@ -103,13 +103,7 @@ func (s *Server) ensureResident(st *segState) error {
 		return fmt.Errorf("server: fault-in of %q recovered version %d, stub recorded %d",
 			st.name, seg.Version, st.evictedVer)
 	}
-	if s.opts.DiffCacheCap != 0 {
-		n := s.opts.DiffCacheCap
-		if n < 0 {
-			n = 0
-		}
-		seg.SetDiffCacheCap(n)
-	}
+	s.capDiffCache(seg)
 	st.seg = seg
 	st.evictedVer = 0
 	if s.ins != nil {

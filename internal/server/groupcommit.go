@@ -57,7 +57,7 @@ type pendingRelease struct {
 // formally holds the write lock — it is handed off here, before the
 // flush, which is what lets the next writer overlap with this
 // release's durability fan-out.
-func (sess *session) finishReleaseGrouped(st *segState, seg string, prevVer, version uint32, notifications []func()) protocol.Message {
+func (sess *clientSession) finishReleaseGrouped(st *segState, seg string, prevVer, version uint32, notifications []func()) protocol.Message {
 	s := sess.srv
 	pr := &pendingRelease{
 		prevVer:       prevVer,

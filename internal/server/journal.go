@@ -100,20 +100,7 @@ func (s *Server) restoreJournalSeg(name string) error {
 		}
 		s.logf("journal %s: dropped torn tail; recovered to version %d", name, seg.Version)
 	}
-	if s.opts.DiffCacheCap != 0 {
-		n := s.opts.DiffCacheCap
-		if n < 0 {
-			n = 0
-		}
-		seg.SetDiffCacheCap(n)
-	}
-	st := &segState{
-		name:    name,
-		seg:     seg,
-		subs:    make(map[*session]*subState),
-		applied: applied,
-	}
-	s.reg.getOrCreate(name, func(string) *segState { return st })
+	s.reg.getOrCreate(name, func(string) *segState { return s.adoptSegState(seg, applied) })
 	return nil
 }
 

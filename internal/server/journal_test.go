@@ -387,3 +387,37 @@ func BenchmarkRecovery(b *testing.B) {
 		}
 	}
 }
+
+// TestGroupCommitOnRecoveredSegment: a segment recovered at startup —
+// from a journal or from a checkpoint — must take a grouped release
+// like a fresh one. Recovery used to build its segState by hand,
+// without the flush condition variable the group-commit flusher
+// broadcasts on, so the first write to a recovered segment panicked
+// the server.
+func TestGroupCommitOnRecoveredSegment(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		opts func(dir string) Options
+	}{
+		{"journal", func(dir string) Options { return Options{JournalDir: dir, GroupCommit: true} }},
+		{"checkpoint", func(dir string) Options { return Options{CheckpointDir: dir, GroupCommit: true} }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, addr := startTestServer(t, mode.opts(dir))
+			seedSeg(t, addr, "gc/recovered", 8)
+			if err := srv.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, addr = startTestServer(t, mode.opts(dir))
+			rc := dialRaw(t, addr)
+			if reply, _ := rc.call(&protocol.WriteLock{Seg: "gc/recovered", HaveVersion: 1, Policy: coherence.Full()}); reply == nil {
+				t.Fatal("write lock on the recovered segment failed")
+			}
+			reply, _ := rc.call(&protocol.WriteUnlock{Seg: "gc/recovered", Diff: runDiff(1, 0, 7)})
+			if vr, ok := reply.(*protocol.VersionReply); !ok || vr.Version != 2 {
+				t.Fatalf("grouped release on the recovered segment = %+v, want version 2", reply)
+			}
+		})
+	}
+}

@@ -213,7 +213,7 @@ func (s *Server) collectServerGauges(emit obs.GaugeEmit) {
 		s.lockSeg(st)
 		l := obs.L("seg", st.name)
 		emit(smSegVersion, "Current version of each segment.", float64(st.residentVersionLocked()), l)
-		emit(smSegSubscribers, "Clients subscribed to each segment's notifications.", float64(len(st.subs)), l)
+		emit(smSegSubscribers, "Clients subscribed to each segment's notifications.", float64(st.subs.Len()), l)
 		emit(smSegWaiters, "Writers queued for each segment's write lock.", float64(len(st.waiters)), l)
 		// The block/unit/cache gauges describe the in-memory image and
 		// are skipped for evicted segments rather than emitted as
@@ -280,10 +280,8 @@ func (s *Server) DebugSegments() []SegmentDebug {
 	out := make([]SegmentDebug, 0, len(sts))
 	for _, st := range sts {
 		s.lockSeg(st)
-		attached := make(map[*session]struct{}, len(st.subs)+len(st.waiters)+1)
-		for cl := range st.subs {
-			attached[cl] = struct{}{}
-		}
+		attached := make(map[*clientSession]struct{}, st.subs.Len()+len(st.waiters)+1)
+		st.subs.Each(func(cl *clientSession) { attached[cl] = struct{}{} })
 		for _, w := range st.waiters {
 			attached[w.sess] = struct{}{}
 		}
@@ -293,7 +291,7 @@ func (s *Server) DebugSegments() []SegmentDebug {
 		sd := SegmentDebug{
 			Name:            st.name,
 			Version:         st.residentVersionLocked(),
-			Subscribers:     len(st.subs),
+			Subscribers:     st.subs.Len(),
 			WriterHeld:      st.writer != nil,
 			Waiters:         len(st.waiters),
 			AppliedWriters:  len(st.applied),

@@ -15,6 +15,7 @@ import (
 	"interweave/internal/journal"
 	"interweave/internal/obs"
 	"interweave/internal/protocol"
+	"interweave/internal/session"
 )
 
 // Options configures a Server.
@@ -139,8 +140,8 @@ type Server struct {
 	opts Options
 
 	mu       sync.Mutex // lifecycle: conns, sessions, ln, closed, lastRing
-	conns    map[*wireConn]struct{}
-	sessions map[*session]struct{}
+	conns    map[*session.Conn]struct{}
+	sessions map[*clientSession]struct{}
 	// proxySessions counts the sessions created by ProxyHello; they are
 	// excluded from MaxSessions admission (DESIGN.md §11 — one proxy
 	// session replaces thousands of direct client sessions).
@@ -151,14 +152,13 @@ type Server struct {
 	// admission count so infrastructure traffic neither consumes nor
 	// is refused client capacity.
 	exemptSessions int
-	ln            net.Listener
-	closed        bool
+	ln             net.Listener
+	closed         bool
 
-	// Resolved transport bounds (Options with defaults applied).
-	sessionSendQueue int
-	connSendQueue    int
-	writeTimeout     time.Duration
-	groupCommitMax   int
+	// transport is the session transport's bounds: the three queue and
+	// timeout Options with defaults applied.
+	transport      session.Config
+	groupCommitMax int
 
 	// reg is the sharded segment registry; each segState carries its
 	// own mutex (see segState).
@@ -213,9 +213,9 @@ type segState struct {
 	// lock-ordering code can sort segStates without taking mu.
 	name    string
 	seg     *Segment
-	writer  *session
+	writer  *clientSession
 	waiters []*waiter
-	subs    map[*session]*subState
+	subs    Subscriptions[*clientSession]
 	// applied records each writer's most recent release outcome, so a
 	// release retried after a lost reply is answered from the record
 	// instead of applied twice (at-most-once). Persisted with the
@@ -255,15 +255,8 @@ type appliedWrite struct {
 	version uint32
 }
 
-type subState struct {
-	policy      coherence.Policy
-	haveVersion uint32
-	unitsSince  int
-	notified    bool
-}
-
 type waiter struct {
-	sess *session
+	sess *clientSession
 	ch   chan struct{}
 }
 
@@ -272,29 +265,32 @@ type waiter struct {
 func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:     opts,
-		conns:    make(map[*wireConn]struct{}),
-		sessions: make(map[*session]struct{}),
+		conns:    make(map[*session.Conn]struct{}),
+		sessions: make(map[*clientSession]struct{}),
 		done:     make(chan struct{}),
 		tracer:   opts.Tracer,
 		start:    time.Now(),
 		flight:   opts.Flight,
 		crashw:   opts.CrashDump,
 
-		sessionSendQueue: opts.SessionSendQueue,
-		connSendQueue:    opts.ConnSendQueue,
-		writeTimeout:     opts.WriteTimeout,
+		transport: session.Config{
+			ConnQueue:    opts.ConnSendQueue,
+			SessionQueue: opts.SessionSendQueue,
+			WriteTimeout: opts.WriteTimeout,
+			Logf:         opts.Logf,
+		},
 	}
 	if s.crashw == nil {
 		s.crashw = os.Stderr
 	}
-	if s.sessionSendQueue <= 0 {
-		s.sessionSendQueue = DefaultSessionSendQueue
+	if s.transport.SessionQueue <= 0 {
+		s.transport.SessionQueue = DefaultSessionSendQueue
 	}
-	if s.connSendQueue <= 0 {
-		s.connSendQueue = DefaultConnSendQueue
+	if s.transport.ConnQueue <= 0 {
+		s.transport.ConnQueue = DefaultConnSendQueue
 	}
-	if s.writeTimeout <= 0 {
-		s.writeTimeout = DefaultWriteTimeout
+	if s.transport.WriteTimeout <= 0 {
+		s.transport.WriteTimeout = DefaultWriteTimeout
 	}
 	s.groupCommitMax = opts.GroupCommitMax
 	if s.groupCommitMax <= 0 {
@@ -431,14 +427,14 @@ func (s *Server) Serve(ln net.Listener) error {
 				return fmt.Errorf("server: accept: %w", err)
 			}
 		}
-		wc := s.newWireConn(conn)
+		sc := session.NewConn(conn, s, s.transport)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			_ = conn.Close()
 			return net.ErrClosed
 		}
-		s.conns[wc] = struct{}{}
+		s.conns[sc] = struct{}{}
 		if s.ins != nil {
 			s.ins.conns.Set(int64(len(s.conns)))
 		}
@@ -452,7 +448,13 @@ func (s *Server) Serve(ln net.Listener) error {
 				// process (obs.FlightRecorder.DumpOnPanic re-panics).
 				defer s.flight.DumpOnPanic(s.crashw, "server connection")
 			}
-			wc.serve()
+			sc.Serve()
+			s.mu.Lock()
+			delete(s.conns, sc)
+			if s.ins != nil {
+				s.ins.conns.Set(int64(len(s.conns)))
+			}
+			s.mu.Unlock()
 		}()
 	}
 }
@@ -479,8 +481,8 @@ func (s *Server) Close() error {
 	s.closed = true
 	close(s.done)
 	ln := s.ln
-	for wc := range s.conns {
-		wc.shut()
+	for sc := range s.conns {
+		sc.Close()
 	}
 	s.mu.Unlock()
 	if ln != nil {
@@ -516,25 +518,30 @@ func (s *Server) checkpointLoop() {
 	}
 }
 
-// newSegState builds a fresh segment state with the server's diff
-// cache policy applied.
+// newSegState builds the state of a fresh, empty segment.
 func (s *Server) newSegState(name string) *segState {
-	st := &segState{
-		name:    name,
-		seg:     NewSegment(name),
-		subs:    make(map[*session]*subState),
-		applied: make(map[string]appliedWrite),
-	}
+	return s.adoptSegState(NewSegment(name), make(map[string]appliedWrite))
+}
+
+// adoptSegState builds the state of a segment the server starts
+// managing with the given image and at-most-once table — a fresh one,
+// or one recovered from a checkpoint or journal. It is the only place
+// a segState is constructed.
+func (s *Server) adoptSegState(seg *Segment, applied map[string]appliedWrite) *segState {
+	s.capDiffCache(seg)
+	st := &segState{name: seg.Name, seg: seg, applied: applied}
 	st.flushDone = sync.NewCond(&st.mu)
 	st.lastTouch.Store(time.Now().UnixNano())
-	if s.opts.DiffCacheCap != 0 {
-		n := s.opts.DiffCacheCap
-		if n < 0 {
-			n = 0
-		}
-		st.seg.SetDiffCacheCap(n)
-	}
 	return st
+}
+
+// capDiffCache applies Options.DiffCacheCap to a segment image the
+// server is about to serve from (zero keeps the segment's default,
+// negative disables caching).
+func (s *Server) capDiffCache(seg *Segment) {
+	if n := s.opts.DiffCacheCap; n != 0 {
+		seg.SetDiffCacheCap(max(n, 0))
+	}
 }
 
 // getSeg returns the named segment state, creating it if requested.
@@ -554,18 +561,24 @@ func errReply(code uint16, format string, args ...any) *protocol.ErrorReply {
 	return &protocol.ErrorReply{Code: code, Text: fmt.Sprintf(format, args...)}
 }
 
-// handle times and dispatches one request, counting error replies.
-// When the server traces, the request gets a "server.<Kind>" span
-// joined to the client's trace context (or rooting a fresh trace for
-// clients that sent none); error replies mark the span errored. All
-// span work is gated on the tracer, keeping the disabled path free of
-// clock reads and allocations.
-func (sess *session) handle(msg protocol.Message, tc protocol.TraceContext) protocol.Message {
+// Handle times and dispatches one request, counting error replies
+// (session.Host). When the server traces, the request gets a
+// "server.<Kind>" span joined to the client's trace context (or
+// rooting a fresh trace for clients that sent none); error replies
+// mark the span errored. All span work is gated on the tracer, keeping
+// the disabled path free of clock reads and allocations.
+func (s *Server) Handle(ts *session.Session, msg protocol.Message, tc protocol.TraceContext) protocol.Message {
+	sess := ts.Data.(*clientSession)
+	if s.flight != nil && ts.SID() != 0 {
+		// A non-zero session's request runs on its own goroutine, out
+		// of reach of the connection's post-mortem hook.
+		defer s.flight.DumpOnPanic(s.crashw, "session request handler")
+	}
 	var sp *obs.Span
-	if tr := sess.srv.tracer; tr != nil {
+	if tr := s.tracer; tr != nil {
 		sp = tr.Join(obs.SpanContext{TraceID: tc.TraceID, SpanID: tc.SpanID}, "server."+reqName(msg))
 	}
-	ins := sess.srv.ins
+	ins := s.ins
 	var reply protocol.Message
 	if ins == nil {
 		reply = sess.dispatch(msg, sp)
@@ -587,7 +600,7 @@ func (sess *session) handle(msg protocol.Message, tc protocol.TraceContext) prot
 }
 
 // dispatch routes one request to its handler and returns the reply.
-func (sess *session) dispatch(msg protocol.Message, sp *obs.Span) protocol.Message {
+func (sess *clientSession) dispatch(msg protocol.Message, sp *obs.Span) protocol.Message {
 	if red := sess.clusterRedirect(msg); red != nil {
 		return red
 	}
@@ -634,7 +647,7 @@ func (sess *session) dispatch(msg protocol.Message, sp *obs.Span) protocol.Messa
 	}
 }
 
-func (sess *session) handleOpen(m *protocol.OpenSegment) protocol.Message {
+func (sess *clientSession) handleOpen(m *protocol.OpenSegment) protocol.Message {
 	s := sess.srv
 	var st *segState
 	created := false
@@ -659,24 +672,16 @@ func (sess *session) handleOpen(m *protocol.OpenSegment) protocol.Message {
 	}
 }
 
-// freshnessReply decides whether the client needs an update and
-// builds the LockReply. Called with st.mu held. The span, when
-// non-nil, parents a "server.freshness" child (result attr:
-// fresh/diff/error) and, when a diff is served, a
+// freshnessReply builds the LockReply from the segment's subscription
+// table (Stale, then Collect), instrumented. Called with st.mu held.
+// The span, when non-nil, parents a "server.freshness" child (result
+// attr: fresh/diff/error) and, when a diff is served, a
 // "server.diff_collect" child.
-func freshnessReply(st *segState, sess *session, haveVer uint32, policy coherence.Policy, sp *obs.Span) protocol.Message {
+func freshnessReply(st *segState, sess *clientSession, haveVer uint32, policy coherence.Policy, sp *obs.Span) protocol.Message {
 	fsp := sp.Child("server.freshness")
 	seg := st.seg
-	unitsModified := 0
-	if policy.Model == coherence.ModelDiff {
-		if sub, ok := st.subs[sess]; ok && sub.haveVersion == haveVer {
-			unitsModified = sub.unitsSince
-		} else {
-			unitsModified = seg.UnitsModifiedSince(haveVer)
-		}
-	}
 	ins := sess.srv.ins
-	if !policy.ShouldUpdate(haveVer, seg.Version, unitsModified, seg.TotalUnits()) {
+	if !st.subs.Stale(seg, sess, haveVer, policy) {
 		if ins != nil {
 			ins.versionFresh.Inc()
 		}
@@ -689,7 +694,7 @@ func freshnessReply(st *segState, sess *session, haveVer uint32, policy coherenc
 		start = time.Now()
 	}
 	csp := fsp.Child("server.diff_collect")
-	d, err := seg.CollectDiff(haveVer)
+	d, err := st.subs.Collect(seg, sess, haveVer)
 	if err != nil {
 		if csp != nil {
 			csp.Error(err)
@@ -721,16 +726,10 @@ func freshnessReply(st *segState, sess *session, haveVer uint32, policy coherenc
 		ins.unitsSent.Add(uint64(d.Units()))
 		ins.unitsFull.Add(uint64(seg.TotalUnits()))
 	}
-	// The client is now current: refresh its subscription state.
-	if sub, ok := st.subs[sess]; ok {
-		sub.haveVersion = seg.Version
-		sub.unitsSince = 0
-		sub.notified = false
-	}
 	return &protocol.LockReply{Diff: d}
 }
 
-func (sess *session) handleReadLock(m *protocol.ReadLock, sp *obs.Span) protocol.Message {
+func (sess *clientSession) handleReadLock(m *protocol.ReadLock, sp *obs.Span) protocol.Message {
 	s := sess.srv
 	st, err := s.getSeg(m.Seg, false)
 	if err != nil {
@@ -743,14 +742,12 @@ func (sess *session) handleReadLock(m *protocol.ReadLock, sp *obs.Span) protocol
 	}
 	reply := freshnessReply(st, sess, m.HaveVersion, m.Policy, sp)
 	if lr, ok := reply.(*protocol.LockReply); ok && lr.Fresh {
-		if sub, subbed := st.subs[sess]; subbed {
-			sub.notified = false
-		}
+		st.subs.Rearm(sess)
 	}
 	return reply
 }
 
-func (sess *session) handleWriteLock(m *protocol.WriteLock, sp *obs.Span) protocol.Message {
+func (sess *clientSession) handleWriteLock(m *protocol.WriteLock, sp *obs.Span) protocol.Message {
 	s := sess.srv
 	st, err := s.getSeg(m.Seg, false)
 	if err != nil {
@@ -773,7 +770,7 @@ func (sess *session) handleWriteLock(m *protocol.WriteLock, sp *obs.Span) protoc
 		qsp = sp.Child("server.queue_wait")
 	}
 	for st.writer != nil {
-		if sess.gone() {
+		if sess.Gone() {
 			st.mu.Unlock()
 			qsp.End()
 			return errSessionClosed()
@@ -795,7 +792,7 @@ func (sess *session) handleWriteLock(m *protocol.WriteLock, sp *obs.Span) protoc
 	}
 	qsp.End()
 	st.writer = sess
-	if sess.gone() {
+	if sess.Gone() {
 		// Teardown raced the grant: give the lock straight back.
 		releaseWriter(st, sess)
 		st.mu.Unlock()
@@ -830,7 +827,7 @@ func (sess *session) handleWriteLock(m *protocol.WriteLock, sp *obs.Span) protoc
 // the first queued waiter. The direct handoff makes the queue truly
 // FIFO: the lock never appears free while waiters exist, so a late
 // arrival cannot barge in front of them. Called with st.mu held.
-func releaseWriter(st *segState, sess *session) {
+func releaseWriter(st *segState, sess *clientSession) {
 	if st.writer != sess {
 		return
 	}
@@ -844,7 +841,7 @@ func releaseWriter(st *segState, sess *session) {
 	st.writer = nil
 }
 
-func (sess *session) handleWriteUnlock(m *protocol.WriteUnlock, sp *obs.Span) protocol.Message {
+func (sess *clientSession) handleWriteUnlock(m *protocol.WriteUnlock, sp *obs.Span) protocol.Message {
 	s := sess.srv
 	st, err := s.getSeg(m.Seg, false)
 	if err != nil {
@@ -991,7 +988,7 @@ func (sess *session) handleWriteUnlock(m *protocol.WriteUnlock, sp *obs.Span) pr
 // handleResume answers a client probing the fate of a write release
 // it sent on a connection that died: whether (WriterID, Seq) was
 // applied, at which version, and where the segment stands now.
-func (sess *session) handleResume(m *protocol.Resume) protocol.Message {
+func (sess *clientSession) handleResume(m *protocol.Resume) protocol.Message {
 	s := sess.srv
 	st, err := s.getSeg(m.Seg, false)
 	if err != nil {
@@ -1010,38 +1007,23 @@ func (sess *session) handleResume(m *protocol.Resume) protocol.Message {
 	return rr
 }
 
-// updateSubscribers advances subscription counters after a new
-// version and returns the notification sends to perform once the
-// segment lock is released. Called with st.mu held.
-func updateSubscribers(st *segState, writer *session, newVer uint32, modified int) []func() {
+// updateSubscribers advances the segment's subscription table after
+// writer's release produced newVer and returns the notification sends
+// to perform once the segment lock is released. Called with st.mu
+// held.
+func updateSubscribers(st *segState, writer *clientSession, newVer uint32, modified int) []func() {
 	var out []func()
-	seg := st.seg
-	for cl, sub := range st.subs {
-		if cl == writer {
-			// The writer's copy is the new version by construction.
-			sub.haveVersion = newVer
-			sub.unitsSince = 0
-			sub.notified = false
-			continue
-		}
-		sub.unitsSince += modified
-		if sub.notified {
-			continue
-		}
-		if sub.policy.ShouldUpdate(sub.haveVersion, newVer, sub.unitsSince, seg.TotalUnits()) {
-			sub.notified = true
-			target, name := cl, st.name
-			out = append(out, func() {
-				// Never blocks: a slow consumer is shed, not buffered
-				// (DESIGN.md §10).
-				target.sendNotify(&protocol.Notify{Seg: name, Version: newVer})
-			})
-		}
+	for _, target := range st.subs.Advance(st.seg, writer, newVer, modified) {
+		out = append(out, func() {
+			// Never blocks: a slow consumer is shed, not buffered
+			// (DESIGN.md §10).
+			target.Notify(&protocol.Notify{Seg: st.name, Version: newVer})
+		})
 	}
 	return out
 }
 
-func (sess *session) handleSubscribe(m *protocol.Subscribe) protocol.Message {
+func (sess *clientSession) handleSubscribe(m *protocol.Subscribe) protocol.Message {
 	s := sess.srv
 	st, err := s.getSeg(m.Seg, false)
 	if err != nil {
@@ -1053,14 +1035,14 @@ func (sess *session) handleSubscribe(m *protocol.Subscribe) protocol.Message {
 	sess.touch(st)
 	s.lockSeg(st)
 	defer st.mu.Unlock()
-	if sess.gone() {
+	if sess.Gone() {
 		return errSessionClosed()
 	}
-	st.subs[sess] = &subState{policy: m.Policy, haveVersion: m.HaveVersion}
+	st.subs.Subscribe(sess, m.Policy, m.HaveVersion)
 	return &protocol.Ack{}
 }
 
-func (sess *session) handleUnsubscribe(m *protocol.Unsubscribe) protocol.Message {
+func (sess *clientSession) handleUnsubscribe(m *protocol.Unsubscribe) protocol.Message {
 	s := sess.srv
 	st, err := s.getSeg(m.Seg, false)
 	if err != nil {
@@ -1068,7 +1050,7 @@ func (sess *session) handleUnsubscribe(m *protocol.Unsubscribe) protocol.Message
 	}
 	s.lockSeg(st)
 	defer st.mu.Unlock()
-	delete(st.subs, sess)
+	st.subs.Unsubscribe(sess)
 	return &protocol.Ack{}
 }
 

@@ -1,0 +1,118 @@
+package server
+
+import (
+	"interweave/internal/coherence"
+	"interweave/internal/wire"
+)
+
+// Subscriptions is one segment copy's subscription table — the
+// paper's per-client coherence record: which readers asked for
+// invalidations, under which policy, and what each is known to hold.
+// It answers the two questions relaxed coherence asks, the same way
+// wherever the copy lives: at lock time, does this reader need an
+// update (Stale, Collect); at release time, which subscribers are owed
+// a Notify (Advance). K names a subscriber — the origin server keys by
+// client session, a proxy by downstream session over its mirror.
+//
+// The zero value is an empty table. It is not synchronized: the lock
+// guarding the segment copy guards its table.
+type Subscriptions[K comparable] struct {
+	m map[K]*subscription
+}
+
+type subscription struct {
+	policy coherence.Policy
+	// haveVersion is the version the subscriber is known to hold;
+	// unitsSince counts the units modified past it (Diff coherence).
+	haveVersion uint32
+	unitsSince  int
+	// notified is set once a Notify is owed and cleared by the
+	// subscriber's next lock, so a subscriber is told at most once
+	// that it is stale.
+	notified bool
+}
+
+// Subscribe registers k as holding haveVersion under policy, replacing
+// any earlier record.
+func (t *Subscriptions[K]) Subscribe(k K, policy coherence.Policy, haveVersion uint32) {
+	if t.m == nil {
+		t.m = make(map[K]*subscription)
+	}
+	t.m[k] = &subscription{policy: policy, haveVersion: haveVersion}
+}
+
+// Unsubscribe drops k's subscription, if any.
+func (t *Subscriptions[K]) Unsubscribe(k K) { delete(t.m, k) }
+
+// Len returns the number of subscribers.
+func (t *Subscriptions[K]) Len() int { return len(t.m) }
+
+// Each calls fn for every subscriber.
+func (t *Subscriptions[K]) Each(fn func(K)) {
+	for k := range t.m {
+		fn(k)
+	}
+}
+
+// Stale reports whether reader k, holding haveVer of seg, needs an
+// update under policy — if so it is owed a Collect.
+func (t *Subscriptions[K]) Stale(seg *Segment, k K, haveVer uint32, policy coherence.Policy) bool {
+	sub := t.m[k]
+	unitsModified := 0
+	if policy.Model == coherence.ModelDiff {
+		if sub != nil && sub.haveVersion == haveVer {
+			unitsModified = sub.unitsSince
+		} else {
+			unitsModified = seg.UnitsModifiedSince(haveVer)
+		}
+	}
+	return policy.ShouldUpdate(haveVer, seg.Version, unitsModified, seg.TotalUnits())
+}
+
+// Rearm records that reader k was served from its cache: its
+// subscription, if any, is owed a Notify again once it goes stale.
+func (t *Subscriptions[K]) Rearm(k K) {
+	if sub := t.m[k]; sub != nil {
+		sub.notified = false
+	}
+}
+
+// Collect builds the update that brings stale reader k from haveVer to
+// seg's current version and records k as now holding it. A nil diff
+// means there was nothing to send: the reader is fresh after all.
+func (t *Subscriptions[K]) Collect(seg *Segment, k K, haveVer uint32) (*wire.SegmentDiff, error) {
+	d, err := seg.CollectDiff(haveVer)
+	if sub := t.m[k]; sub != nil && d != nil {
+		sub.haveVersion = seg.Version
+		sub.unitsSince = 0
+		sub.notified = false
+	}
+	return d, err
+}
+
+// Advance records that seg reached newVer by a write that modified the
+// given number of units, and returns the subscribers now owed a
+// Notify. writer is the subscriber whose release produced newVer: its
+// copy is the new version by construction, so it is recorded current
+// instead of notified. Where no subscriber is the writer — a proxy's
+// mirror advances by pulls — pass the zero K.
+func (t *Subscriptions[K]) Advance(seg *Segment, writer K, newVer uint32, modified int) []K {
+	var owed []K
+	for k, sub := range t.m {
+		if k == writer {
+			sub.haveVersion = newVer
+			sub.unitsSince = 0
+			sub.notified = false
+			continue
+		}
+		sub.unitsSince += modified
+		if sub.notified {
+			continue
+		}
+		if sub.policy.ShouldUpdate(sub.haveVersion, newVer, sub.unitsSince, seg.TotalUnits()) {
+			sub.notified = true
+			owed = append(owed, k)
+		}
+	}
+	return owed
+}

@@ -1,0 +1,150 @@
+package server
+
+import (
+	"sort"
+	"testing"
+	"time"
+
+	"interweave/internal/coherence"
+)
+
+// subsSeg returns a segment at version 1 holding one block of 100
+// ints, so unit counts and percentages read directly.
+func subsSeg(t *testing.T) *Segment {
+	t.Helper()
+	seg := NewSegment("subs/s")
+	if _, _, err := seg.ApplyDiff(intsDiff(t, 1, 1, 100, "blk")); err != nil {
+		t.Fatal(err)
+	}
+	return seg
+}
+
+// write commits one release rewriting n units of the block and
+// advances the table the way its owner would: writer is the releasing
+// subscriber (server style) or "" (proxy style: the version came from
+// a pull). It returns the subscribers owed a Notify, sorted.
+func write(t *testing.T, tab *Subscriptions[string], seg *Segment, writer string, n int) []string {
+	t.Helper()
+	ver, modified, err := seg.ApplyDiff(runDiff(1, 0, make([]uint32, n)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	owed := tab.Advance(seg, writer, ver, modified)
+	sort.Strings(owed)
+	return owed
+}
+
+func equal(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSubscriptionsFanout drives one table per style through the four
+// coherence models: who is owed a Notify after each release, that
+// nobody is told twice before locking again, and that a lock (Collect
+// when stale, Rearm when served from cache) re-arms the subscriber.
+func TestSubscriptionsFanout(t *testing.T) {
+	policies := map[string]coherence.Policy{
+		"full":     coherence.Full(),
+		"delta":    coherence.Delta(2),
+		"temporal": coherence.Temporal(time.Hour),
+		"diff":     coherence.Diff(50),
+	}
+	for _, style := range []struct {
+		name   string
+		writer string // the subscriber whose releases advance the segment
+	}{
+		{"server: writer excluded", "full"},
+		{"proxy: no writer", ""},
+	} {
+		t.Run(style.name, func(t *testing.T) {
+			seg := subsSeg(t)
+			var tab Subscriptions[string]
+			for name, p := range policies {
+				tab.Subscribe(name, p, seg.Version)
+			}
+			// others is every subscriber but the writer.
+			others := func(names ...string) []string {
+				var out []string
+				for _, n := range names {
+					if n != style.writer {
+						out = append(out, n)
+					}
+				}
+				sort.Strings(out)
+				return out
+			}
+
+			// v2, 10 units: one version behind is too many for Full and
+			// Temporal (a Temporal subscriber asked to hear), within
+			// Delta(2), and 10% < Diff(50).
+			if got, want := write(t, &tab, seg, style.writer, 10), others("full", "temporal"); !equal(got, want) {
+				t.Errorf("v2 owed %v, want %v", got, want)
+			}
+			// v3, 10 more: the told ones are not told again; Delta is
+			// two behind (still within), Diff at 20%.
+			if got := write(t, &tab, seg, style.writer, 10); len(got) != 0 {
+				t.Errorf("v3 owed %v, want nobody", got)
+			}
+			// v4, 40 more: Delta is three behind, Diff at 60%.
+			if got, want := write(t, &tab, seg, style.writer, 40), []string{"delta", "diff"}; !equal(got, want) {
+				t.Errorf("v4 owed %v, want %v", got, want)
+			}
+			// v5: everyone has been told once; nobody is told again.
+			if got := write(t, &tab, seg, style.writer, 100); len(got) != 0 {
+				t.Errorf("v5 owed %v, want nobody", got)
+			}
+
+			// Locking re-arms. Delta locks at v1: stale, collects the
+			// diff to v5, and is then owed nothing until three more
+			// versions pass.
+			if !tab.Stale(seg, "delta", 1, policies["delta"]) {
+				t.Fatal("delta four versions behind reported fresh")
+			}
+			if d, err := tab.Collect(seg, "delta", 1); err != nil || d == nil || d.Version != 5 {
+				t.Fatalf("collect for delta = %+v, %v", d, err)
+			}
+			if tab.Stale(seg, "delta", 5, policies["delta"]) {
+				t.Error("delta stale right after collecting")
+			}
+			for v := 6; v <= 7; v++ {
+				if got := write(t, &tab, seg, style.writer, 1); len(got) != 0 {
+					t.Errorf("v%d owed %v, want nobody", v, got)
+				}
+			}
+			if got, want := write(t, &tab, seg, style.writer, 1), []string{"delta"}; !equal(got, want) {
+				t.Errorf("v8 owed %v, want %v", got, want)
+			}
+			// Told once — until a lock served from the cache re-arms it.
+			if got := write(t, &tab, seg, style.writer, 1); len(got) != 0 {
+				t.Errorf("v9 owed %v, want nobody", got)
+			}
+			tab.Rearm("delta")
+			if got, want := write(t, &tab, seg, style.writer, 1), []string{"delta"}; !equal(got, want) {
+				t.Errorf("v10 owed %v, want %v", got, want)
+			}
+
+			// The writer's own record, where there is one, tracks its
+			// releases: it was never told and is fresh at the head.
+			if style.writer != "" && tab.Stale(seg, style.writer, seg.Version, policies[style.writer]) {
+				t.Error("the writer is stale at its own version")
+			}
+			// A non-subscriber is judged by its lock alone.
+			if !tab.Stale(seg, "stranger", 1, coherence.Full()) || tab.Stale(seg, "stranger", seg.Version, coherence.Full()) {
+				t.Error("non-subscriber freshness wrong")
+			}
+
+			tab.Unsubscribe("delta")
+			if tab.Len() != 3 {
+				t.Errorf("len after unsubscribe = %d, want 3", tab.Len())
+			}
+		})
+	}
+}

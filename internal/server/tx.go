@@ -27,7 +27,7 @@ import (
 // sequence frozen meanwhile. The locks are retaken (same order) to
 // swap the clones in.
 
-func (sess *session) handleTxCommit(m *protocol.TxCommit, sp *obs.Span) protocol.Message {
+func (sess *clientSession) handleTxCommit(m *protocol.TxCommit, sp *obs.Span) protocol.Message {
 	s := sess.srv
 
 	if len(m.Parts) == 0 {

@@ -41,6 +41,7 @@ import (
 	"interweave/internal/obs"
 	"interweave/internal/protocol"
 	"interweave/internal/server"
+	"interweave/internal/session"
 )
 
 func main() {
@@ -262,10 +263,7 @@ func fetchMembership(addr string, timeout time.Duration) (protocol.Membership, e
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if err := protocol.WriteFrame(conn, 1, &protocol.RingGet{}); err != nil {
-		return protocol.Membership{}, err
-	}
-	_, reply, err := protocol.ReadFrame(conn)
+	reply, err := session.RoundTrip(conn, &protocol.RingGet{})
 	if err != nil {
 		return protocol.Membership{}, err
 	}
