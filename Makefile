@@ -55,12 +55,12 @@ bench-regress:
 # Both exit non-zero when the session count was not held.
 loadgen-slo:
 	$(GO) run ./tools/loadgen -sessions 100000 -conns 64 -rate 5000 \
-		-duration 15s -writers 4 -segments 32 -group-commit \
+		-duration 15s -writers 4 -segments 32 \
 		-json loadgen-slo.json
 
 loadgen-smoke:
 	$(GO) run ./tools/loadgen -sessions 1000 -conns 8 -rate 500 \
-		-duration 5s -subscribe 0.2 -group-commit -slo-gate -json loadgen-smoke.json
+		-duration 5s -subscribe 0.2 -slo-gate -json loadgen-smoke.json
 
 # Fleet observability smoke (also run in CI): boots a real three-node
 # iwserver topology with gossip-advertised metrics listeners, then

@@ -60,15 +60,15 @@
 // many logical sessions onto each connection, and four knobs bound
 // the server's exposure to load and slow consumers:
 //
-//	iwserver -addr :7777 -max-sessions 120000 -group-commit
+//	iwserver -addr :7777 -max-sessions 120000
 //
 // -max-sessions refuses session creation over the cap
 // (CodeOverloaded), -session-queue and -conn-queue bound the
 // outbound queues whose overflow sheds (and evicts) slow
-// subscribers, -write-timeout evicts connections that stop draining
-// replies, and -group-commit (bounded by -group-commit-max)
+// subscribers, and -write-timeout evicts connections that stop
+// draining replies. Every release takes the commit pipeline, which
 // coalesces a hot segment's journal, replication, and notification
-// work across batches of releases.
+// work across whatever releases queue behind a flush; it has no knob.
 //
 // Observability (see OBSERVABILITY.md) is opt-in:
 //
@@ -132,8 +132,6 @@ func run(args []string) error {
 	sessionQueue := fs.Int("session-queue", 0, "outbound frames one session may queue before notifications shed it (0 = default)")
 	connQueue := fs.Int("conn-queue", 0, "per-connection writer queue shared by its sessions (0 = default)")
 	writeTimeout := fs.Duration("write-timeout", 0, "how long a reply may wait for queue space before the connection is evicted as stuck (0 = default)")
-	groupCommit := fs.Bool("group-commit", false, "coalesce queued releases per hot segment into one journal append + replication + notification batch")
-	groupCommitMax := fs.Int("group-commit-max", 0, "releases one group-commit flush may coalesce; excess releases wait (0 = default)")
 	chaosSeed := fs.Int64("chaos-seed", 0, "inject seeded faults into the listener (0 = off)")
 	chaosConns := fs.Int("chaos-conns", 16, "connections the chaos schedule spreads resets over")
 	chaosResets := fs.Int("chaos-resets", 4, "connection resets in the chaos schedule")
@@ -168,8 +166,6 @@ func run(args []string) error {
 		SessionSendQueue:    *sessionQueue,
 		ConnSendQueue:       *connQueue,
 		WriteTimeout:        *writeTimeout,
-		GroupCommit:         *groupCommit,
-		GroupCommitMax:      *groupCommitMax,
 		SLOShortWindow:      *sloShort,
 		SLOLongWindow:       *sloLong,
 		SLOSampleEvery:      *sloSample,

@@ -119,6 +119,15 @@ type Client struct {
 	ms     *protocol.Membership
 	ring   *cluster.Ring
 
+	// notified names the segments with a server-pushed invalidation
+	// their next lock has yet to see. The connection's read loop
+	// records it under notifiedMu — never mu, which a call holds across
+	// its round trip and a tight lock loop can keep from a waiter for a
+	// long time — so an invalidation is in force the moment its frame
+	// was read; ensureFresh folds it into the segment's state.
+	notifiedMu sync.Mutex
+	notified   map[string]struct{}
+
 	// writerID identifies this client instance in WriteUnlock
 	// requests; together with a per-release sequence number it lets
 	// the server deduplicate retried releases (at-most-once).
@@ -181,6 +190,7 @@ func NewClient(opts Options) (*Client, error) {
 		conns:    make(map[string]*serverConn),
 		segs:     make(map[string]*segment),
 		routes:   make(map[string]string),
+		notified: make(map[string]struct{}),
 		writerID: fmt.Sprintf("%s/%d/%d", opts.Name, os.Getpid(), clientSeq.Add(1)),
 		traceFn:  opts.Trace,
 		tracer:   opts.Tracer,
@@ -539,20 +549,6 @@ func (c *Client) sleepRetry(attempt int) bool {
 	return !c.closed
 }
 
-// onNotify handles server-pushed invalidations.
-func (c *Client) onNotify(segName string, version uint32) {
-	c.mu.Lock()
-	if s, ok := c.segs[segName]; ok {
-		s.state.Invalidated = true
-		s.notifiedVersion = version
-	}
-	fn := c.opts.OnNotify
-	c.mu.Unlock()
-	if fn != nil {
-		fn(segName, version)
-	}
-}
-
 // serverConn is the cached connection of the paper's segment table:
 // one dialed connection (internal/session) on which the client speaks
 // only the implicit session, so replies arrive in request order and an
@@ -571,12 +567,20 @@ func (sc *serverConn) call(m protocol.Message) (protocol.Message, error) {
 }
 
 // pushed handles a server-initiated frame on one of the client's
-// connections.
+// connections, on that connection's read loop: a Notify invalidates
+// its segment's cached copy (see Client.notified).
 func (c *Client) pushed(_ uint32, m protocol.Message) {
-	if n, ok := m.(*protocol.Notify); ok {
-		// Dispatch asynchronously: the client may be holding its
-		// mutex while waiting for a reply on this very connection,
-		// and invalidation order is immaterial.
-		go c.onNotify(n.Seg, n.Version)
+	n, ok := m.(*protocol.Notify)
+	if !ok {
+		return
+	}
+	c.notifiedMu.Lock()
+	c.notified[n.Seg] = struct{}{}
+	c.notifiedMu.Unlock()
+	if fn := c.opts.OnNotify; fn != nil {
+		// On a goroutine of its own: the callback may call back into
+		// the client, whose mutex a caller waiting for a reply on this
+		// very connection may hold.
+		go fn(n.Seg, n.Version)
 	}
 }

@@ -222,6 +222,61 @@ func TestClusterFailoverMidWrite(t *testing.T) {
 	readVals(t, r, seg, "vals", 10, 20, 30, 40)
 }
 
+// TestClusterReleaseOnFreshSession pins the losing side of the race
+// TestClusterFailoverMidWrite leaves to timing: the client already
+// knows its connection is dead when it releases, so the release is
+// re-dialed, rerouted to the promoted owner, and arrives on a session
+// that holds no lock. The CodeLockState answer must run the Resume
+// recovery (nothing applied, nobody else wrote: re-acquire and resend),
+// not surface to the caller.
+func TestClusterReleaseOnFreshSession(t *testing.T) {
+	nodes := startChaosCluster(t, 3, 1, 5*time.Millisecond)
+	seg := nodes[0].addr + "/acc"
+	primary := nodeAt(t, nodes, nodes[0].node.Owner(seg))
+	var survivor *chaosNode
+	for _, n := range nodes {
+		if n != primary {
+			survivor = n
+			break
+		}
+	}
+	c := newChaosClient(t, fastRetry("fresh-session"))
+	if err := c.RefreshRing(survivor.addr); err != nil {
+		t.Fatal(err)
+	}
+	h, err := c.Open(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WLock(h); err != nil {
+		t.Fatal(err)
+	}
+	blk, err := c.Alloc(h, types.Int32(), 4, "vals")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeVals(t, c, h, blk.Addr, 1, 2, 3, 4) // version 1, replicated
+
+	if err := c.WLock(h); err != nil {
+		t.Fatal(err)
+	}
+	primary.kill()
+	for deadline := time.Now().Add(5 * time.Second); !h.s.conn.Closed(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("client never saw the killed primary's connection close")
+		}
+	}
+	writeVals(t, c, h, blk.Addr, 10, 20, 30, 40)
+	if got := h.Version(); got != 2 {
+		t.Errorf("version after the rerouted release = %d, want exactly 2", got)
+	}
+	r := newChaosClient(t, fastRetry("reader"))
+	if err := r.RefreshRing(survivor.addr); err != nil {
+		t.Fatal(err)
+	}
+	readVals(t, r, seg, "vals", 10, 20, 30, 40)
+}
+
 // TestClusterRedirectStaleEpoch is the issue's second acceptance
 // scenario: a client opening through a server whose ring epoch is
 // stale converges on the owner in at most two redirect hops — one for
@@ -403,9 +458,7 @@ func TestClusterMigrationInvalidatesSubscribers(t *testing.T) {
 	// it the reader stays locally fresh and never polls again.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		r.mu.Lock()
-		inv := hr.s.state.Invalidated
-		r.mu.Unlock()
+		inv := invalidated(r, hr)
 		if inv {
 			break
 		}

@@ -223,8 +223,8 @@ func TestAdaptiveUnsubscribe(t *testing.T) {
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for {
+			inv := invalidated(r, hr)
 			r.mu.Lock()
-			inv := hr.s.state.Invalidated
 			subscribed := hr.s.state.Subscribed
 			r.mu.Unlock()
 			if inv || !subscribed {

@@ -447,6 +447,18 @@ func TestTemporalCoherenceAvoidsCommunication(t *testing.T) {
 	}
 }
 
+// invalidated reports whether a server push has invalidated h's cached
+// copy: recorded by the connection's read loop, or already folded into
+// the segment's state by a lock.
+func invalidated(c *Client, h *Segment) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.notifiedMu.Lock()
+	_, pending := c.notified[h.s.name]
+	c.notifiedMu.Unlock()
+	return pending || h.s.state.Invalidated
+}
+
 func TestAdaptiveNotification(t *testing.T) {
 	addr := startServer(t)
 	segName := addr + "/n"
@@ -499,9 +511,7 @@ func TestAdaptiveNotification(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		r.mu.Lock()
-		inv := hr.s.state.Invalidated
-		r.mu.Unlock()
+		inv := invalidated(r, hr)
 		if inv {
 			break
 		}

@@ -47,11 +47,10 @@ type segment struct {
 	m    *mem.SegMem
 	conn *serverConn
 
-	version         uint32
-	policy          coherence.Policy
-	state           coherence.State
-	adaptive        coherence.Adaptive
-	notifiedVersion uint32
+	version  uint32
+	policy   coherence.Policy
+	state    coherence.State
+	adaptive coherence.Adaptive
 
 	// Local reader-writer gate among this process's goroutines.
 	readers      int
@@ -438,6 +437,12 @@ func (c *Client) ensureFresh(s *segment, sp *obs.Span) error {
 		// can no longer arrive, so local freshness cannot be trusted.
 		s.state.Subscribed = false
 	}
+	c.notifiedMu.Lock()
+	if _, ok := c.notified[s.name]; ok {
+		delete(c.notified, s.name)
+		s.state.Invalidated = true
+	}
+	c.notifiedMu.Unlock()
 	if s.policy.LocallyFresh(s.state, now) {
 		return nil
 	}
@@ -638,13 +643,18 @@ func (c *Client) WUnlock(h *Segment) error {
 		// The connection died with the release in flight: the server
 		// may or may not have applied it. Resolve the ambiguity.
 		reply, err = c.recoverWUnlock(s, msg, sp)
-	} else if err != nil && errCode(err) == protocol.CodeNotOwner {
-		// The release raced an ownership change and the old owner
-		// fenced it without committing cluster-wide. The Resume probe
-		// inside the recovery loop is redirected to the new owner
-		// (the fenced server adopted the newer view before replying),
-		// which holds every acknowledged version — so the identical
-		// release is re-driven there.
+	} else if code := errCode(err); code == protocol.CodeNotOwner || code == protocol.CodeLockState {
+		// CodeNotOwner: the release raced an ownership change and the
+		// old owner fenced it without committing cluster-wide. The
+		// Resume probe inside the recovery loop is redirected to the new
+		// owner (the fenced server adopted the newer view before
+		// replying), which holds every acknowledged version — so the
+		// identical release is re-driven there.
+		// CodeLockState: the connection was already known dead, so
+		// callSeg re-dialed (rerouting to a promoted owner when the old
+		// one is gone) and the release arrived on a fresh session that
+		// holds no lock. Nothing was applied; the same probe decides
+		// between re-acquiring and a lost race.
 		reply, err = c.recoverWUnlock(s, msg, sp)
 	}
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // Events — the always-on "black box" of the cluster observability
 // plane. Where the Tracer records whole operations with sampling, the
 // flight recorder keeps the last N structural incidents (lock
-// transitions, failovers, demotions, fencing, evictions, group-commit
+// transitions, failovers, demotions, fencing, evictions, commit-pipeline
 // flushes) unconditionally, so a crash or a once-in-a-thousand chaos
 // failure leaves a post-mortem artifact instead of a shrug.
 //

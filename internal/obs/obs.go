@@ -371,8 +371,8 @@ type Event struct {
 	Attempt int
 	// Err is the triggering error's text, when any.
 	Err string
-	// N is an event-specific count (e.g. releases coalesced by a
-	// group-commit flush, subscribers invalidated by a demotion),
+	// N is an event-specific count (e.g. releases covered by a
+	// commit-pipeline flush, subscribers invalidated by a demotion),
 	// zero when the event carries none.
 	N int64
 	// At is when the event occurred, captured with time.Now on the

@@ -134,11 +134,18 @@ func (p *Proxy) handleSubscribe(sess *downstream, m *protocol.Subscribe) protoco
 	}
 	sess.touch(mir)
 	mir.mu.Lock()
-	defer mir.mu.Unlock()
 	if sess.Gone() {
+		mir.mu.Unlock()
 		return errReply(protocol.CodeNoSession, "session closed")
 	}
-	mir.subs.Subscribe(sess, m.Policy, m.HaveVersion)
+	owed := mir.subs.Subscribe(mir.seg, sess, m.Policy, m.HaveVersion)
+	ver := mir.seg.Version
+	mir.mu.Unlock()
+	if owed {
+		// Outside the mirror lock: shedding a slow consumer sweeps its
+		// mirrors.
+		sess.Notify(&protocol.Notify{Seg: m.Seg, Version: ver})
+	}
 	return &protocol.Ack{}
 }
 

@@ -8,7 +8,6 @@ import (
 	"interweave/internal/cluster"
 	"interweave/internal/obs"
 	"interweave/internal/protocol"
-	"interweave/internal/wire"
 )
 
 // Cluster-mode serving (DESIGN.md §7). With Options.Cluster set, this
@@ -305,19 +304,8 @@ func (sess *clientSession) handleReplicate(m *protocol.Replicate) protocol.Messa
 // checkpoint-codec bytes plus applied table) as a segment's journal
 // base, truncating its log. Called without the segment mutex.
 func (s *Server) journalAdoptSnapshot(st *segState, raw []byte, applied []protocol.AppliedEntry, version uint32) error {
-	l, err := s.journal.Segment(st.name)
-	if err != nil {
-		return err
-	}
-	buf := append([]byte(nil), raw...)
-	buf = appendApplied(buf, appliedFromEntries(applied))
-	if err := l.Compact(version, sealCheckpoint(buf)); err != nil {
-		return err
-	}
-	if s.ins != nil {
-		s.ins.journalCompactions.Inc()
-	}
-	return nil
+	buf := appendApplied(append([]byte(nil), raw...), appliedFromEntries(applied))
+	return s.installJournalBase(st.name, version, buf)
 }
 
 // handlePull answers a promotion catch-up probe with this node's
@@ -350,89 +338,67 @@ func (sess *clientSession) handlePull(m *protocol.Pull) protocol.Message {
 	return reply
 }
 
-// replicationJob captures everything a post-commit fan-out needs while
-// the server lock is still held.
+// replicationJob is one flush's fan-out: the batch's frame, built by
+// the flusher under the segment lock, and the replicas the ring places
+// the segment on. One job serves a flusher for its whole run.
 type replicationJob struct {
-	st      *segState
-	seg     string
-	prevVer uint32
-	version uint32
-	diff    *wire.SegmentDiff
-	applied []protocol.AppliedEntry
-	addrs   []string
-}
-
-// replicationJob returns the fan-out to perform for a committed write,
-// or nil when no replication is due (not clustered, no diff applied,
-// or the segment has no replicas). Called with the segment's lock
-// held.
-func (s *Server) replicationJob(st *segState, seg string, prevVer, version uint32, d *wire.SegmentDiff) *replicationJob {
-	if s.cluster == nil || version == prevVer || d == nil {
-		return nil
-	}
-	addrs := s.cluster.ReplicasOf(seg)
-	if len(addrs) == 0 {
-		return nil
-	}
-	return &replicationJob{
-		st:      st,
-		seg:     seg,
-		prevVer: prevVer,
-		version: version,
-		diff:    d,
-		applied: entriesFromApplied(st.applied),
-		addrs:   addrs,
-	}
+	st    *segState
+	rep   *protocol.Replicate
+	addrs []string
+	// ahead names the replicas a catch-up pushed past the batch it
+	// served, and to which version (see catchUpReplica); the next batch
+	// skips a replica that already holds its end version.
+	ahead map[string]uint32
 }
 
 // errWriteFenced marks a release refused because a replica's newer
 // membership view no longer places this node as the segment's owner.
 var errWriteFenced = errors.New("ownership moved during the release")
 
-// runReplication streams one committed diff to every replica and
-// returns nil only when every one of them acked it. Called WITHOUT
-// the segment's mutex, but with the segment's write lock still held
-// by the committing session, which freezes the version sequence for
-// the duration. A replica that reports a version mismatch gets one
+// runReplication streams one flushed batch to every replica and
+// returns nil only when every one of them acked it. Called by the
+// segment's flusher WITHOUT the segment's mutex; the write lock was
+// handed off when the batch's releases were enqueued, so later
+// releases may already be applied on top of the batch (they wait for
+// the next flush). A replica that reports a version mismatch gets one
 // catch-up diff collected from its version; one that fences the
 // stream deposes this primary on the spot — its view is adopted
 // (demoting the segment) and errWriteFenced is returned; one that
-// cannot be reached or will not ack fails the release, because an
+// cannot be reached or will not ack fails the batch, because an
 // acknowledgement the client can trust requires every placed replica
 // to hold the diff (DESIGN.md §7.3). The failed diff is not rolled
 // back locally: the next successful fan-out's catch-up path re-covers
-// it, and the client was told the release failed.
+// it, and the clients were told their releases failed.
 func (s *Server) runReplication(job *replicationJob) error {
+	seg, version := job.rep.Seg, job.rep.Version
 	maxLag := int64(0)
 	var firstErr error
 	for _, addr := range job.addrs {
-		rr, err := s.replicateTo(addr, &protocol.Replicate{
-			Seg:         job.seg,
-			PrevVersion: job.prevVer,
-			Version:     job.version,
-			Diff:        job.diff,
-			Applied:     job.applied,
-		})
+		if v, ok := job.ahead[addr]; ok {
+			delete(job.ahead, addr)
+			if v >= version {
+				if s.cins != nil {
+					s.cins.replOK.Inc()
+				}
+				continue
+			}
+		}
+		// A copy per replica: replicateTo stamps routing fields, and the
+		// journal's window holds job.rep itself.
+		frame := *job.rep
+		rr, err := s.replicateTo(addr, &frame)
 		if err != nil {
 			if s.cins != nil {
 				s.cins.replErr.Inc()
 			}
-			s.logf("replicate %s to %s: %v", job.seg, addr, err)
+			s.logf("replicate %s to %s: %v", seg, addr, err)
 			if firstErr == nil {
 				firstErr = fmt.Errorf("replica %s: %w", addr, err)
 			}
 			continue
 		}
 		if rr.Fenced {
-			if s.cins != nil {
-				s.cins.fenced.Inc()
-			}
-			if s.flight != nil {
-				s.flight.Record(obs.Event{Name: "cluster.fence", Seg: job.seg, N: int64(rr.Ms.Epoch), Err: "replicate fenced by " + addr})
-			}
-			s.logf("replicate %s to %s: fenced at epoch %d; adopting replica's view", job.seg, addr, rr.Ms.Epoch)
-			s.cluster.AdoptMembership(rr.Ms)
-			return errWriteFenced
+			return s.deposedBy(seg, addr, "replicate", rr)
 		}
 		if !rr.Acked {
 			// The replica is on a different version (it may be fresh,
@@ -446,22 +412,14 @@ func (s *Server) runReplication(job *replicationJob) error {
 				if s.cins != nil {
 					s.cins.replErr.Inc()
 				}
-				s.logf("replicate catch-up %s to %s: %v", job.seg, addr, err)
+				s.logf("replicate catch-up %s to %s: %v", seg, addr, err)
 				if firstErr == nil {
 					firstErr = fmt.Errorf("replica %s: %w", addr, err)
 				}
 				continue
 			}
 			if rr.Fenced {
-				if s.cins != nil {
-					s.cins.fenced.Inc()
-				}
-				if s.flight != nil {
-					s.flight.Record(obs.Event{Name: "cluster.fence", Seg: job.seg, N: int64(rr.Ms.Epoch), Err: "catch-up fenced by " + addr})
-				}
-				s.logf("replicate catch-up %s to %s: fenced at epoch %d; adopting replica's view", job.seg, addr, rr.Ms.Epoch)
-				s.cluster.AdoptMembership(rr.Ms)
-				return errWriteFenced
+				return s.deposedBy(seg, addr, "catch-up", rr)
 			}
 		}
 		if rr.Acked {
@@ -469,9 +427,9 @@ func (s *Server) runReplication(job *replicationJob) error {
 				s.cins.replOK.Inc()
 			}
 		} else if firstErr == nil {
-			firstErr = fmt.Errorf("replica %s did not ack (at version %d, want %d)", addr, rr.Version, job.version)
+			firstErr = fmt.Errorf("replica %s did not ack (at version %d, want %d)", addr, rr.Version, version)
 		}
-		if lag := int64(job.version) - int64(rr.Version); lag > maxLag {
+		if lag := int64(version) - int64(rr.Version); lag > maxLag {
 			maxLag = lag
 		}
 	}
@@ -479,6 +437,22 @@ func (s *Server) runReplication(job *replicationJob) error {
 		s.cins.replLag.Set(maxLag)
 	}
 	return firstErr
+}
+
+// deposedBy handles a replica fencing this node off seg: its newer
+// view is adopted on the spot (demoting the segment) and the stream
+// that was fenced — "replicate", "catch-up" or "migrate" — fails with
+// errWriteFenced.
+func (s *Server) deposedBy(seg, addr, stream string, rr *protocol.ReplicateReply) error {
+	if s.cins != nil {
+		s.cins.fenced.Inc()
+	}
+	if s.flight != nil {
+		s.flight.Record(obs.Event{Name: "cluster.fence", Seg: seg, N: int64(rr.Ms.Epoch), Err: stream + " fenced by " + addr})
+	}
+	s.logf("%s %s to %s: fenced at epoch %d; adopting replica's view", stream, seg, addr, rr.Ms.Epoch)
+	s.cluster.AdoptMembership(rr.Ms)
+	return errWriteFenced
 }
 
 // replicateTo sends one Replicate frame to a replica, stamping it with
@@ -497,40 +471,56 @@ func (s *Server) replicateTo(addr string, m *protocol.Replicate) (*protocol.Repl
 	return rr, nil
 }
 
-// catchUpReplica collects a diff spanning the replica's version to the
-// job's version and sends it. The committing session still holds the
-// write lock, so the collection is against a frozen version. A replica
-// already at or beyond the version being committed — without having
-// acked it — means some other node is assigning versions to this
-// segment; that is a failed release, never an ack, or the client
-// would be told a write is durable that the other primary's history
-// will overwrite.
+// catchUpReplica brings a replica that NACKed the batch's frame up to
+// date: from the journal window when it covers the gap exactly, else
+// by a diff collected from the replica's version. The write lock was
+// handed off before the flush, so the segment may already be past the
+// batch; the collected diff then runs to the current version and the
+// frame says so — version and at-most-once table both, or a promoted
+// replica would hold data its Resume answers deny — and job.ahead
+// remembers the overshoot for the next batch. A replica already at or
+// beyond the version being committed — without having acked it — means
+// some other node is assigning versions to this segment; that is a
+// failed release, never an ack, or the client would be told a write is
+// durable that the other primary's history will overwrite.
 func (s *Server) catchUpReplica(addr string, job *replicationJob, replicaVer uint32) (*protocol.ReplicateReply, error) {
-	if replicaVer >= job.version {
-		return nil, fmt.Errorf("replica at version %d >= committed %d without acking: divergent primaries", replicaVer, job.version)
+	if replicaVer >= job.rep.Version {
+		return nil, fmt.Errorf("replica at version %d >= committed %d without acking: divergent primaries", replicaVer, job.rep.Version)
 	}
 	if rr, ok, err := s.catchUpFromJournal(addr, job, replicaVer); ok {
 		return rr, err
 	}
 	s.lockSeg(job.st)
-	// The release fan-out holds the write lock (or the flushing flag),
-	// which fences eviction; this call is defensive.
+	// The flushing flag fences eviction; this call is defensive.
 	if err := s.ensureResident(job.st); err != nil {
 		job.st.mu.Unlock()
 		return nil, err
 	}
 	d, err := job.st.seg.CollectDiff(replicaVer)
+	ver := job.st.seg.Version
+	applied := entriesFromApplied(job.st.applied)
 	job.st.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	return s.replicateTo(addr, &protocol.Replicate{
-		Seg:         job.seg,
+	if ver < job.rep.Version {
+		return nil, fmt.Errorf("%w: segment state replaced during catch-up (at %d, batch end %d)",
+			errWriteFenced, ver, job.rep.Version)
+	}
+	rr, err := s.replicateTo(addr, &protocol.Replicate{
+		Seg:         job.rep.Seg,
 		PrevVersion: replicaVer,
-		Version:     job.version,
+		Version:     ver,
 		Diff:        d,
-		Applied:     job.applied,
+		Applied:     applied,
 	})
+	if err == nil && rr.Acked && ver > job.rep.Version {
+		if job.ahead == nil {
+			job.ahead = make(map[string]uint32)
+		}
+		job.ahead[addr] = ver
+	}
+	return rr, err
 }
 
 // catchUpFromJournal serves a replica's catch-up from the journal
@@ -547,7 +537,7 @@ func (s *Server) catchUpFromJournal(addr string, job *replicationJob, replicaVer
 	if s.journal == nil {
 		return nil, false, nil
 	}
-	l, err := s.journal.Segment(job.seg)
+	l, err := s.journal.Segment(job.rep.Seg)
 	if err != nil {
 		return nil, false, nil
 	}
@@ -562,11 +552,11 @@ func (s *Server) catchUpFromJournal(addr string, job *replicationJob, replicaVer
 		}
 		chain = append(chain, rec)
 		cur = rec.Version
-		if cur >= job.version {
+		if cur >= job.rep.Version {
 			break
 		}
 	}
-	if cur < job.version {
+	if cur < job.rep.Version {
 		return nil, false, nil
 	}
 	for _, rec := range chain {
@@ -806,6 +796,12 @@ func (sess *clientSession) handleMigrate(m *protocol.Migrate) protocol.Message {
 		}
 	}
 	st.writer = sess
+	// The barrier covers the commit pipeline too: releases that handed
+	// the lock off may still be on their way to the journal and the
+	// replicas, and the snapshot must not overtake them.
+	for len(st.pending) > 0 || st.flushing {
+		st.flushDone.Wait()
+	}
 	if err := s.ensureResident(st); err != nil {
 		releaseWriter(st, sess)
 		st.mu.Unlock()
@@ -826,14 +822,7 @@ func (sess *clientSession) handleMigrate(m *protocol.Migrate) protocol.Message {
 	if rerr == nil && rr.Fenced {
 		// The target's newer view says this node no longer owns the
 		// segment; adopt it (demoting locally) and fail the migration.
-		if s.cins != nil {
-			s.cins.fenced.Inc()
-		}
-		if s.flight != nil {
-			s.flight.Record(obs.Event{Name: "cluster.fence", Seg: m.Seg, N: int64(rr.Ms.Epoch), Err: "migrate fenced by " + m.Target})
-		}
-		s.cluster.AdoptMembership(rr.Ms)
-		rerr = errWriteFenced
+		rerr = s.deposedBy(m.Seg, m.Target, "migrate", rr)
 	}
 	if rerr != nil || !rr.Acked {
 		s.lockSeg(st)

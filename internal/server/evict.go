@@ -20,8 +20,8 @@ import (
 // to clients, replicas, and proxies.
 //
 // Fencing: a segment is evictable only while it has no writer, no
-// queued waiters, no pending group-commit releases, and no flush in
-// flight (evictableLocked). Those fences are re-checked after the
+// queued waiters, no releases pending in the commit pipeline, and no
+// flush in flight (evictableLocked). Those fences are re-checked after the
 // compaction along with pointer identity and version equality, so a
 // write, replica frame, promotion, or demotion that slips between the
 // compaction and the drop aborts the eviction. Subscribers survive

@@ -240,7 +240,7 @@ func TestSLOChaosFlip(t *testing.T) {
 
 // TestServerGaugesAndDebugSegments checks the scrape-time gauges
 // (uptime, per-segment journal disk bytes) and the extended
-// /debug/segments fields (sessions, group-commit coalesce stats,
+// /debug/segments fields (sessions, commit-pipeline coalesce stats,
 // journal bytes).
 func TestServerGaugesAndDebugSegments(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -250,7 +250,6 @@ func TestServerGaugesAndDebugSegments(t *testing.T) {
 		Flight:              flight,
 		JournalDir:          t.TempDir(),
 		JournalCompactBytes: 1 << 20,
-		GroupCommit:         true,
 		SLOSampleEvery:      -1,
 	})
 	rc := dialRaw(t, addr)
@@ -293,7 +292,7 @@ func TestServerGaugesAndDebugSegments(t *testing.T) {
 		t.Fatalf("Sessions = %d, want >= 1", sd.Sessions)
 	}
 	if sd.GroupFlushes < 1 || sd.GroupReleases < 4 {
-		t.Fatalf("group commit stats = %d flushes / %d releases, want >= 1 / >= 4",
+		t.Fatalf("commit pipeline stats = %d flushes / %d releases, want >= 1 / >= 4",
 			sd.GroupFlushes, sd.GroupReleases)
 	}
 	if sd.JournalBytes <= 0 {
@@ -304,7 +303,7 @@ func TestServerGaugesAndDebugSegments(t *testing.T) {
 		t.Fatalf("empty unlock reply = %+v", reply)
 	}
 
-	// The flight recorder saw the group-commit flushes, and a forced
+	// The flight recorder saw the pipeline's flushes, and a forced
 	// compaction leaves a journal.compact event behind.
 	if err := srv.CompactJournal(); err != nil {
 		t.Fatal(err)

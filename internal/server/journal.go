@@ -18,9 +18,9 @@ import (
 // that NACKs a fan-out is re-fed the journaled frames covering its
 // gap instead of a collected diff (see catchUpFromJournal).
 //
-// Lock discipline: appends on the release paths run without the
-// segment mutex (the logical write lock freezes the version sequence,
-// so record order matches version order); the replica apply path and
+// Lock discipline: the primary's appends run on the segment's single
+// flusher without the segment mutex (one flusher, so record order
+// matches version order — commit.go); the replica apply path and
 // promotion append under the segment mutex, whose serialization is
 // the only ordering guarantee those paths have. Compaction encodes
 // under the segment mutex and writes files outside it.
@@ -131,16 +131,23 @@ func (s *Server) journalAppend(st *segState, rep *protocol.Replicate) error {
 	return nil
 }
 
-// maybeCompactJournal compacts the segment's journal when its log has
-// outgrown the threshold. Called without the segment mutex (it takes
-// it to encode). Compaction failure is logged, not fatal: the log
-// keeps its records and the next trigger retries.
-func (s *Server) maybeCompactJournal(st *segState) {
+// journalOutgrown reports whether the named segment's log has outgrown
+// the compaction threshold.
+func (s *Server) journalOutgrown(name string) bool {
 	if s.journal == nil {
-		return
+		return false
 	}
-	l, err := s.journal.Segment(st.name)
-	if err != nil || !l.NeedsCompaction() {
+	l, err := s.journal.Segment(name)
+	return err == nil && l.NeedsCompaction()
+}
+
+// maybeCompactJournal compacts the segment's journal when its log has
+// outgrown the threshold — the replica apply path's trigger; a primary
+// compacts from its flusher (commit.go). Called without the segment
+// mutex (it takes it to encode). Compaction failure is logged, not
+// fatal: the log keeps its records and the next trigger retries.
+func (s *Server) maybeCompactJournal(st *segState) {
+	if !s.journalOutgrown(st.name) {
 		return
 	}
 	if err := s.compactJournalSeg(st); err != nil {
@@ -148,27 +155,21 @@ func (s *Server) maybeCompactJournal(st *segState) {
 	}
 }
 
-// compactJournalSeg folds one segment's journal into a fresh
-// checkpoint base (encoded under the segment mutex, written outside
-// it) and truncates its log. Called without the segment mutex.
-func (s *Server) compactJournalSeg(st *segState) error {
-	l, err := s.journal.Segment(st.name)
+// encodeBaseLocked encodes the segment image plus at-most-once table —
+// a checkpoint base — and names the version it captures. Called with
+// st.mu held and the image resident.
+func (st *segState) encodeBaseLocked() ([]byte, uint32) {
+	return appendApplied(st.seg.encode(), st.applied), st.seg.Version
+}
+
+// installJournalBase seals an encoded base and folds the named
+// segment's journal into it, dropping the records it covers. Called
+// without the segment mutex.
+func (s *Server) installJournalBase(name string, ver uint32, buf []byte) error {
+	l, err := s.journal.Segment(name)
 	if err != nil {
 		return err
 	}
-	s.lockSeg(st)
-	if st.seg == nil {
-		// Evicted: the eviction already forced a compaction, so the
-		// base + tail on disk capture the state exactly and there is
-		// nothing to fold (a fault-in would only rebuild the bytes we
-		// would re-encode).
-		st.mu.Unlock()
-		return nil
-	}
-	buf := st.seg.encode()
-	buf = appendApplied(buf, st.applied)
-	ver := st.seg.Version
-	st.mu.Unlock()
 	if err := l.Compact(ver, sealCheckpoint(buf)); err != nil {
 		return err
 	}
@@ -176,9 +177,30 @@ func (s *Server) compactJournalSeg(st *segState) error {
 		s.ins.journalCompactions.Inc()
 	}
 	if s.flight != nil {
-		s.flight.Record(obs.Event{Name: "journal.compact", Seg: st.name, N: int64(ver)})
+		s.flight.Record(obs.Event{Name: "journal.compact", Seg: name, N: int64(ver)})
 	}
 	return nil
+}
+
+// compactJournalSeg folds one segment's journal into a fresh
+// checkpoint base (encoded under the segment mutex, written outside
+// it) and truncates its log. Called without the segment mutex.
+func (s *Server) compactJournalSeg(st *segState) error {
+	s.lockSeg(st)
+	if st.seg == nil || len(st.pending) > 0 {
+		// Evicted: the eviction already forced a compaction, so the
+		// base + tail on disk capture the state exactly and there is
+		// nothing to fold. Releases pending: the image is past the last
+		// journaled batch, and a base cut here would fall inside the
+		// version range of the record the flusher appends next, which
+		// replay could then not apply; the flusher folds an outgrown log
+		// itself at its next batch boundary.
+		st.mu.Unlock()
+		return nil
+	}
+	buf, ver := st.encodeBaseLocked()
+	st.mu.Unlock()
+	return s.installJournalBase(st.name, ver, buf)
 }
 
 // CompactJournal compacts every segment's journal into a fresh base,

@@ -318,8 +318,10 @@ func TestJournalPeriodicCompaction(t *testing.T) {
 	}
 }
 
-// TestJournalSizeTriggeredCompaction: a tiny threshold compacts on
-// the release path itself, no periodic loop involved.
+// TestJournalSizeTriggeredCompaction: a tiny threshold compacts from
+// the commit pipeline itself, no periodic loop involved — the flusher
+// folds the log at the first batch boundary after it outgrew the
+// threshold, here the second release's, before that release replies.
 func TestJournalSizeTriggeredCompaction(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
@@ -328,8 +330,10 @@ func TestJournalSizeTriggeredCompaction(t *testing.T) {
 	rc.call(&protocol.OpenSegment{Name: "j/size", Create: true})
 	rc.call(&protocol.WriteLock{Seg: "j/size", Policy: coherence.Full()})
 	rc.call(&protocol.WriteUnlock{Seg: "j/size", Diff: intCreateDiff(t, 1, 1)})
+	rc.call(&protocol.WriteLock{Seg: "j/size", HaveVersion: 1, Policy: coherence.Full()})
+	rc.call(&protocol.WriteUnlock{Seg: "j/size", Diff: runDiff(1, 0, 2)})
 	if reg.Snapshot().Counters["iw_server_journal_compactions_total"] == 0 {
-		t.Error("release past the size threshold did not compact")
+		t.Error("the release after the log outgrew the threshold did not compact")
 	}
 	if findJournalFile(t, dir, journal.BaseSuffix) == "" {
 		t.Error("no base on disk after size-triggered compaction")
@@ -389,9 +393,9 @@ func BenchmarkRecovery(b *testing.B) {
 }
 
 // TestGroupCommitOnRecoveredSegment: a segment recovered at startup —
-// from a journal or from a checkpoint — must take a grouped release
-// like a fresh one. Recovery used to build its segState by hand,
-// without the flush condition variable the group-commit flusher
+// from a journal or from a checkpoint — must take a release through
+// the commit pipeline like a fresh one. Recovery used to build its
+// segState by hand, without the flush condition variable the flusher
 // broadcasts on, so the first write to a recovered segment panicked
 // the server.
 func TestGroupCommitOnRecoveredSegment(t *testing.T) {
@@ -399,8 +403,8 @@ func TestGroupCommitOnRecoveredSegment(t *testing.T) {
 		name string
 		opts func(dir string) Options
 	}{
-		{"journal", func(dir string) Options { return Options{JournalDir: dir, GroupCommit: true} }},
-		{"checkpoint", func(dir string) Options { return Options{CheckpointDir: dir, GroupCommit: true} }},
+		{"journal", func(dir string) Options { return Options{JournalDir: dir} }},
+		{"checkpoint", func(dir string) Options { return Options{CheckpointDir: dir} }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -416,7 +420,7 @@ func TestGroupCommitOnRecoveredSegment(t *testing.T) {
 			}
 			reply, _ := rc.call(&protocol.WriteUnlock{Seg: "gc/recovered", Diff: runDiff(1, 0, 7)})
 			if vr, ok := reply.(*protocol.VersionReply); !ok || vr.Version != 2 {
-				t.Fatalf("grouped release on the recovered segment = %+v, want version 2", reply)
+				t.Fatalf("release on the recovered segment = %+v, want version 2", reply)
 			}
 		})
 	}

@@ -151,9 +151,9 @@ func newServerInstruments(reg *obs.Registry) *serverInstruments {
 		shed: reg.Counter(smShed,
 			"Notifications shed because the subscriber's session queue bound or the connection queue was full; every shed evicts the subscriber (DESIGN.md §10)."),
 		groupCommits: reg.Counter(smGroupCommits,
-			"Group-commit flushes: one merged journal append + Replicate + notification fan-out covering a batch of releases."),
+			"Commit-pipeline flushes: one journal append + Replicate + notification fan-out covering a batch of releases (every release is in one)."),
 		groupCommitted: reg.Counter(smGroupCommitted,
-			"Releases committed through a group-commit batch; releases/flushes is the coalescing factor."),
+			"Releases the commit pipeline's flushes covered; releases/flushes is the coalescing factor."),
 		journalAppends: reg.Counter(smJournalAppends,
 			"Replicate records appended to segment journals (one per committed write, before its acknowledgement)."),
 		journalAppendSec: reg.Histogram(smJournalAppendSec,
@@ -253,11 +253,11 @@ type SegmentDebug struct {
 	Sessions int `json:"sessions"`
 	// CacheHits is the segment's cumulative diff-cache hit count.
 	CacheHits uint64 `json:"cache_hits"`
-	// PendingReleases is the group-commit batch currently waiting for
-	// the segment's flusher.
+	// PendingReleases is the commit-pipeline batch currently waiting
+	// for the segment's flusher.
 	PendingReleases int `json:"pending_releases"`
 	// GroupFlushes and GroupReleases are the segment's cumulative
-	// group-commit flush and coalesced-release counts;
+	// commit-pipeline flush and flushed-release counts;
 	// releases/flushes is the segment's coalescing factor.
 	GroupFlushes  uint64 `json:"group_flushes"`
 	GroupReleases uint64 `json:"group_releases"`

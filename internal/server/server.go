@@ -77,18 +77,15 @@ type Options struct {
 	// connection's writer queue before the connection is declared
 	// stuck and evicted. Zero means DefaultWriteTimeout.
 	WriteTimeout time.Duration
-	// GroupCommit enables release coalescing on hot segments: while
-	// one release's journal append / replication fan-out is in
-	// flight, releases queued behind it on the same segment are
-	// flushed together as one merged diff, one journal record, one
-	// Replicate frame, and one notification fan-out (DESIGN.md §10).
+	// GroupCommit is IGNORED: every release takes the commit pipeline
+	// (DESIGN.md §10), which coalesces whatever queues behind an
+	// in-flight flush. The field survives this one change only because
+	// benchmark/durable.go, frozen outside benchmark changes, still
+	// sets it; the next benchmark change drops both.
 	GroupCommit bool
-	// GroupCommitMax caps how many releases one flush may coalesce.
-	// Zero means DefaultGroupCommitMax.
-	GroupCommitMax int
 	// Flight, when non-nil, is the always-on flight recorder: the
 	// server records structural incidents into it (session evictions,
-	// group-commit flushes, promotions, demotions, fencing, epoch
+	// commit-pipeline flushes, promotions, demotions, fencing, epoch
 	// changes, journal compactions), dumps it when a handler goroutine
 	// panics, and /debug/flight serves it. A nil recorder disables
 	// every recording site and every panic hook (OBSERVABILITY.md).
@@ -157,8 +154,7 @@ type Server struct {
 
 	// transport is the session transport's bounds: the three queue and
 	// timeout Options with defaults applied.
-	transport      session.Config
-	groupCommitMax int
+	transport session.Config
 
 	// reg is the sharded segment registry; each segState carries its
 	// own mutex (see segState).
@@ -222,15 +218,15 @@ type segState struct {
 	// segment's checkpoint.
 	applied map[string]appliedWrite
 
-	// Group commit (DESIGN.md §10): releases applied but whose
-	// durability fan-out has not yet run, plus the single-flusher
-	// flag. flushDone (a condition on mu) is broadcast whenever the
-	// flusher takes a batch or exits.
+	// Commit pipeline (commit.go, DESIGN.md §10): releases applied but
+	// whose durability fan-out has not yet run, plus the
+	// single-flusher flag. flushDone (a condition on mu) is broadcast
+	// whenever the flusher takes a batch or gives the role up.
 	pending   []*pendingRelease
 	flushing  bool
 	flushDone *sync.Cond
-	// gcFlushes/gcReleases are the segment's cumulative group-commit
-	// flush and coalesced-release counts (the per-segment view of the
+	// gcFlushes/gcReleases are the segment's cumulative flush and
+	// flushed-release counts (the per-segment view of the
 	// server-wide iw_server_group_commits_total pair), surfaced by
 	// /debug/segments.
 	gcFlushes  uint64
@@ -291,10 +287,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if s.transport.WriteTimeout <= 0 {
 		s.transport.WriteTimeout = DefaultWriteTimeout
-	}
-	s.groupCommitMax = opts.GroupCommitMax
-	if s.groupCommitMax <= 0 {
-		s.groupCommitMax = DefaultGroupCommitMax
 	}
 	s.reg.init()
 	if opts.Metrics != nil {
@@ -859,20 +851,16 @@ func (sess *clientSession) handleWriteUnlock(m *protocol.WriteUnlock, sp *obs.Sp
 			return &protocol.VersionReply{Version: ap.version}
 		}
 	}
+	// Backpressure: a full pending batch makes the release wait (before
+	// applying) until the flusher takes a batch. The condition wait
+	// releases the mutex, so the write lock is checked after it — a
+	// session teardown may have stripped it meanwhile.
+	for st.writer == sess && len(st.pending) >= maxPendingReleases {
+		st.flushDone.Wait()
+	}
 	if st.writer != sess {
 		st.mu.Unlock()
 		return errReply(protocol.CodeLockState, "write lock not held")
-	}
-	if s.opts.GroupCommit {
-		// Backpressure: a full pending batch makes the release wait
-		// (before applying) until the flusher takes a batch. The
-		// condition wait releases the mutex, so re-verify the write
-		// lock — a session teardown may have stripped it meanwhile.
-		s.waitGroupCommitRoom(st)
-		if st.writer != sess {
-			st.mu.Unlock()
-			return errReply(protocol.CodeLockState, "write lock not held")
-		}
 	}
 	// The writer fence means the image cannot have been evicted since
 	// WriteLock faulted it in; this call is defensive and stamps
@@ -915,72 +903,24 @@ func (sess *clientSession) handleWriteUnlock(m *protocol.WriteUnlock, sp *obs.Sp
 	if m.WriterID != "" {
 		st.applied[m.WriterID] = appliedWrite{seq: m.Seq, version: version}
 	}
-	if s.opts.GroupCommit && version != prevVer {
-		// Group mode: hand the lock off now and let the segment's
-		// flusher journal, replicate, and notify for the whole batch
-		// at once (groupcommit.go); unlocks st.mu.
-		return sess.finishReleaseGrouped(st, m.Seg, prevVer, version, notifications)
-	}
-	// Journal the release before replication and before the reply
-	// (DESIGN.md §9): an acknowledged write must already be on disk.
-	// The segment mutex is dropped for the file append — the logical
-	// write lock keeps the version sequence frozen, so record order
-	// matches version order. A failed append fails the release (the
-	// diff stays applied, exactly like a failed fan-out: the client
-	// was told the release failed and retries are deduped).
-	var jerr error
-	if s.journal != nil && version != prevVer && m.Diff != nil {
-		rep := &protocol.Replicate{
-			Seg:         m.Seg,
-			PrevVersion: prevVer,
-			Version:     version,
-			Diff:        m.Diff,
-			Applied:     entriesFromApplied(st.applied),
-		}
+	if version == prevVer {
+		// Nothing advanced (an empty release): there is no version range
+		// to make durable or visible, only a lock to hand on.
+		releaseWriter(st, sess)
 		st.mu.Unlock()
-		jerr = s.journalAppend(st, rep)
-		if jerr == nil {
-			s.maybeCompactJournal(st)
-		}
-		s.lockSeg(st)
+		return &protocol.VersionReply{Version: version}
 	}
-	var replErr error
-	if job := s.replicationJob(st, m.Seg, prevVer, version, m.Diff); jerr == nil && job != nil {
-		// Replicate before releasing the write lock and before
-		// replying: the logical write lock keeps the version sequence
-		// frozen during the fan-out (the segment mutex is dropped — the
-		// fan-out does network I/O), and replicate-before-reply means
-		// any release the client saw acknowledged survives a primary
-		// death (every placed replica already holds both the diff and
-		// the at-most-once record). A fan-out that cannot reach that
-		// state fails the release instead of acknowledging it.
-		st.mu.Unlock()
-		replErr = s.runReplication(job)
-		s.lockSeg(st)
-	}
-	releaseWriter(st, sess)
+	// Hand the lock off now and let the segment's flusher journal,
+	// replicate, and notify for whatever batch this release lands in
+	// (commit.go).
+	pr := &pendingRelease{prevVer: prevVer, version: version, diff: m.Diff, notifications: notifications, sp: sp}
+	lead := enqueueRelease(st, sess, pr)
 	st.mu.Unlock()
-	if s.ins != nil && len(notifications) > 0 {
-		s.ins.notifications.Add(uint64(len(notifications)))
+	if lead {
+		s.flush(st)
 	}
-	if len(notifications) > 0 {
-		nsp := sp.Child("server.notify_fanout")
-		if nsp != nil {
-			nsp.AttrInt("subscribers", int64(len(notifications)))
-		}
-		for _, n := range notifications {
-			n()
-		}
-		nsp.End()
-	}
-	if jerr != nil {
-		return errReply(protocol.CodeInternal, "release of %q not journaled: %v", m.Seg, jerr)
-	}
-	if replErr != nil {
-		if errors.Is(replErr, errWriteFenced) {
-			return errReply(protocol.CodeNotOwner, "release of %q fenced: %v", m.Seg, replErr)
-		}
-		return errReply(protocol.CodeNotReplicated, "release of %q not replicated: %v", m.Seg, replErr)
+	if fail := pr.wait(); fail != nil {
+		return fail
 	}
 	return &protocol.VersionReply{Version: version}
 }
@@ -1034,11 +974,27 @@ func (sess *clientSession) handleSubscribe(m *protocol.Subscribe) protocol.Messa
 	}
 	sess.touch(st)
 	s.lockSeg(st)
-	defer st.mu.Unlock()
 	if sess.Gone() {
+		st.mu.Unlock()
 		return errSessionClosed()
 	}
-	st.subs.Subscribe(sess, m.Policy, m.HaveVersion)
+	// An evicted stub registers the subscription without reloading —
+	// unless the subscriber is behind it, when judging what it is owed
+	// takes the image.
+	if m.HaveVersion != st.residentVersionLocked() {
+		if err := s.ensureResident(st); err != nil {
+			st.mu.Unlock()
+			return errReply(protocol.CodeInternal, "%v", err)
+		}
+	}
+	owed := st.subs.Subscribe(st.seg, sess, m.Policy, m.HaveVersion)
+	ver := st.residentVersionLocked()
+	st.mu.Unlock()
+	if owed {
+		// Sent outside the segment lock, like every Notify: it never
+		// blocks, but shedding a slow consumer sweeps its segments.
+		sess.Notify(&protocol.Notify{Seg: st.name, Version: ver})
+	}
 	return &protocol.Ack{}
 }
 

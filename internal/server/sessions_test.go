@@ -2,8 +2,8 @@ package server
 
 // Tests for the session transport (DESIGN.md §10): legacy-framing
 // interop, mux session lifecycle and isolation, admission control,
-// slow-consumer shedding, and group commit. The shed and stress tests
-// are written to be meaningful under -race.
+// slow-consumer shedding, and commit-pipeline coalescing. The shed
+// and stress tests are written to be meaningful under -race.
 
 import (
 	"errors"
@@ -426,16 +426,16 @@ func TestSlowConsumerShed(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalesces runs contending writers against a
-// group-commit server and checks the batching is invisible to
-// correctness: every release gets its own version (a permutation of
-// 1..N), the data converges, a transaction on the same segment drains
-// the batch and commits, and the flush/release counters add up.
+// TestGroupCommitCoalesces runs contending writers against a server
+// with default options and checks the commit pipeline's batching is
+// invisible to correctness: every release gets its own version (a
+// permutation of 1..N), the data converges, a transaction on the same
+// segment commits on top, and the flush/release counters add up.
 func TestGroupCommitCoalesces(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv, addr := startTestServer(t, Options{GroupCommit: true, GroupCommitMax: 8, Metrics: reg})
+	srv, addr := startTestServer(t, Options{Metrics: reg})
 	seedSeg(t, addr, "gc/s", 64)
-	// The seed release is group-committed too; assert on deltas.
+	// The seed release took the pipeline too; assert on deltas.
 	committed0 := srv.ins.groupCommitted.Value()
 	flushes0 := srv.ins.groupCommits.Value()
 
@@ -506,10 +506,10 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	committed := srv.ins.groupCommitted.Value() - committed0
 	flushes := srv.ins.groupCommits.Value() - flushes0
 	if committed != total {
-		t.Errorf("group-committed releases = %d, want %d", committed, total)
+		t.Errorf("flushed releases = %d, want %d", committed, total)
 	}
 	if flushes < 1 || flushes > committed {
-		t.Errorf("group-commit flushes = %d, want 1..%d", flushes, committed)
+		t.Errorf("flushes = %d, want 1..%d", flushes, committed)
 	}
 
 	// A reader from zero sees the converged state at the final
@@ -523,8 +523,8 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 	rc.mustAck(&protocol.ReadUnlock{Seg: "gc/s"})
 
-	// A transaction on the same segment drains any in-flight batch
-	// and commits on top.
+	// A transaction on the same segment joins the pipeline behind
+	// whatever is in flight and commits on top.
 	if reply, _ := rc.call(&protocol.WriteLock{Seg: "gc/s", Policy: coherence.Full()}); reply == nil {
 		t.Fatal("tx wlock failed")
 	}
@@ -539,7 +539,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 }
 
 // TestStressMuxShedEvict churns sessions, subscriptions, evictions,
-// and group-committed releases together; meant for -race. Sessions
+// and pipelined releases together; meant for -race. Sessions
 // open, subscribe, read, and close (or get evicted) while writers
 // publish; the server must stay responsive to a healthy legacy client
 // throughout.
@@ -547,7 +547,6 @@ func TestStressMuxShedEvict(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, addr := startTestServer(t, Options{
 		Metrics:          reg,
-		GroupCommit:      true,
 		SessionSendQueue: 4,
 		ConnSendQueue:    64,
 		WriteTimeout:     2 * time.Second,
@@ -557,7 +556,7 @@ func TestStressMuxShedEvict(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
-	// Publisher: group-committed releases the whole time.
+	// Publisher: releases the whole time.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

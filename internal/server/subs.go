@@ -32,13 +32,24 @@ type subscription struct {
 	notified bool
 }
 
-// Subscribe registers k as holding haveVersion under policy, replacing
-// any earlier record.
-func (t *Subscriptions[K]) Subscribe(k K, policy coherence.Policy, haveVersion uint32) {
+// Subscribe registers k as holding haveVersion of seg under policy,
+// replacing any earlier record, and reports whether k is owed a Notify
+// right away: a subscriber already behind its policy's bound (the test
+// Advance applies at each release) would otherwise hear nothing until
+// the next write. seg may be nil when the caller knows haveVersion is
+// the copy's current version.
+func (t *Subscriptions[K]) Subscribe(seg *Segment, k K, policy coherence.Policy, haveVersion uint32) bool {
 	if t.m == nil {
 		t.m = make(map[K]*subscription)
 	}
-	t.m[k] = &subscription{policy: policy, haveVersion: haveVersion}
+	sub := &subscription{policy: policy, haveVersion: haveVersion}
+	t.m[k] = sub
+	if seg == nil || haveVersion >= seg.Version {
+		return false
+	}
+	sub.unitsSince = seg.UnitsModifiedSince(haveVersion)
+	sub.notified = policy.ShouldUpdate(haveVersion, seg.Version, sub.unitsSince, seg.TotalUnits())
+	return sub.notified
 }
 
 // Unsubscribe drops k's subscription, if any.

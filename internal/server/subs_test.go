@@ -68,7 +68,9 @@ func TestSubscriptionsFanout(t *testing.T) {
 			seg := subsSeg(t)
 			var tab Subscriptions[string]
 			for name, p := range policies {
-				tab.Subscribe(name, p, seg.Version)
+				if tab.Subscribe(seg, name, p, seg.Version) {
+					t.Errorf("%s subscribing at the current version is owed a Notify", name)
+				}
 			}
 			// others is every subscriber but the writer.
 			others := func(names ...string) []string {
@@ -146,5 +148,48 @@ func TestSubscriptionsFanout(t *testing.T) {
 				t.Errorf("len after unsubscribe = %d, want 3", tab.Len())
 			}
 		})
+	}
+}
+
+// TestSubscribeAlreadyBehind: a subscriber that registers holding a
+// version its policy already rules out is owed a Notify at once — it
+// would otherwise trust its copy until the next write — and is not
+// told a second time by that write; one still within its bound is
+// owed nothing until a release carries it over.
+func TestSubscribeAlreadyBehind(t *testing.T) {
+	seg := subsSeg(t)
+	var tab Subscriptions[string]
+	write(t, &tab, seg, "", 10) // v2, 10% of the units
+	for _, c := range []struct {
+		name   string
+		policy coherence.Policy
+		owed   bool
+	}{
+		{"full", coherence.Full(), true},
+		{"temporal", coherence.Temporal(time.Hour), true},
+		{"delta", coherence.Delta(2), false},
+		{"diff", coherence.Diff(50), false},
+	} {
+		if got := tab.Subscribe(seg, c.name, c.policy, 1); got != c.owed {
+			t.Errorf("%s subscribing one version behind: owed = %v, want %v", c.name, got, c.owed)
+		}
+	}
+	// v3 and v4 rewrite 30 more units each: 70% modified since v1 and
+	// three versions behind carry Diff and Delta over; Full and
+	// Temporal were told at Subscribe and are not told again.
+	if got := write(t, &tab, seg, "", 30); len(got) != 0 {
+		t.Errorf("v3 owed %v, want nobody", got)
+	}
+	if got, want := write(t, &tab, seg, "", 30), []string{"delta", "diff"}; !equal(got, want) {
+		t.Errorf("v4 owed %v, want %v", got, want)
+	}
+	// Subscribing three versions behind is past Delta(2) at once; Diff
+	// is judged by the exact count (the releases overlap: 30-odd units
+	// differ from v1, not the 70 the per-release counter summed).
+	if !tab.Subscribe(seg, "late-delta", coherence.Delta(2), 1) {
+		t.Error("delta subscriber three versions behind owed nothing at Subscribe")
+	}
+	if tab.Subscribe(seg, "late-diff", coherence.Diff(50), 1) || !tab.Subscribe(seg, "late-diff", coherence.Diff(20), 1) {
+		t.Error("diff subscriber at Subscribe not judged by the units modified since its version")
 	}
 }

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"errors"
-
 	"interweave/internal/obs"
 	"interweave/internal/protocol"
 )
@@ -46,19 +44,6 @@ func (sess *clientSession) handleTxCommit(m *protocol.TxCommit, sp *obs.Span) pr
 			return errReply(protocol.CodeNoSegment, "%v", err)
 		}
 		states[i] = st
-	}
-
-	// A TxCommit advances versions without joining the group-commit
-	// batch, so any in-flight flush on an involved segment must drain
-	// first — otherwise journal records and Replicate frames for
-	// overlapping version ranges would land out of order. The session
-	// holds the write locks, so nothing re-fills the batch after the
-	// drain (and if it does not hold them, the commit aborts below
-	// regardless).
-	if s.opts.GroupCommit {
-		for _, st := range states {
-			s.drainGroupCommit(st)
-		}
 	}
 
 	// A failed transaction is an abort: the session's write locks on
@@ -134,12 +119,18 @@ func (sess *clientSession) handleTxCommit(m *protocol.TxCommit, sp *obs.Span) pr
 		stage[i] = staged{clone: clone, version: newVer, modified: modified}
 	}
 
-	// Commit: retake the locks (same order), swap the clones in,
-	// replicate, release the write locks, gather notifications. In
-	// cluster mode each advanced part streams to its replicas before
-	// the locks drop and before the client sees the commit, preserving
-	// the replicate-before-acknowledge invariant of the single-segment
-	// release path.
+	// Commit: retake the locks (same order) and, in one critical
+	// section per part, swap the clone in, gather notifications, enqueue
+	// the part on its segment's commit pipeline and hand the write lock
+	// off (commit.go). A part therefore joins whatever batch its
+	// segment's flusher takes next — behind any release still in
+	// flight, never overlapping it — and the reply waits for every
+	// part's flush, preserving the journal- and replicate-before-
+	// acknowledge invariants of the single-segment release. The parts'
+	// journals are per-segment files, so — like checkpoints — they are
+	// not one atomic cross-segment unit; a crash between them recovers a
+	// commit the client was never acknowledged for, which its per-part
+	// Resume recovery already handles.
 	s.lockSegsOrdered(states)
 	for i, st := range states {
 		// The write lock froze the version sequence, but an epoch
@@ -152,99 +143,50 @@ func (sess *clientSession) handleTxCommit(m *protocol.TxCommit, sp *obs.Span) pr
 		}
 	}
 	reply := &protocol.TxReply{Versions: make([]uint32, len(m.Parts))}
-	type journalPart struct {
-		st  *segState
-		rep *protocol.Replicate
-	}
-	var notifications []func()
-	var jobs []*replicationJob
-	var jparts []journalPart
+	var flushes []*pendingRelease
+	var leads []*segState
 	for i := range m.Parts {
 		st := states[i]
-		if stage[i].clone != nil {
-			st.seg = stage[i].clone
-			notifications = append(notifications,
-				updateSubscribers(st, sess, stage[i].version, stage[i].modified)...)
-		}
 		if wid := m.Parts[i].WriterID; wid != "" {
 			st.applied[wid] = appliedWrite{seq: m.Parts[i].Seq, version: stage[i].version}
 		}
-		if s.ins != nil && stage[i].clone != nil {
+		reply.Versions[i] = stage[i].version
+		if stage[i].clone == nil {
+			releaseWriter(st, sess)
+			continue
+		}
+		st.seg = stage[i].clone
+		if s.ins != nil {
 			s.ins.applyUnits.Add(uint64(stage[i].modified))
 		}
-		if stage[i].clone != nil {
-			if s.journal != nil {
-				jparts = append(jparts, journalPart{st, &protocol.Replicate{
-					Seg:         m.Parts[i].Seg,
-					PrevVersion: snaps[i].prevVer,
-					Version:     stage[i].version,
-					Diff:        m.Parts[i].Diff,
-					Applied:     entriesFromApplied(st.applied),
-				}})
-			}
-			if job := s.replicationJob(st, m.Parts[i].Seg, snaps[i].prevVer, stage[i].version, m.Parts[i].Diff); job != nil {
-				jobs = append(jobs, job)
-			}
+		pr := &pendingRelease{
+			prevVer:       snaps[i].prevVer,
+			version:       stage[i].version,
+			diff:          m.Parts[i].Diff,
+			notifications: updateSubscribers(st, sess, stage[i].version, stage[i].modified),
+			sp:            sp,
 		}
-		reply.Versions[i] = stage[i].version
+		if enqueueRelease(st, sess, pr) {
+			leads = append(leads, st)
+		}
+		flushes = append(flushes, pr)
 	}
-	var replErr error
-	var fencedSeg string
-	var jerr error
-	var jerrSeg string
-	if len(jobs) == 0 && len(jparts) == 0 {
-		for _, st := range states {
-			releaseWriter(st, sess)
-		}
-		unlockSegs(ordered)
-	} else {
-		unlockSegs(ordered)
-		// Journal every advanced part before the fan-out and before
-		// the reply, mirroring the single-segment release path. The
-		// appends are per-segment files, so — like checkpoints — they
-		// are not one atomic cross-segment unit; a crash between them
-		// recovers a commit the client was never acknowledged for,
-		// which its per-part Resume recovery already handles.
-		for _, jp := range jparts {
-			if err := s.journalAppend(jp.st, jp.rep); err != nil {
-				jerr = err
-				jerrSeg = jp.rep.Seg
-				break
-			}
-			s.maybeCompactJournal(jp.st)
-		}
-		if jerr == nil {
-			for _, job := range jobs {
-				if err := s.runReplication(job); err != nil && replErr == nil {
-					replErr = err
-					fencedSeg = job.seg
-				}
-			}
-		}
-		s.lockSegsOrdered(states)
-		for _, st := range states {
-			releaseWriter(st, sess)
-		}
-		unlockSegs(ordered)
+	unlockSegs(ordered)
+	for _, st := range leads {
+		s.flush(st)
 	}
-	if s.ins != nil && len(notifications) > 0 {
-		s.ins.notifications.Add(uint64(len(notifications)))
-	}
-	for _, n := range notifications {
-		n()
-	}
-	if jerr != nil {
-		return errReply(protocol.CodeInternal, "transaction part %q not journaled: %v", jerrSeg, jerr)
-	}
-	if replErr != nil {
-		// The parts committed locally but at least one could not meet
-		// the replicate-before-acknowledge contract: report the commit
-		// failed rather than acknowledge durability the cluster does
-		// not have.
-		if errors.Is(replErr, errWriteFenced) {
-			return errReply(protocol.CodeNotOwner, "transaction part %q fenced: %v", fencedSeg, replErr)
+	// Every part settles before the reply; the first failure, in part
+	// order, is the one reported: the parts committed locally but at
+	// least one could not be made durable, so the commit is reported
+	// failed rather than acknowledged.
+	var fail *protocol.ErrorReply
+	for _, pr := range flushes {
+		if f := pr.wait(); f != nil && fail == nil {
+			fail = f
 		}
-		return errReply(protocol.CodeNotReplicated, "transaction part %q not replicated: %v", fencedSeg, replErr)
+	}
+	if fail != nil {
+		return fail
 	}
 	return reply
 }

@@ -241,6 +241,45 @@ var cases = []struct {
 			t.Errorf("frame on the evicted session answered %v, want CodeNoSession", reply.m)
 		}
 	}},
+	{"subscriber already behind is notified at once", func(t *testing.T, e env) {
+		e.publish(t) // version 2
+		rc := dial(t, e.addr)
+		rc.mustAck(1, hello())
+		// A proxy's mirror follows its origin asynchronously: wait until
+		// the target serves a reader at version 1 an update.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			lr, ok := rc.call(1, &protocol.ReadLock{Seg: e.seg, HaveVersion: 1, Policy: coherence.Full()}).(*protocol.LockReply)
+			if ok && lr.Diff != nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("target never reached version 2")
+			}
+		}
+		// Subscribing at version 1 is one write late: without a Notify
+		// now, the subscriber would trust its copy until the next write.
+		reply, pushed := rc.await(rc.post(1, &protocol.Subscribe{Seg: e.seg, HaveVersion: 1, Policy: coherence.Full()}))
+		if !isAck(reply.m) {
+			t.Fatalf("Subscribe answered %v", reply.m)
+		}
+		if len(pushed) == 0 {
+			f, err := rc.read()
+			if err != nil {
+				t.Fatalf("no Notify followed the late Subscribe: %v", err)
+			}
+			pushed = append(pushed, f)
+		}
+		n, ok := pushed[0].m.(*protocol.Notify)
+		if !ok || pushed[0].sid != 1 || n.Seg != e.seg || n.Version < 2 {
+			t.Fatalf("pushed %+v on session %d, want a Notify of %s at version >= 2 on session 1", pushed[0].m, pushed[0].sid, e.seg)
+		}
+		// At the current version nothing is owed: the next frame is the
+		// probe's reply, not a Notify.
+		rc.mustAck(1, &protocol.Subscribe{Seg: e.seg, HaveVersion: n.Version, Policy: coherence.Full()})
+		if _, pushed := rc.await(rc.post(1, &protocol.ReadUnlock{Seg: e.seg})); len(pushed) != 0 {
+			t.Fatalf("current subscriber was pushed %+v", pushed[0].m)
+		}
+	}},
 	{"reply to a session that died in flight is delivered", func(t *testing.T, e env) {
 		e.block(t)
 		rc := dial(t, e.addr)
@@ -329,8 +368,9 @@ type fakeHost struct {
 	big           protocol.Message
 	shed, evicted atomic.Uint64
 
-	mu   sync.Mutex
-	subs map[*session.Session]struct{}
+	mu      sync.Mutex
+	subs    map[*session.Session]struct{}
+	version uint32 // 1 + publishes
 }
 
 func (h *fakeHost) Admit(s *session.Session, _ protocol.Message) protocol.Message {
@@ -339,13 +379,17 @@ func (h *fakeHost) Admit(s *session.Session, _ protocol.Message) protocol.Messag
 }
 
 func (h *fakeHost) Handle(s *session.Session, m protocol.Message, _ protocol.TraceContext) protocol.Message {
-	switch m.(type) {
+	switch m := m.(type) {
 	case *protocol.ReadLock:
 		return h.big
 	case *protocol.Subscribe:
 		h.mu.Lock()
 		h.subs[s] = struct{}{}
+		version := h.version
 		h.mu.Unlock()
+		if m.HaveVersion < version {
+			s.Notify(&protocol.Notify{Seg: m.Seg, Version: version})
+		}
 	case *protocol.WriteLock:
 		<-s.Data.(chan struct{})
 		return &protocol.ErrorReply{Code: protocol.CodeNoSession, Text: "session closed"}
@@ -373,9 +417,11 @@ func (h *fakeHost) publish(*testing.T) {
 	for s := range h.subs {
 		subs = append(subs, s)
 	}
+	h.version++
+	version := h.version
 	h.mu.Unlock()
 	for _, s := range subs {
-		s.Notify(&protocol.Notify{Seg: "fake/s", Version: 2})
+		s.Notify(&protocol.Notify{Seg: "fake/s", Version: version})
 	}
 }
 
@@ -389,8 +435,9 @@ const bigInts = 64 << 10
 
 func startFake(t *testing.T) env {
 	h := &fakeHost{
-		big:  &protocol.LockReply{Diff: intBlockDiff(t, bigInts)},
-		subs: make(map[*session.Session]struct{}),
+		big:     &protocol.LockReply{Diff: intBlockDiff(t, bigInts)},
+		subs:    make(map[*session.Session]struct{}),
+		version: 1,
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

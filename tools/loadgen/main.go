@@ -88,7 +88,6 @@ func main() {
 	flag.StringVar(&cfg.ViaProxy, "via-proxy", "", "route the session connections through this proxy address (seeder and writers stay on -addr)")
 	flag.IntVar(&cfg.OpWorkers, "op-workers", 256, "concurrent operation issuers")
 	flag.IntVar(&cfg.MaxSessions, "max-sessions", 0, "in-process server session cap (0 = unlimited)")
-	flag.BoolVar(&cfg.GroupCommit, "group-commit", false, "enable group commit on the in-process server")
 	flag.StringVar(&cfg.JSONOut, "json", "", "write the SLO document to this path")
 	flag.StringVar(&cfg.Health, "health", "", "external server's /healthz URL, fetched after the run (in-process runs compute it directly)")
 	flag.BoolVar(&cfg.SLOGate, "slo-gate", false, "exit non-zero when the post-run health verdict is not \"ok\"")
@@ -114,7 +113,6 @@ type config struct {
 	ViaProxy    string        `json:"via_proxy,omitempty"`
 	OpWorkers   int           `json:"op_workers"`
 	MaxSessions int           `json:"max_sessions"`
-	GroupCommit bool          `json:"group_commit"`
 	JSONOut     string        `json:"-"`
 	Health      string        `json:"health_url,omitempty"`
 	SLOGate     bool          `json:"slo_gate"`
@@ -228,7 +226,6 @@ func run(cfg config) error {
 	if cfg.Addr == "" {
 		srv, err := server.New(server.Options{
 			MaxSessions:    cfg.MaxSessions,
-			GroupCommit:    cfg.GroupCommit,
 			Metrics:        obs.NewRegistry(),
 			SLOSampleEvery: -1,
 		})
