@@ -1,13 +1,15 @@
-// Command iwdump inspects InterWeave server checkpoints off-line: it
-// prints each checkpointed segment's version, blocks (with their
-// types, sizes, and version history), and registered type
-// descriptors.
+// Command iwdump inspects an InterWeave server's journal directory
+// off-line: for each segment it loads the sealed base plus the log tail
+// exactly as a restart would, and prints the segment's version, blocks
+// (with their types, sizes, and version history), and registered type
+// descriptors. It only reads: the log is parsed with the pure
+// journal.ScanRecords, so a live server's directory is never touched.
 //
 // Usage:
 //
-//	iwdump /var/lib/interweave            # a checkpoint directory
+//	iwdump /var/lib/interweave            # a journal directory
 //	iwdump -blocks=false dir              # segment summaries only
-//	iwdump file.iwseg                     # a single checkpoint file
+//	iwdump dir/<hex>.iwseg                # one segment (base + its log)
 package main
 
 import (
@@ -19,6 +21,7 @@ import (
 	"sort"
 	"strings"
 
+	"interweave/internal/journal"
 	"interweave/internal/server"
 	"interweave/internal/types"
 )
@@ -38,57 +41,93 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: iwdump [-blocks] [-descs] <checkpoint dir or file>")
+		return fmt.Errorf("usage: iwdump [-blocks] [-descs] <journal dir or segment file>")
 	}
 	target := fs.Arg(0)
 	info, err := os.Stat(target)
 	if err != nil {
 		return err
 	}
-	var files []string
+	// A segment is named by its file stem, hex(name), shared by its base
+	// and its log.
+	var stems []string
 	if info.IsDir() {
 		entries, err := os.ReadDir(target)
 		if err != nil {
 			return err
 		}
+		seen := make(map[string]bool)
 		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), server.CheckpointFileSuffix) {
-				files = append(files, filepath.Join(target, e.Name()))
+			if stem, ok := segmentStem(e.Name()); ok && !e.IsDir() && !seen[stem] {
+				seen[stem] = true
+				stems = append(stems, filepath.Join(target, stem))
 			}
 		}
-		sort.Strings(files)
-		if len(files) == 0 {
-			return fmt.Errorf("no %s files in %s", server.CheckpointFileSuffix, target)
+		sort.Strings(stems)
+		if len(stems) == 0 {
+			return fmt.Errorf("no %s or %s files in %s", journal.BaseSuffix, journal.LogSuffix, target)
 		}
 	} else {
-		files = []string{target}
+		stem, ok := segmentStem(target)
+		if !ok {
+			return fmt.Errorf("%s: not a %s or %s file", target, journal.BaseSuffix, journal.LogSuffix)
+		}
+		stems = []string{stem}
 	}
-	for _, f := range files {
-		if err := dumpFile(out, f, *showBlocks, *showDescs); err != nil {
-			return fmt.Errorf("%s: %w", f, err)
+	for _, stem := range stems {
+		if err := dumpSegment(out, stem, *showBlocks, *showDescs); err != nil {
+			return fmt.Errorf("%s: %w", stem, err)
 		}
 	}
 	return nil
 }
 
-func dumpFile(out *os.File, path string, showBlocks, showDescs bool) error {
+// segmentStem strips a journal file suffix from name.
+func segmentStem(name string) (string, bool) {
+	for _, suffix := range []string{journal.BaseSuffix, journal.LogSuffix} {
+		if stem, ok := strings.CutSuffix(name, suffix); ok {
+			return stem, true
+		}
+	}
+	return "", false
+}
+
+// readIfExists returns a file's contents, or nil when it does not exist.
+func readIfExists(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	return data, err
+}
+
+func dumpSegment(out *os.File, stem string, showBlocks, showDescs bool) error {
+	name, err := hex.DecodeString(filepath.Base(stem))
+	if err != nil {
+		return fmt.Errorf("file name is not hex(segment name): %w", err)
+	}
+	base, err := readIfExists(stem + journal.BaseSuffix)
 	if err != nil {
 		return err
 	}
-	seg, err := server.DecodeCheckpoint(data)
+	log, err := readIfExists(stem + journal.LogSuffix)
 	if err != nil {
 		return err
 	}
-	// Sanity: the filename encodes the segment name.
-	base := strings.TrimSuffix(filepath.Base(path), server.CheckpointFileSuffix)
-	if decoded, err := hex.DecodeString(base); err == nil && string(decoded) != seg.Name {
-		fmt.Fprintf(out, "warning: file name decodes to %q, segment says %q\n", decoded, seg.Name)
+	// A torn tail is what a crash mid-append leaves; a restart drops it
+	// too, so the dump shows exactly what recovery would.
+	recs, _, torn := journal.ScanRecords(log)
+	seg, err := server.LoadSegment(string(name), base, recs)
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(out, "segment %q\n", seg.Name)
-	fmt.Fprintf(out, "  version %d, %d blocks, %d primitive units, %d bytes on disk\n",
-		seg.Version, seg.NumBlocks(), seg.TotalUnits(), len(data))
+	fmt.Fprintf(out, "  version %d, %d blocks, %d primitive units, %d log records, %d bytes on disk\n",
+		seg.Version, seg.NumBlocks(), seg.TotalUnits(), len(recs), len(base)+len(log))
+	if torn {
+		fmt.Fprintf(out, "  warning: log ends in a torn record, ignored as recovery would\n")
+	}
 	if showDescs {
 		for _, serial := range seg.DescSerials() {
 			b, _ := seg.DescBytes(serial)

@@ -2,23 +2,17 @@
 //
 // Usage:
 //
-//	iwserver -addr :7777 -checkpoint /var/lib/interweave -every 30s
+//	iwserver -addr :7777 -journal-dir /var/lib/interweave
 //
 // The server maintains the master copy of every segment clients
 // create under its address, arbitrates write locks, serves
-// wire-format diffs under relaxed coherence, pushes invalidation
-// notifications, and periodically checkpoints segments to the
-// checkpoint directory (from which it also restores at startup).
-//
-// Log-structured persistence (DESIGN.md §9) replaces checkpointing
-// with a per-segment append-only journal of committed diffs:
-//
-//	iwserver -addr :7777 -journal-dir /var/lib/interweave
-//
-// Every acknowledged release is on disk before the client sees the
-// acknowledgement; restart recovery replays the journal tail on top
-// of the last compacted base, and -journal-compact-bytes bounds each
-// segment's log between compactions.
+// wire-format diffs under relaxed coherence, and pushes invalidation
+// notifications. With -journal-dir it is persistent (DESIGN.md §9):
+// every committed diff is appended to a per-segment journal before the
+// client sees the acknowledgement, restart recovery replays the
+// journal tail on top of the last compacted base, and
+// -journal-compact-bytes bounds each segment's log between
+// compactions. Without it, segments live in memory only.
 //
 // Cold-segment eviction (DESIGN.md §12) lets a journal-mode server
 // address more state than RAM:
@@ -32,7 +26,7 @@
 // segment untouched for -evict-idle-age; each eviction first forces a
 // compaction so the journal base captures the state exactly. The next
 // touch faults the segment back in transparently. Both flags require
-// -journal-dir and are refused with -checkpoint.
+// -journal-dir.
 //
 // For resilience testing the listener can be wrapped in a seeded
 // fault schedule (internal/faultnet):
@@ -120,10 +114,8 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("iwserver", flag.ContinueOnError)
 	addr := fs.String("addr", ":7777", "listen address")
-	ckptDir := fs.String("checkpoint", "", "checkpoint directory (restore at startup, save periodically)")
-	every := fs.Duration("every", 30*time.Second, "checkpoint interval")
-	journalDir := fs.String("journal-dir", "", "log-structured journal directory: releases append before ack, recovery is base+replay (mutually exclusive with -checkpoint)")
-	journalCompact := fs.Int64("journal-compact-bytes", server.DefaultJournalCompactBytes, "per-segment log size that triggers compaction into a fresh base (negative = only periodic/Close compaction)")
+	journalDir := fs.String("journal-dir", "", "log-structured journal directory: releases append before ack, recovery is base+replay (empty = in-memory only)")
+	journalCompact := fs.Int64("journal-compact-bytes", server.DefaultJournalCompactBytes, "per-segment log size that triggers compaction into a fresh base (negative = only eviction/shutdown compaction)")
 	maxResident := fs.Int64("max-resident-bytes", 0, "in-memory budget across segments: idle journaled segments evict (LRU) to stay under it and fault back in on touch (0 = unlimited, requires -journal-dir)")
 	evictIdleAge := fs.Duration("evict-idle-age", 0, "evict any journaled segment untouched this long, even under budget (0 = off, requires -journal-dir)")
 	evictInterval := fs.Duration("evict-interval", 0, "eviction sweep cadence (0 = default, negative = off)")
@@ -155,8 +147,6 @@ func run(args []string) error {
 		return err
 	}
 	opts := server.Options{
-		CheckpointDir:       *ckptDir,
-		CheckpointEvery:     *every,
 		JournalDir:          *journalDir,
 		JournalCompactBytes: *journalCompact,
 		MaxResidentBytes:    *maxResident,

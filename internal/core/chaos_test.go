@@ -569,13 +569,13 @@ func TestChaosPartitionDegradedRead(t *testing.T) {
 }
 
 // TestChaosServerRestartMidWorkload combines the proxy with a server
-// restart: the backend dies and comes back from its checkpoint on
+// restart: the backend dies and comes back from its journal on
 // the same address mid-workload, and the client's sections ride
 // backoff-retry through the outage. The final version count proves
 // every section applied exactly once across the restart.
 func TestChaosServerRestartMidWorkload(t *testing.T) {
 	dir := t.TempDir()
-	srv1, err := server.New(server.Options{CheckpointDir: dir})
+	srv1, err := server.New(server.Options{JournalDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,12 +618,12 @@ func TestChaosServerRestartMidWorkload(t *testing.T) {
 		}
 	}
 
-	// Close checkpoints the final state; restart on the same address
+	// Close compacts the final state; restart on the same address
 	// so the proxy's next backend dial lands on the new instance.
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := server.New(server.Options{CheckpointDir: dir})
+	srv2, err := server.New(server.Options{JournalDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -310,7 +310,7 @@ func (c *Client) connTo(addr string) (*serverConn, error) {
 
 // callSeg issues a request against a segment's server, re-dialing
 // when the cached connection has died (e.g. after a server restart
-// from a checkpoint) and retrying transport failures of retryable
+// from its journal) and retrying transport failures of retryable
 // RPCs with bounded exponential backoff + jitter. Lock and
 // subscription state held by the old server instance is gone, so the
 // segment's subscription is dropped on reconnect; its cached data

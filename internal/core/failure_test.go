@@ -11,14 +11,14 @@ import (
 	"interweave/internal/types"
 )
 
-// TestServerRestartFromCheckpoint kills a server after a checkpoint,
+// TestServerRestartFromCheckpoint kills a server after a clean Close,
 // restarts it from disk on the same address, and verifies that (a) an
 // existing client transparently reconnects and its cached state stays
 // valid, and (b) a fresh client sees all data — the paper's "partial
 // protection against server failure".
 func TestServerRestartFromCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	srv1, err := server.New(server.Options{CheckpointDir: dir})
+	srv1, err := server.New(server.Options{JournalDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,12 @@ func TestServerRestartFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Close checkpoints; restart from the same directory and address.
+	// Close compacts the journal; restart from the same directory and
+	// address.
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := server.New(server.Options{CheckpointDir: dir})
+	srv2, err := server.New(server.Options{JournalDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestServerRestartFromCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh client sees the checkpointed data plus the new write.
+	// A fresh client sees the persisted data plus the new write.
 	c2 := newTestClient(t, arch.Sparc(), "c2")
 	h2, err := c2.Open(segName)
 	if err != nil {
@@ -105,7 +106,7 @@ func TestServerRestartFromCheckpoint(t *testing.T) {
 		t.Errorf("fresh client sees %d, want 777", v)
 	}
 	if v, _ := c2.Heap().ReadI32(b2.Addr + 12); v != 9 {
-		t.Errorf("checkpointed value = %d, want 9", v)
+		t.Errorf("persisted value = %d, want 9", v)
 	}
 	if err := c2.RUnlock(h2); err != nil {
 		t.Fatal(err)
@@ -144,7 +145,7 @@ func TestServerGoneFails(t *testing.T) {
 // subscription is gone; the client must not trust local freshness.
 func TestSubscriptionDroppedOnReconnect(t *testing.T) {
 	dir := t.TempDir()
-	srv1, err := server.New(server.Options{CheckpointDir: dir})
+	srv1, err := server.New(server.Options{JournalDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestSubscriptionDroppedOnReconnect(t *testing.T) {
 	if err := srv1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := server.New(server.Options{CheckpointDir: dir})
+	srv2, err := server.New(server.Options{JournalDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

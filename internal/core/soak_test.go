@@ -14,7 +14,7 @@ import (
 
 // TestSoakChurn is a longer randomized end-to-end run: several
 // heterogeneous clients churn several segments (allocs, frees, scalar
-// and string writes, policy changes), with a server checkpoint and
+// and string writes, policy changes), with a journaled server's
 // restart in the middle. After every round, a Full-coherence observer
 // must agree with a shadow model maintained alongside the writes.
 func TestSoakChurn(t *testing.T) {
@@ -22,7 +22,7 @@ func TestSoakChurn(t *testing.T) {
 		t.Skip("soak test in -short mode")
 	}
 	dir := t.TempDir()
-	srv, err := server.New(server.Options{CheckpointDir: dir})
+	srv, err := server.New(server.Options{JournalDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,12 +192,12 @@ func TestSoakChurn(t *testing.T) {
 		}
 		verify(round)
 
-		// Mid-run server restart from checkpoint.
+		// Mid-run server restart from the journal.
 		if round == 5 {
 			if err := srv.Close(); err != nil {
 				t.Fatal(err)
 			}
-			srv, err = server.New(server.Options{CheckpointDir: dir})
+			srv, err = server.New(server.Options{JournalDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,8 +3,8 @@
 // Options.JournalDir mode.
 //
 // Each segment owns two files in the journal directory, both named by
-// the hex-encoded segment name: a checkpoint base (".iwseg", sealed
-// by the server's checkpoint codec and treated as opaque bytes here)
+// the hex-encoded segment name: a base (".iwseg", the server's sealed
+// segment image, treated as opaque bytes here)
 // and a log (".iwlog") of records appended since that base was
 // written. Every record is one persisted Replicate frame — the same
 // message the replication stream carries, reusing the protocol
@@ -47,9 +47,8 @@ import (
 // rest of the name is the hex-encoded segment name.
 const LogSuffix = ".iwlog"
 
-// BaseSuffix is the filename suffix of per-segment checkpoint bases a
-// journal compacts into. It matches the server's checkpoint files:
-// the base is written by the same codec.
+// BaseSuffix is the filename suffix of the per-segment bases a journal
+// compacts into.
 const BaseSuffix = ".iwseg"
 
 // recordHeader is the fixed prefix of every record: payload length
@@ -195,7 +194,7 @@ func (s *Store) Close() error {
 
 // Log is one segment's journal: its append handle, its in-memory
 // window (the decoded records currently in the log file), and the
-// path of its checkpoint base.
+// path of its base.
 type Log struct {
 	seg      string
 	path     string
@@ -348,7 +347,7 @@ func (l *Log) Window(sinceVer uint32) []*protocol.Replicate {
 	return out
 }
 
-// Base returns the segment's checkpoint base bytes, or ok=false when
+// Base returns the segment's base bytes, or ok=false when
 // no base has been written yet.
 func (l *Log) Base() (data []byte, ok bool, err error) {
 	data, err = os.ReadFile(l.basePath)
@@ -361,7 +360,7 @@ func (l *Log) Base() (data []byte, ok bool, err error) {
 	return data, true, nil
 }
 
-// Compact installs sealedBase (the caller's checkpoint-codec encoding
+// Compact installs sealedBase (the caller's sealed image
 // of the segment at baseVersion) as the new base and rewrites the log
 // to hold only records past baseVersion — normally none, shrinking it
 // to empty. Both installs are atomic renames, base first: a crash

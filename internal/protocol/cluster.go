@@ -168,7 +168,7 @@ type RingPush struct {
 // Replicate streams one committed write from a segment's primary to a
 // replica. Exactly one of Diff and Raw is set: Diff is the wire-format
 // diff producing Version on top of PrevVersion; Raw is a full
-// checkpoint-codec state snapshot (migration and bootstrap), applied
+// segment-image snapshot (migration and bootstrap), applied
 // by replacement. Epoch and From fence the stream: a replica rejects
 // frames from a node its own (equally new or newer) membership view
 // does not place as the segment's owner, so a deposed primary cannot
@@ -186,7 +186,7 @@ type Replicate struct {
 	Version uint32
 	// Diff is the committed wire-format diff, when incremental.
 	Diff *wire.SegmentDiff
-	// Raw is the checkpoint-codec segment state, when a snapshot.
+	// Raw is the encoded segment image, when a snapshot.
 	Raw []byte
 	// Applied is the primary's full at-most-once table for the
 	// segment, mirrored so promotion preserves release dedup.

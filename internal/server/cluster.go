@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"interweave/internal/cluster"
 	"interweave/internal/obs"
@@ -205,11 +204,11 @@ func entriesFromApplied(applied map[string]appliedWrite) []protocol.AppliedEntry
 	return out
 }
 
-// handleReplicate applies one primary→replica stream message: an
-// incremental diff stamped at the primary's version, or a full
-// checkpoint-codec snapshot applied by replacement. A version mismatch
-// is answered with a non-acked reply carrying the replica's version,
-// which the primary follows with a catch-up diff.
+// handleReplicate applies one primary→replica stream message through
+// applyRecord: an incremental diff stamped at the primary's version, or
+// a full image snapshot applied by replacement. A version mismatch is
+// answered with a non-acked reply carrying the replica's version, which
+// the primary follows with a catch-up stream from it.
 //
 // The stream is fenced first: a sender that this node's view — when
 // at least as new as the sender's — does not place as the segment's
@@ -226,86 +225,11 @@ func (sess *clientSession) handleReplicate(m *protocol.Replicate) protocol.Messa
 	if m.From != "" && m.Epoch <= s.cluster.Epoch() && s.cluster.Owner(m.Seg) != m.From {
 		return &protocol.ReplicateReply{Fenced: true, Ms: s.cluster.Membership()}
 	}
-	if len(m.Raw) > 0 {
-		// Decode the snapshot before taking the segment lock: the
-		// codec work is proportional to segment size and must not
-		// stall the segment's other traffic (DESIGN.md §8). Only the
-		// pointer swap happens under the lock.
-		seg, err := decodeSegment(m.Raw)
-		if err != nil {
-			return errReply(protocol.CodeBadRequest, "replicate snapshot: %v", err)
-		}
-		if seg.Name != m.Seg {
-			return errReply(protocol.CodeBadRequest, "snapshot is of %q, not %q", seg.Name, m.Seg)
-		}
-		s.capDiffCache(seg)
-		st, err := s.getSeg(m.Seg, true)
-		if err != nil {
-			return errReply(protocol.CodeInternal, "%v", err)
-		}
-		s.lockSeg(st)
-		// The pointer swap makes the segment resident whatever its
-		// prior state (an evicted stub included).
-		st.seg = seg
-		st.evictedVer = 0
-		st.lastTouch.Store(time.Now().UnixNano())
-		st.applied = appliedFromEntries(m.Applied)
-		st.mu.Unlock()
-		// A snapshot supersedes everything journaled so far: install
-		// it as the new checkpoint base and truncate the log, so a
-		// restart recovers the adopted state rather than replaying a
-		// history the snapshot replaced.
-		if s.journal != nil {
-			if err := s.journalAdoptSnapshot(st, m.Raw, m.Applied, seg.Version); err != nil {
-				return errReply(protocol.CodeInternal, "replicate snapshot journal: %v", err)
-			}
-		}
-		return &protocol.ReplicateReply{Acked: true, Version: seg.Version}
+	rr, fail := s.applyRecord(m)
+	if fail != nil {
+		return fail
 	}
-	st, err := s.getSeg(m.Seg, true)
-	if err != nil {
-		return errReply(protocol.CodeInternal, "%v", err)
-	}
-	s.lockSeg(st)
-	if err := s.ensureResident(st); err != nil {
-		st.mu.Unlock()
-		return errReply(protocol.CodeInternal, "replicate fault-in: %v", err)
-	}
-	if st.seg.Version != m.PrevVersion {
-		ver := st.seg.Version
-		st.mu.Unlock()
-		return &protocol.ReplicateReply{Acked: false, Version: ver}
-	}
-	if m.Diff != nil {
-		if _, err := st.seg.ApplyReplicatedDiff(m.Diff, m.Version); err != nil {
-			st.mu.Unlock()
-			return errReply(protocol.CodeBadRequest, "replicate apply: %v", err)
-		}
-	}
-	st.applied = appliedFromEntries(m.Applied)
-	ver := st.seg.Version
-	// Journal the applied frame before acking — the replica-side half
-	// of the durability contract. The append stays under the segment
-	// mutex: unlike the release paths there is no logical write lock
-	// here, and the mutex is the only thing serializing record order
-	// with apply order.
-	if m.Diff != nil && m.Version != m.PrevVersion {
-		if err := s.journalAppend(st, m); err != nil {
-			st.mu.Unlock()
-			return errReply(protocol.CodeInternal, "replicate journal: %v", err)
-		}
-	}
-	st.mu.Unlock()
-	s.maybeCompactJournal(st)
-	return &protocol.ReplicateReply{Acked: true, Version: ver}
-}
-
-// journalAdoptSnapshot installs a received full snapshot (raw
-// checkpoint-codec bytes plus applied table) as a segment's journal
-// base, truncating its log. Called without the segment mutex.
-func (s *Server) journalAdoptSnapshot(st *segState, raw []byte, applied []protocol.AppliedEntry, version uint32) error {
-	buf := appendApplied(append([]byte(nil), raw...), appliedFromEntries(applied))
-	return s.installJournalBase(st.name, version, buf)
+	return rr
 }
 
 // handlePull answers a promotion catch-up probe with this node's
@@ -472,109 +396,35 @@ func (s *Server) replicateTo(addr string, m *protocol.Replicate) (*protocol.Repl
 }
 
 // catchUpReplica brings a replica that NACKed the batch's frame up to
-// date: from the journal window when it covers the gap exactly, else
-// by a diff collected from the replica's version. The write lock was
-// handed off before the flush, so the segment may already be past the
-// batch; the collected diff then runs to the current version and the
-// frame says so — version and at-most-once table both, or a promoted
-// replica would hold data its Resume answers deny — and job.ahead
-// remembers the overshoot for the next batch. A replica already at or
-// beyond the version being committed — without having acked it — means
-// some other node is assigning versions to this segment; that is a
-// failed release, never an ack, or the client would be told a write is
-// durable that the other primary's history will overwrite.
+// date by streaming it the segment from its version (streamFrom). When
+// the stream overshoots the batch — later releases were applied after
+// the handoff — job.ahead remembers how far, for the next batch. A
+// replica already at or beyond the version being committed — without
+// having acked it — means some other node is assigning versions to this
+// segment; that is a failed release, never an ack, or the client would
+// be told a write is durable that the other primary's history will
+// overwrite.
 func (s *Server) catchUpReplica(addr string, job *replicationJob, replicaVer uint32) (*protocol.ReplicateReply, error) {
 	if replicaVer >= job.rep.Version {
 		return nil, fmt.Errorf("replica at version %d >= committed %d without acking: divergent primaries", replicaVer, job.rep.Version)
 	}
-	if rr, ok, err := s.catchUpFromJournal(addr, job, replicaVer); ok {
-		return rr, err
-	}
-	s.lockSeg(job.st)
-	// The flushing flag fences eviction; this call is defensive.
-	if err := s.ensureResident(job.st); err != nil {
-		job.st.mu.Unlock()
-		return nil, err
-	}
-	d, err := job.st.seg.CollectDiff(replicaVer)
-	ver := job.st.seg.Version
-	applied := entriesFromApplied(job.st.applied)
-	job.st.mu.Unlock()
+	recs, err := s.streamFrom(job.st, replicaVer, job.rep.Version)
 	if err != nil {
 		return nil, err
 	}
-	if ver < job.rep.Version {
-		return nil, fmt.Errorf("%w: segment state replaced during catch-up (at %d, batch end %d)",
-			errWriteFenced, ver, job.rep.Version)
+	var rr *protocol.ReplicateReply
+	for _, rec := range recs {
+		if rr, err = s.replicateTo(addr, rec); err != nil || rr.Fenced || !rr.Acked {
+			return rr, err
+		}
 	}
-	rr, err := s.replicateTo(addr, &protocol.Replicate{
-		Seg:         job.rep.Seg,
-		PrevVersion: replicaVer,
-		Version:     ver,
-		Diff:        d,
-		Applied:     applied,
-	})
-	if err == nil && rr.Acked && ver > job.rep.Version {
+	if end := recs[len(recs)-1].Version; end > job.rep.Version {
 		if job.ahead == nil {
 			job.ahead = make(map[string]uint32)
 		}
-		job.ahead[addr] = ver
+		job.ahead[addr] = end
 	}
-	return rr, err
-}
-
-// catchUpFromJournal serves a replica's catch-up from the journal
-// window: when the journaled records chain contiguously from the
-// replica's version to the one being committed, they are re-sent in
-// order as the original persisted Replicate frames — no diff
-// collection, and the replica's own journal receives the exact same
-// record stream the primary holds. ok=false means the window does not
-// cover the gap (journal disabled, records compacted away, or the
-// replica mid-stream stopped acking) and the caller falls back to a
-// collected diff. An error or a fence is returned with ok=true: the
-// transport or ownership failure is real, not a coverage gap.
-func (s *Server) catchUpFromJournal(addr string, job *replicationJob, replicaVer uint32) (rr *protocol.ReplicateReply, ok bool, err error) {
-	if s.journal == nil {
-		return nil, false, nil
-	}
-	l, err := s.journal.Segment(job.rep.Seg)
-	if err != nil {
-		return nil, false, nil
-	}
-	cur := replicaVer
-	var chain []*protocol.Replicate
-	for _, rec := range l.Window(replicaVer) {
-		if rec.Version <= cur {
-			continue
-		}
-		if rec.PrevVersion != cur || rec.Diff == nil {
-			return nil, false, nil // gap: the base swallowed part of the range
-		}
-		chain = append(chain, rec)
-		cur = rec.Version
-		if cur >= job.rep.Version {
-			break
-		}
-	}
-	if cur < job.rep.Version {
-		return nil, false, nil
-	}
-	for _, rec := range chain {
-		rr, err = s.replicateTo(addr, rec)
-		if err != nil {
-			return nil, true, err
-		}
-		if rr.Fenced {
-			return rr, true, nil
-		}
-		if !rr.Acked {
-			return nil, false, nil
-		}
-		if s.ins != nil {
-			s.ins.journalReplayCatchup.Inc()
-		}
-	}
-	return rr, true, nil
+	return rr, nil
 }
 
 // onEpochChange reacts to a membership change. For every locally held
@@ -712,36 +562,23 @@ func (s *Server) promoteSegment(seg string, ring *cluster.Ring, self string) {
 		if !ok || pr.Version <= haveVer || pr.Diff == nil {
 			continue
 		}
-		if st, err := s.getSeg(seg, true); err == nil {
-			s.lockSeg(st)
-			if ferr := s.ensureResident(st); ferr != nil {
-				s.logf("promotion fault-in %s: %v", seg, ferr)
-				st.mu.Unlock()
-				continue
-			}
-			if pr.Version > st.seg.Version {
-				prevVer := st.seg.Version
-				if _, aerr := st.seg.ApplyReplicatedDiff(pr.Diff, pr.Version); aerr != nil {
-					s.logf("promotion apply %s from %s: %v", seg, addr, aerr)
-				} else {
-					st.applied = appliedFromEntries(pr.Applied)
-					// Journal the adopted catch-up so a restart
-					// recovers the promoted version. Under the segment
-					// mutex, like the replica apply path: the mutex is
-					// what orders this record against the stream.
-					if jerr := s.journalAppend(st, &protocol.Replicate{
-						Seg:         seg,
-						PrevVersion: prevVer,
-						Version:     pr.Version,
-						Diff:        pr.Diff,
-						Applied:     pr.Applied,
-					}); jerr != nil {
-						s.logf("journal promotion %s: %v", seg, jerr)
-					}
-					s.logf("promoted %s to version %d (from %s)", seg, pr.Version, addr)
-				}
-			}
-			st.mu.Unlock()
+		// The pulled catch-up is the record that carries this copy from
+		// haveVer to the peer's version, applied and journaled like any
+		// replica frame.
+		rr, fail := s.applyRecord(&protocol.Replicate{
+			Seg:         seg,
+			PrevVersion: haveVer,
+			Version:     pr.Version,
+			Diff:        pr.Diff,
+			Applied:     pr.Applied,
+		})
+		switch {
+		case fail != nil:
+			s.logf("promotion apply %s from %s: %s", seg, addr, fail.Text)
+		case !rr.Acked:
+			s.logf("promotion apply %s from %s: local copy moved to version %d during the pull", seg, addr, rr.Version)
+		default:
+			s.logf("promoted %s to version %d (from %s)", seg, pr.Version, addr)
 		}
 	}
 }

@@ -50,10 +50,10 @@ func (st *segState) evictableLocked() bool {
 }
 
 // ensureResident stamps the segment's LRU clock and, when the image
-// has been evicted, faults it back in from the journal: decode the
-// checkpoint base, replay the log tail, verify the recovered version
-// matches the stub. Called with st.mu held — the file reads run under
-// the segment's own lock (only touches to this segment block, the
+// has been evicted, faults it back in from the journal through the
+// same loadJournaled startup restore uses, then verifies the recovered
+// version matches the stub. Called with st.mu held — the file reads run
+// under the segment's own lock (only touches to this segment block, the
 // same exception the replica apply path makes for journal appends).
 // The in-memory applied table is authoritative across eviction and is
 // left untouched.
@@ -69,33 +69,9 @@ func (s *Server) ensureResident(st *segState) error {
 	if s.ins != nil {
 		start = time.Now()
 	}
-	l, err := s.journal.Segment(st.name)
+	seg, _, _, err := s.loadJournaled(st.name)
 	if err != nil {
-		return err
-	}
-	seg := NewSegment(st.name)
-	if base, ok, err := l.Base(); err != nil {
-		return err
-	} else if ok {
-		payload, err := openCheckpoint(base)
-		if err != nil {
-			return fmt.Errorf("server: fault-in base for %q: %w", st.name, err)
-		}
-		seg, _, err = decodeCheckpointPayload(payload)
-		if err != nil {
-			return fmt.Errorf("server: fault-in base for %q: %w", st.name, err)
-		}
-		if seg.Name != st.name {
-			return fmt.Errorf("server: fault-in base for %q holds segment %q", st.name, seg.Name)
-		}
-	}
-	for _, rep := range l.Window(0) {
-		if rep.Diff == nil || rep.Version <= seg.Version {
-			continue
-		}
-		if _, err := seg.ApplyReplicatedDiff(rep.Diff, rep.Version); err != nil {
-			return fmt.Errorf("server: fault-in replay of %q at version %d: %w", st.name, rep.Version, err)
-		}
+		return fmt.Errorf("fault-in: %w", err)
 	}
 	if seg.Version != st.evictedVer {
 		// The journal does not reproduce the state the stub recorded;

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -71,9 +74,9 @@ func segImage(t *testing.T, srv *Server, name string) ([]byte, uint32, map[strin
 }
 
 // TestEvictOptionValidation: the eviction knobs only make sense when a
-// journal can serve fault-ins. CheckpointDir-mode checkpoints lag the
-// live state, so booting with a resident budget there must refuse with
-// an error that says why, not silently drop writes on fault-in.
+// journal can serve fault-ins, so booting with a resident budget and no
+// journal must refuse with an error that says why, not silently never
+// evict.
 func TestEvictOptionValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -82,8 +85,6 @@ func TestEvictOptionValidation(t *testing.T) {
 	}{
 		{"budget without persistence", Options{MaxResidentBytes: 1 << 20}, "JournalDir"},
 		{"idle-age without persistence", Options{EvictIdleAge: time.Minute}, "JournalDir"},
-		{"budget with checkpoint dir", Options{CheckpointDir: t.TempDir(), MaxResidentBytes: 1 << 20}, "CheckpointDir"},
-		{"idle-age with checkpoint dir", Options{CheckpointDir: t.TempDir(), EvictIdleAge: time.Minute}, "CheckpointDir"},
 		{"budget with journal", Options{JournalDir: t.TempDir(), MaxResidentBytes: 1 << 20}, ""},
 		{"idle-age with journal", Options{JournalDir: t.TempDir(), EvictIdleAge: time.Minute}, ""},
 	}
@@ -488,50 +489,161 @@ func TestEvictLoopBackground(t *testing.T) {
 	rc.mustAck(&protocol.ReadUnlock{Seg: "bg/seg"})
 }
 
-// TestEvictReloadProperty: for random release sequences with random
-// evictions and reloads interleaved, the journaled server's segment
-// stays byte-identical — encoding, version, applied table — to a
-// shadow server that received the same writes and was never evicted.
+// release is one step of a generated write history: a diff, the writer
+// identity releasing it, and whether it travels as a TxCommit part.
+type release struct {
+	diff   *wire.SegmentDiff
+	writer string
+	seq    uint32
+	tx     bool
+}
+
+// send drives the release through rc against seg — write lock, then a
+// WriteUnlock or a one-part TxCommit — and fails the test unless it
+// produced version want.
+func (r release) send(t *testing.T, rc *rawClient, seg string, want uint32) {
+	t.Helper()
+	rc.call(&protocol.WriteLock{Seg: seg, Policy: coherence.Full()})
+	part := protocol.WriteUnlock{Seg: seg, Diff: r.diff, WriterID: r.writer, Seq: r.seq}
+	var reply protocol.Message
+	var got uint32
+	if r.tx {
+		reply, _ = rc.call(&protocol.TxCommit{Parts: []protocol.WriteUnlock{part}})
+		if tr, ok := reply.(*protocol.TxReply); ok && len(tr.Versions) == 1 {
+			got = tr.Versions[0]
+		}
+	} else {
+		reply, _ = rc.call(&part)
+		if vr, ok := reply.(*protocol.VersionReply); ok {
+			got = vr.Version
+		}
+	}
+	if got != want {
+		t.Fatalf("release %s#%d = %+v, want version %d", r.writer, r.seq, reply, want)
+	}
+}
+
+// histGen generates a seeded random write history for one segment:
+// blocks created under either of two descriptors (int32, int64), one-
+// and two-run modifications and frees, released by two writer
+// identities, about a quarter of them as TxCommit parts. Every release
+// advances the segment by exactly one version.
+type histGen struct {
+	rng  *rand.Rand
+	next uint32 // next block serial
+	live []histBlock
+	seqs map[string]uint32
+}
+
+// histBlock is one live block of a generated history.
+type histBlock struct {
+	serial uint32
+	units  int
+	wide   bool // int64 units, else int32
+}
+
+func newHistGen(seed int64) *histGen {
+	return &histGen{rng: rand.New(rand.NewSource(seed)), next: 1, seqs: make(map[string]uint32)}
+}
+
+// step returns the history's next release.
+func (g *histGen) step(t *testing.T) release {
+	t.Helper()
+	writer := []string{"w-a", "w-b"}[g.rng.Intn(2)]
+	g.seqs[writer]++
+	r := release{writer: writer, seq: g.seqs[writer], tx: g.rng.Intn(4) == 0}
+	switch roll := g.rng.Intn(10); {
+	case len(g.live) == 0 || roll < 3:
+		b := histBlock{serial: g.next, units: 1 + g.rng.Intn(40), wide: g.rng.Intn(2) == 0}
+		g.next++
+		g.live = append(g.live, b)
+		typ := types.Int32()
+		if b.wide {
+			typ = types.Int64()
+		}
+		desc, err := types.Marshal(typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.diff = &wire.SegmentDiff{
+			Descs:  []wire.DescDef{{Serial: 1, Bytes: desc}},
+			News:   []wire.NewBlock{{Serial: b.serial, DescSerial: 1, Count: uint32(b.units), Name: fmt.Sprintf("b%d", b.serial)}},
+			Blocks: []wire.BlockDiff{{Serial: b.serial, Runs: []wire.Run{g.run(b, 0, b.units)}}},
+		}
+	case roll < 4 && len(g.live) > 1:
+		i := g.rng.Intn(len(g.live))
+		r.diff = &wire.SegmentDiff{Freed: []uint32{g.live[i].serial}}
+		g.live = append(g.live[:i], g.live[i+1:]...)
+	default:
+		b := g.live[g.rng.Intn(len(g.live))]
+		runs := []wire.Run{g.run(b, 0, b.units)}
+		if b.units >= 4 && g.rng.Intn(2) == 0 {
+			runs = []wire.Run{g.run(b, 0, b.units/2), g.run(b, b.units/2, b.units)}
+		}
+		r.diff = &wire.SegmentDiff{Blocks: []wire.BlockDiff{{Serial: b.serial, Runs: runs}}}
+	}
+	return r
+}
+
+// run builds one run of random values inside units [lo, hi) of b.
+func (g *histGen) run(b histBlock, lo, hi int) wire.Run {
+	start := lo + g.rng.Intn(hi-lo)
+	count := 1 + g.rng.Intn(hi-start)
+	var data []byte
+	for i := 0; i < count; i++ {
+		if b.wide {
+			data = wire.AppendU64(data, g.rng.Uint64())
+		} else {
+			data = wire.AppendU32(data, g.rng.Uint32())
+		}
+	}
+	return wire.Run{Start: uint32(start), Count: uint32(count), Data: data}
+}
+
+// sameImage fails the test unless got's copy of seg equals want's:
+// encoded image, version and applied table.
+func sameImage(t *testing.T, receiver string, want, got *Server, seg string) {
+	t.Helper()
+	if _, ok := got.reg.get(seg); !ok {
+		t.Fatalf("%s: segment %q missing", receiver, seg)
+	}
+	wantBytes, wantVer, wantApplied := segImage(t, want, seg)
+	gotBytes, gotVer, gotApplied := segImage(t, got, seg)
+	if gotVer != wantVer {
+		t.Fatalf("%s: version %d, want %d", receiver, gotVer, wantVer)
+	}
+	if !reflect.DeepEqual(gotBytes, wantBytes) {
+		t.Fatalf("%s: segment encoding diverged", receiver)
+	}
+	if !reflect.DeepEqual(gotApplied, wantApplied) {
+		t.Fatalf("%s: applied table %+v, want %+v", receiver, gotApplied, wantApplied)
+	}
+}
+
+// TestEvictReloadProperty: for random write histories (histGen) with
+// random evictions and reloads interleaved, the journaled server's
+// segment stays byte-identical — encoding, version, applied table — to
+// a shadow server that received the same writes and was never evicted.
 func TestEvictReloadProperty(t *testing.T) {
 	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+		gen := newHistGen(seed)
 		srvE, addrE := startTestServer(t, Options{JournalDir: t.TempDir(), JournalCompactBytes: -1})
 		srvS, addrS := startTestServer(t, Options{})
 		rcE, rcS := dialRaw(t, addrE), dialRaw(t, addrS)
 		rcE.call(&protocol.OpenSegment{Name: "p/seg", Create: true})
 		rcS.call(&protocol.OpenSegment{Name: "p/seg", Create: true})
 
-		releases := 1 + rng.Intn(10)
-		for i := 0; i < releases; i++ {
-			// One diff recipe per release, materialized once per server:
-			// the wire encoding is read-only but the servers must see
-			// equal, independent payloads.
-			var mk func() *wire.SegmentDiff
-			if i == 0 {
-				vals := []uint32{rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32()}
-				mk = func() *wire.SegmentDiff { return intsDiff(t, 1, 1, 4, "blk", vals...) }
-			} else {
-				start := uint32(rng.Intn(4))
-				vals := make([]uint32, 1+rng.Intn(4-int(start)))
-				for j := range vals {
-					vals[j] = rng.Uint32()
-				}
-				mk = func() *wire.SegmentDiff { return runDiff(1, start, vals...) }
-			}
-			for _, rc := range []*rawClient{rcE, rcS} {
-				rc.call(&protocol.WriteLock{Seg: "p/seg", Policy: coherence.Full()})
-				reply, _ := rc.call(&protocol.WriteUnlock{Seg: "p/seg", Diff: mk(), WriterID: "w-p", Seq: uint32(i + 1)})
-				if vr, ok := reply.(*protocol.VersionReply); !ok || vr.Version != uint32(i+1) {
-					t.Errorf("seed %d: release %d = %+v", seed, i+1, reply)
-					return false
-				}
-			}
-			switch rng.Intn(3) {
+		releases := uint32(1 + gen.rng.Intn(10))
+		for v := uint32(1); v <= releases; v++ {
+			r := gen.step(t)
+			r.send(t, rcE, "p/seg", v)
+			r.send(t, rcS, "p/seg", v)
+			switch gen.rng.Intn(3) {
 			case 0:
 				srvE.EvictSegment("p/seg") // may be refused; both outcomes are valid states
 			case 1:
 				if srvE.SegmentSnapshot("p/seg") == nil { // faults in when evicted
-					t.Errorf("seed %d: snapshot after release %d returned nil", seed, i+1)
+					t.Errorf("seed %d: snapshot after release %d returned nil", seed, v)
 					return false
 				}
 			}
@@ -552,24 +664,161 @@ func TestEvictReloadProperty(t *testing.T) {
 			t.Errorf("seed %d: final fault-in failed", seed)
 			return false
 		}
-		gotBytes, gotVer, gotApplied := segImage(t, srvE, "p/seg")
-		wantBytes, wantVer, wantApplied := segImage(t, srvS, "p/seg")
-		if gotVer != wantVer {
-			t.Errorf("seed %d: evicted server at version %d, shadow at %d", seed, gotVer, wantVer)
-			return false
-		}
-		if !reflect.DeepEqual(gotBytes, wantBytes) {
-			t.Errorf("seed %d: segment encoding diverged from the never-evicted shadow", seed)
-			return false
-		}
-		if !reflect.DeepEqual(gotApplied, wantApplied) {
-			t.Errorf("seed %d: applied table %+v, shadow %+v", seed, gotApplied, wantApplied)
-			return false
-		}
+		sameImage(t, fmt.Sprintf("seed %d: evict + fault-in", seed), srvS, srvE, "p/seg")
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStateTransferEquivalence drives one seeded write history
+// (histGen) into a journaled cluster primary and a plain shadow server,
+// then moves the primary's segment through every state-transfer
+// receiver — restart, evict + fault-in, the live replica's incremental
+// apply, journal-chain catch-up, collected-diff catch-up, promotion
+// pull and a migration snapshot — and requires each copy's encoded
+// image and applied table to equal the shadow's. The collected-diff and
+// promotion receivers start one version behind: a diff collected over
+// several versions legitimately stamps every block it carries with the
+// newest of them, so only a one-version gap has a byte-exact answer.
+func TestStateTransferEquivalence(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { checkStateTransfer(t, seed) })
+	}
+}
+
+func checkStateTransfer(t *testing.T, seed int64) {
+	// Three cluster members: the primary, its replica, and a third node
+	// that holds nothing until the segment migrates to it.
+	var addrs, dirs []string
+	var lns []net.Listener
+	for i := 0; i < 3; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns, addrs, dirs = append(lns, ln), append(addrs, ln.Addr().String()), append(dirs, t.TempDir())
+	}
+	var srvs []*Server
+	var primaryNode *cluster.Node
+	for i, ln := range lns {
+		peers := slices.Delete(slices.Clone(addrs), i, i+1)
+		node := cluster.NewNode(cluster.Options{Self: addrs[i], Peers: peers, Replicas: 1})
+		srv, err := New(Options{JournalDir: dirs[i], JournalCompactBytes: -1, Cluster: node})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = srv.Serve(ln) }()
+		t.Cleanup(func() { _ = srv.Close() })
+		srvs = append(srvs, srv)
+		if i == 0 {
+			primaryNode = node
+		}
+	}
+	primary, replica, target := srvs[0], srvs[1], srvs[2]
+	var seg string
+	for i := 0; seg == ""; i++ {
+		if i == 1024 {
+			t.Fatal("no segment placed on (primary, replica) in 1024 candidates")
+		}
+		name := fmt.Sprintf("x/%d", i)
+		if primaryNode.Owner(name) == addrs[0] && slices.Equal(primaryNode.ReplicasOf(name), addrs[1:2]) {
+			seg = name
+		}
+	}
+
+	shadow, addrS := startTestServer(t, Options{})
+	rcP, rcS := dialRaw(t, addrs[0]), dialRaw(t, addrS)
+	rcP.call(&protocol.OpenSegment{Name: seg, Create: true})
+	rcS.call(&protocol.OpenSegment{Name: seg, Create: true})
+	gen := newHistGen(seed)
+	n := uint32(2 + gen.rng.Intn(10))
+	for v := uint32(1); v <= n; v++ {
+		r := gen.step(t)
+		r.send(t, rcP, seg, v)
+		r.send(t, rcS, seg, v)
+	}
+	check := func(receiver string, got *Server) { sameImage(t, receiver, shadow, got, seg) }
+	check("primary", primary)
+	check("replica incremental apply", replica)
+	restarted, err := New(Options{JournalDir: dirs[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("restart", restarted)
+
+	stP, _ := primary.reg.get(seg)
+	chain, err := primary.streamFrom(stP, 0, n)
+	if err != nil || len(chain) != int(n) {
+		t.Fatalf("stream from version 0 = %d records (%v), want the %d-record journal chain", len(chain), err, n)
+	}
+	chainDir := t.TempDir()
+	chained := newReceiver(t, Options{JournalDir: chainDir})
+	feed(t, chained, chain)
+	check("journal-chain catch-up", chained)
+	if restarted, err = New(Options{JournalDir: chainDir}); err != nil {
+		t.Fatal(err)
+	}
+	check("journal-chain catch-up, restarted", restarted)
+
+	collected := newReceiver(t, Options{})
+	feed(t, collected, chain[:n-1])
+	promoteNode := cluster.NewNode(cluster.Options{Self: "127.0.0.1:1", Peers: addrs[:1]})
+	promoted := newReceiver(t, Options{Cluster: promoteNode})
+	feed(t, promoted, chain[:n-1])
+	// Compaction empties the primary's window, so the last version can
+	// only travel as a collected diff.
+	if err := primary.CompactJournal(); err != nil {
+		t.Fatal(err)
+	}
+	last, err := primary.streamFrom(stP, n-1, n)
+	if err != nil || len(last) != 1 {
+		t.Fatalf("stream from version %d = %d records (%v), want one collected diff", n-1, len(last), err)
+	}
+	feed(t, collected, last)
+	check("collected-diff catch-up", collected)
+	promoted.promoteSegment(seg, promoteNode.Ring(), promoteNode.Self())
+	check("promotion pull", promoted)
+
+	if !primary.EvictSegment(seg) || primary.SegmentSnapshot(seg) == nil {
+		t.Fatal("evict + fault-in of the primary's copy failed")
+	}
+	check("evict + fault-in", primary)
+
+	rcP.mustAck(&protocol.Migrate{Seg: seg, Target: addrs[2]})
+	check("migration snapshot", target)
+	if restarted, err = New(Options{JournalDir: dirs[2]}); err != nil {
+		t.Fatal(err)
+	}
+	check("migration snapshot, restarted", restarted)
+}
+
+// newReceiver builds a server that is fed state-transfer records
+// directly, without a listener.
+func newReceiver(t *testing.T, opts Options) *Server {
+	t.Helper()
+	srv, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	return srv
+}
+
+// feed applies records to srv through applyRecord, each as a private
+// copy (applying remaps a diff's descriptor serials in place), and
+// requires every one acked.
+func feed(t *testing.T, srv *Server, recs []*protocol.Replicate) {
+	t.Helper()
+	for _, rec := range recs {
+		m, err := protocol.UnmarshalMessage(protocol.MarshalMessage(nil, rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rr, fail := srv.applyRecord(m.(*protocol.Replicate)); fail != nil || !rr.Acked {
+			t.Fatalf("record %d→%d: reply %+v, error %v", rec.PrevVersion, rec.Version, rr, fail)
+		}
 	}
 }
 

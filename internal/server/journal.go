@@ -13,24 +13,29 @@ import (
 // server's durability is log-structured: every committed release is
 // appended to the segment's journal — as a persisted Replicate frame,
 // the same message replication carries — before the client sees the
-// acknowledgement, and recovery is checkpoint base + log replay. The
-// journal's window doubles as the cluster catch-up source: a replica
-// that NACKs a fan-out is re-fed the journaled frames covering its
-// gap instead of a collected diff (see catchUpFromJournal).
+// acknowledgement, and recovery is sealed base + log replay
+// (loadSegment). The journal's window doubles as the cluster catch-up
+// source: a replica that NACKs a fan-out is re-fed the journaled frames
+// covering its gap instead of a collected diff (see streamFrom).
+//
+// Compaction folds a segment's log into a fresh base on three
+// triggers: the log outgrowing JournalCompactBytes (checked by the
+// flusher and by the replica apply path), eviction, and a full pass
+// (CompactJournal, which Close runs).
 //
 // Lock discipline: the primary's appends run on the segment's single
 // flusher without the segment mutex (one flusher, so record order
-// matches version order — commit.go); the replica apply path and
-// promotion append under the segment mutex, whose serialization is
-// the only ordering guarantee those paths have. Compaction encodes
-// under the segment mutex and writes files outside it.
+// matches version order — commit.go); the replica apply path, which
+// promotion shares, appends under the segment mutex, whose
+// serialization is the only ordering guarantee it has. Compaction
+// encodes under the segment mutex and writes files outside it.
 
 // DefaultJournalCompactBytes is the per-segment log size that
 // triggers compaction when Options.JournalCompactBytes is zero.
 const DefaultJournalCompactBytes = 4 << 20
 
 // openJournal opens the journal store and restores every segment it
-// holds: decode the checkpoint base, then replay the log tail.
+// holds through loadJournaled.
 func (s *Server) openJournal() error {
 	compact := s.opts.JournalCompactBytes
 	if compact == 0 {
@@ -45,63 +50,43 @@ func (s *Server) openJournal() error {
 	}
 	s.journal = store
 	for _, name := range store.Segments() {
-		if err := s.restoreJournalSeg(name); err != nil {
+		seg, applied, replayed, err := s.loadJournaled(name)
+		if err != nil {
 			return err
 		}
+		if s.ins != nil {
+			s.ins.journalReplayStartup.Add(uint64(replayed))
+		}
+		if l, err := store.Segment(name); err == nil && l.DroppedTail() {
+			if s.ins != nil {
+				s.ins.journalTruncatedTail.Inc()
+			}
+			s.logf("journal %s: dropped torn tail; recovered to version %d", name, seg.Version)
+		}
+		s.reg.getOrCreate(name, func(string) *segState { return s.adoptSegState(seg, applied) })
 	}
 	return nil
 }
 
-// restoreJournalSeg rebuilds one segment: base (when present) plus an
-// in-order replay of the journaled Replicate frames past the base's
-// version. The journal store already truncated any torn tail; replay
-// of what remains must succeed, or the journal is corrupt in a way
-// CRC cannot explain and the restore fails loudly.
-func (s *Server) restoreJournalSeg(name string) error {
+// loadJournaled rebuilds one segment from its journal — the sealed base
+// plus the log's records — through loadSegment, for startup restore and
+// eviction fault-in alike. The store already truncated any torn tail;
+// what remains must load, or the journal is corrupt in a way CRC cannot
+// explain and the caller fails loudly.
+func (s *Server) loadJournaled(name string) (*Segment, map[string]appliedWrite, int, error) {
 	l, err := s.journal.Segment(name)
 	if err != nil {
-		return err
+		return nil, nil, 0, err
 	}
-	seg := NewSegment(name)
-	applied := make(map[string]appliedWrite)
-	if base, ok, err := l.Base(); err != nil {
-		return err
-	} else if ok {
-		payload, err := openCheckpoint(base)
-		if err != nil {
-			return fmt.Errorf("server: journal base for %q: %w", name, err)
-		}
-		seg, applied, err = decodeCheckpointPayload(payload)
-		if err != nil {
-			return fmt.Errorf("server: journal base for %q: %w", name, err)
-		}
-		if seg.Name != name {
-			return fmt.Errorf("server: journal base for %q holds segment %q", name, seg.Name)
-		}
+	base, _, err := l.Base()
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	for _, rep := range l.Window(0) {
-		if rep.Seg != name {
-			return fmt.Errorf("server: journal for %q holds record for %q", name, rep.Seg)
-		}
-		if rep.Diff == nil || rep.Version <= seg.Version {
-			continue // already covered by the base (or a no-op record)
-		}
-		if _, err := seg.ApplyReplicatedDiff(rep.Diff, rep.Version); err != nil {
-			return fmt.Errorf("server: replaying journal of %q at version %d: %w", name, rep.Version, err)
-		}
-		applied = appliedFromEntries(rep.Applied)
-		if s.ins != nil {
-			s.ins.journalReplayStartup.Inc()
-		}
+	seg, applied, replayed, err := loadSegment(name, base, l.Window(0))
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("server: journal: %w", err)
 	}
-	if l.DroppedTail() {
-		if s.ins != nil {
-			s.ins.journalTruncatedTail.Inc()
-		}
-		s.logf("journal %s: dropped torn tail; recovered to version %d", name, seg.Version)
-	}
-	s.reg.getOrCreate(name, func(string) *segState { return s.adoptSegState(seg, applied) })
-	return nil
+	return seg, applied, replayed, nil
 }
 
 // journalAppend persists one committed write as a Replicate record.
@@ -156,7 +141,7 @@ func (s *Server) maybeCompactJournal(st *segState) {
 }
 
 // encodeBaseLocked encodes the segment image plus at-most-once table —
-// a checkpoint base — and names the version it captures. Called with
+// a journal base — and names the version it captures. Called with
 // st.mu held and the image resident.
 func (st *segState) encodeBaseLocked() ([]byte, uint32) {
 	return appendApplied(st.seg.encode(), st.applied), st.seg.Version
@@ -170,7 +155,7 @@ func (s *Server) installJournalBase(name string, ver uint32, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := l.Compact(ver, sealCheckpoint(buf)); err != nil {
+	if err := l.Compact(ver, sealBase(buf)); err != nil {
 		return err
 	}
 	if s.ins != nil {
@@ -182,8 +167,8 @@ func (s *Server) installJournalBase(name string, ver uint32, buf []byte) error {
 	return nil
 }
 
-// compactJournalSeg folds one segment's journal into a fresh
-// checkpoint base (encoded under the segment mutex, written outside
+// compactJournalSeg folds one segment's journal into a fresh base
+// (encoded under the segment mutex, written outside
 // it) and truncates its log. Called without the segment mutex.
 func (s *Server) compactJournalSeg(st *segState) error {
 	s.lockSeg(st)
@@ -203,9 +188,8 @@ func (s *Server) compactJournalSeg(st *segState) error {
 	return s.installJournalBase(st.name, ver, buf)
 }
 
-// CompactJournal compacts every segment's journal into a fresh base,
-// the journal-mode equivalent of a full checkpoint pass; Checkpoint,
-// the periodic loop, and Close delegate here. It is exported so
+// CompactJournal compacts every segment's journal into a fresh base —
+// a full compaction pass, which Close runs too. It is exported so
 // operators and tests can force a compaction point.
 func (s *Server) CompactJournal() error {
 	if s.journal == nil {
@@ -213,12 +197,12 @@ func (s *Server) CompactJournal() error {
 	}
 	if s.ins != nil {
 		start := time.Now()
-		defer func() { s.ins.ckptSec.ObserveSince(start) }()
+		defer func() { s.ins.compactPassSec.ObserveSince(start) }()
 	}
 	for _, st := range s.reg.snapshot() {
 		if err := s.compactJournalSeg(st); err != nil {
 			if s.ins != nil {
-				s.ins.ckptErrors.Inc()
+				s.ins.compactPassErrors.Inc()
 			}
 			return err
 		}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"interweave/internal/coherence"
 	"interweave/internal/journal"
@@ -17,13 +16,6 @@ import (
 	"interweave/internal/types"
 	"interweave/internal/wire"
 )
-
-func TestJournalExclusiveWithCheckpoint(t *testing.T) {
-	_, err := New(Options{CheckpointDir: t.TempDir(), JournalDir: t.TempDir()})
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("New with both persistence modes: %v", err)
-	}
-}
 
 // findJournalFile returns the single file with the given suffix in
 // dir, or "" when none exists.
@@ -171,6 +163,43 @@ func TestJournalCrashMatrix(t *testing.T) {
 	}
 }
 
+// TestJournalRefusesHole: a journal whose base sits at version 1 and
+// whose only record runs 2→3 is missing the record that produced
+// version 2. Recovery must refuse it rather than apply the 2→3 diff on
+// top of version 1 and serve a version-3 image whose contents never
+// existed.
+func TestJournalRefusesHole(t *testing.T) {
+	dir := t.TempDir()
+	store, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := store.Segment("h/seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := NewSegment("h/seg")
+	if _, _, err := seg.ApplyDiff(intCreateDiff(t, 1, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Compact(1, sealBase(appendApplied(seg.encode(), nil))); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(&protocol.Replicate{Seg: "h/seg", PrevVersion: 2, Version: 3, Diff: runDiff(1, 0, 3, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Options{JournalDir: dir})
+	if err == nil {
+		t.Fatalf("recovered across a journal hole to version %d", srv.SegmentSnapshot("h/seg").Version)
+	}
+	if !strings.Contains(err.Error(), "missing") {
+		t.Errorf("recovery error does not name the missing records: %v", err)
+	}
+}
+
 // TestJournalPropertyReplay: for random release sequences with random
 // compaction points interleaved, base + replay reconstructs a segment
 // whose encoded bytes, version, and applied table are identical to the
@@ -289,35 +318,6 @@ func TestJournalCloseCompacts(t *testing.T) {
 	}
 }
 
-// TestJournalPeriodicCompaction: with JournalDir set, the periodic
-// checkpoint loop compacts journals instead.
-func TestJournalPeriodicCompaction(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	_, addr := startTestServer(t, Options{
-		JournalDir:      dir,
-		CheckpointEvery: 20 * time.Millisecond,
-		Metrics:         reg,
-	})
-	rc := dialRaw(t, addr)
-	rc.call(&protocol.OpenSegment{Name: "j/tick", Create: true})
-	rc.call(&protocol.WriteLock{Seg: "j/tick", Policy: coherence.Full()})
-	rc.call(&protocol.WriteUnlock{Seg: "j/tick", Diff: intCreateDiff(t, 1, 3)})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if findJournalFile(t, dir, journal.BaseSuffix) != "" {
-			if reg.Snapshot().Counters["iw_server_journal_compactions_total"] == 0 {
-				t.Error("base on disk but no compaction counted")
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("periodic compaction never produced a base")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestJournalSizeTriggeredCompaction: a tiny threshold compacts from
 // the commit pipeline itself, no periodic loop involved — the flusher
 // folds the log at the first batch boundary after it outgrew the
@@ -392,19 +392,17 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 }
 
-// TestGroupCommitOnRecoveredSegment: a segment recovered at startup —
-// from a journal or from a checkpoint — must take a release through
-// the commit pipeline like a fresh one. Recovery used to build its
-// segState by hand, without the flush condition variable the flusher
-// broadcasts on, so the first write to a recovered segment panicked
-// the server.
+// TestGroupCommitOnRecoveredSegment: a segment recovered at startup
+// must take a release through the commit pipeline like a fresh one.
+// Recovery used to build its segState by hand, without the flush
+// condition variable the flusher broadcasts on, so the first write to
+// a recovered segment panicked the server.
 func TestGroupCommitOnRecoveredSegment(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		opts func(dir string) Options
 	}{
 		{"journal", func(dir string) Options { return Options{JournalDir: dir} }},
-		{"checkpoint", func(dir string) Options { return Options{CheckpointDir: dir} }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -73,8 +73,8 @@ type serverInstruments struct {
 	unitsFull         *obs.Counter
 	applyUnits        *obs.Counter
 	notifications     *obs.Counter
-	ckptSec           *obs.Histogram
-	ckptErrors        *obs.Counter
+	compactPassSec    *obs.Histogram
+	compactPassErrors *obs.Counter
 	sessions          *obs.Gauge
 	proxySessions     *obs.Gauge
 	conns             *obs.Gauge
@@ -131,11 +131,11 @@ func newServerInstruments(reg *obs.Registry) *serverInstruments {
 			"Primitive units modified by applied write releases (subblock-rounded)."),
 		notifications: reg.Counter(smNotifications,
 			"Invalidation notifications pushed to subscribed clients."),
-		ckptSec: reg.Histogram(smCheckpointSeconds,
-			"Wall time of a full checkpoint pass over every segment.",
+		compactPassSec: reg.Histogram(smCheckpointSeconds,
+			"Wall time of a full compaction pass (CompactJournal, Close) over every segment's journal.",
 			obs.DurationBuckets),
-		ckptErrors: reg.Counter(smCheckpointErrors,
-			"Checkpoint passes that failed."),
+		compactPassErrors: reg.Counter(smCheckpointErrors,
+			"Full compaction passes that failed."),
 		sessions: reg.Gauge(smSessions,
 			"Currently open logical client sessions (a multiplexed connection carries many)."),
 		proxySessions: reg.Gauge(smProxySessions,
@@ -164,7 +164,7 @@ func newServerInstruments(reg *obs.Registry) *serverInstruments {
 		journalReplayCatchup: reg.Counter(smJournalReplayed,
 			journalReplayHelp, obs.L("source", "catchup")),
 		journalCompactions: reg.Counter(smJournalCompacts,
-			"Segment journals folded into a fresh checkpoint base (log truncated)."),
+			"Segment journals folded into a fresh base (log truncated)."),
 		journalTruncatedTail: reg.Counter(smJournalTruncated,
 			"Journal loads that found and dropped a torn or CRC-failing tail record."),
 		segEvictions: reg.Counter(smSegEvictions,

@@ -81,7 +81,7 @@ func (r *segRegistry) getOrCreate(name string, mk func(string) *segState) (*segS
 }
 
 // snapshot returns every segment state, sorted by segment name — the
-// deterministic iteration order multi-segment passes (checkpoint,
+// deterministic iteration order multi-segment passes (compaction,
 // epoch changes, session cleanup) use so they acquire segment locks
 // in a consistent order (DESIGN.md §8).
 func (r *segRegistry) snapshot() []*segState {

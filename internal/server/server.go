@@ -20,23 +20,16 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// CheckpointDir, when non-empty, is where segments are
-	// checkpointed; an existing checkpoint is restored at startup.
-	CheckpointDir string
-	// CheckpointEvery triggers periodic checkpoints when positive.
-	// In journal mode it instead triggers periodic compaction.
-	CheckpointEvery time.Duration
-	// JournalDir, when non-empty, puts the server in journal mode:
-	// every committed release is appended to a per-segment
-	// log-structured journal before the client sees the
-	// acknowledgement, and startup recovery is checkpoint base +
-	// log replay (see internal/journal and DESIGN.md §9). Mutually
-	// exclusive with CheckpointDir.
+	// JournalDir, when non-empty, makes the server persistent: every
+	// committed release is appended to a per-segment log-structured
+	// journal before the client sees the acknowledgement, and startup
+	// restores every segment found there as sealed base + log replay
+	// (see internal/journal and DESIGN.md §9).
 	JournalDir string
 	// JournalCompactBytes is the per-segment log size that triggers
-	// compaction into a fresh checkpoint base. Zero means
-	// DefaultJournalCompactBytes; negative disables automatic
-	// compaction (Checkpoint/Close still compact).
+	// compaction into a fresh base. Zero means
+	// DefaultJournalCompactBytes; negative disables size-triggered
+	// compaction (eviction, CompactJournal and Close still compact).
 	JournalCompactBytes int64
 	// DiffCacheCap overrides the per-segment diff cache capacity
 	// when non-zero (negative disables caching).
@@ -199,7 +192,7 @@ type Server struct {
 // applied-writer table (applied). The short-critical-section
 // discipline: diff decode, clone staging, wire frame encode, socket
 // writes (replies and notify fan-out), replication streaming, and
-// checkpoint file I/O all happen OUTSIDE mu — only reads and
+// journal base file I/O all happen OUTSIDE mu — only reads and
 // mutations of the state above happen under it. Multi-segment
 // operations acquire segState locks one at a time or in ascending
 // segment-name order (DESIGN.md §8).
@@ -214,8 +207,8 @@ type segState struct {
 	subs    Subscriptions[*clientSession]
 	// applied records each writer's most recent release outcome, so a
 	// release retried after a lost reply is answered from the record
-	// instead of applied twice (at-most-once). Persisted with the
-	// segment's checkpoint.
+	// instead of applied twice (at-most-once). Persisted in the
+	// segment's journal base and records.
 	applied map[string]appliedWrite
 
 	// Commit pipeline (commit.go, DESIGN.md §10): releases applied but
@@ -256,8 +249,8 @@ type waiter struct {
 	ch   chan struct{}
 }
 
-// New returns a server, restoring any checkpoint found in
-// opts.CheckpointDir.
+// New returns a server, restoring every segment journaled in
+// opts.JournalDir.
 func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:     opts,
@@ -295,23 +288,9 @@ func New(opts Options) (*Server, error) {
 		s.slo = obs.NewSLOTracker(opts.Metrics, serverSLOObjectives(),
 			opts.SLOShortWindow, opts.SLOLongWindow)
 	}
-	if opts.CheckpointDir != "" && opts.JournalDir != "" {
-		return nil, errors.New("server: CheckpointDir and JournalDir are mutually exclusive")
-	}
 	if (opts.MaxResidentBytes > 0 || opts.EvictIdleAge > 0) && opts.JournalDir == "" {
-		// Refuse loudly rather than silently never evicting: eviction
-		// reloads segments from the journal's base + tail, and a
-		// CheckpointDir-mode base may be arbitrarily stale, so dropping
-		// the in-memory image there would lose acknowledged writes.
-		if opts.CheckpointDir != "" {
-			return nil, errors.New("server: MaxResidentBytes/EvictIdleAge require JournalDir; CheckpointDir checkpoints lag the live state and cannot back eviction")
-		}
+		// Refuse loudly rather than silently never evicting.
 		return nil, errors.New("server: MaxResidentBytes/EvictIdleAge require JournalDir (cold segments reload from the journal)")
-	}
-	if opts.CheckpointDir != "" {
-		if err := s.restore(); err != nil {
-			return nil, err
-		}
 	}
 	if opts.JournalDir != "" {
 		if err := s.openJournal(); err != nil {
@@ -395,10 +374,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.mu.Unlock()
 
-	if s.opts.CheckpointEvery > 0 && (s.opts.CheckpointDir != "" || s.journal != nil) {
-		s.wg.Add(1)
-		go s.checkpointLoop()
-	}
 	if s.slo != nil && s.opts.SLOSampleEvery >= 0 {
 		s.wg.Add(1)
 		go s.sloSampleLoop()
@@ -463,7 +438,7 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Close shuts the server down: stops accepting, closes every session,
-// waits for handlers to finish, and takes a final checkpoint.
+// waits for handlers to finish, and compacts every journal.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -481,33 +456,13 @@ func (s *Server) Close() error {
 		_ = ln.Close()
 	}
 	s.wg.Wait()
-	if s.opts.CheckpointDir != "" || s.journal != nil {
-		if err := s.Checkpoint(); err != nil {
-			return err
-		}
+	if s.journal == nil {
+		return nil
 	}
-	if s.journal != nil {
-		if err := s.journal.Close(); err != nil {
-			return err
-		}
+	if err := s.CompactJournal(); err != nil {
+		return err
 	}
-	return nil
-}
-
-func (s *Server) checkpointLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.opts.CheckpointEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-ticker.C:
-			if err := s.Checkpoint(); err != nil {
-				s.logf("checkpoint: %v", err)
-			}
-		}
-	}
+	return s.journal.Close()
 }
 
 // newSegState builds the state of a fresh, empty segment.
@@ -517,7 +472,7 @@ func (s *Server) newSegState(name string) *segState {
 
 // adoptSegState builds the state of a segment the server starts
 // managing with the given image and at-most-once table — a fresh one,
-// or one recovered from a checkpoint or journal. It is the only place
+// or one recovered from its journal. It is the only place
 // a segState is constructed.
 func (s *Server) adoptSegState(seg *Segment, applied map[string]appliedWrite) *segState {
 	s.capDiffCache(seg)

@@ -2,7 +2,7 @@
 // master copy of every segment it manages, tracks modifications at
 // subblock granularity, builds wire-format diffs for lagging clients,
 // arbitrates write locks, pushes coherence notifications, and
-// checkpoints segments to persistent storage (paper Section 3.2).
+// journals segments to persistent storage (paper Section 3.2).
 //
 // To avoid an extra level of translation the server stores both data
 // and type descriptors in wire format: each primitive unit occupies a
@@ -648,7 +648,7 @@ func (s *Segment) collectFull(sinceVer uint32) (*wire.SegmentDiff, error) {
 	_, start, ok := s.markers.Ceiling(sinceVer + 1)
 	if !ok {
 		// No marker newer than sinceVer, yet versions differ: the
-		// markers were trimmed (checkpoint restore); fall back to a
+		// markers were trimmed (image decode); fall back to a
 		// full scan from the head.
 		start = s.head.next
 	}

@@ -12,7 +12,7 @@ import (
 // new version, or none does.
 //
 // Atomicity is achieved by staging: each diff is applied to a clone
-// of its segment (via the checkpoint codec); only when every part
+// of its segment (via the segment image codec); only when every part
 // succeeds are the clones swapped in and subscribers notified. The
 // clone cost is proportional to segment size, which is acceptable for
 // an operation whose purpose is crossing a consistency boundary, and
@@ -127,8 +127,8 @@ func (sess *clientSession) handleTxCommit(m *protocol.TxCommit, sp *obs.Span) pr
 	// flight, never overlapping it — and the reply waits for every
 	// part's flush, preserving the journal- and replicate-before-
 	// acknowledge invariants of the single-segment release. The parts'
-	// journals are per-segment files, so — like checkpoints — they are
-	// not one atomic cross-segment unit; a crash between them recovers a
+	// journals are per-segment files, so they are not one atomic
+	// cross-segment unit; a crash between them recovers a
 	// commit the client was never acknowledged for, which its per-part
 	// Resume recovery already handles.
 	s.lockSegsOrdered(states)

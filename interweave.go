@@ -91,8 +91,8 @@ type ServerOptions = server.Options
 // linking a process against the InterWeave library).
 func NewClient(opts Options) (*Client, error) { return core.NewClient(opts) }
 
-// NewServer returns a server, restoring any checkpoint present in
-// opts.CheckpointDir.
+// NewServer returns a server, restoring every segment journaled in
+// opts.JournalDir.
 func NewServer(opts ServerOptions) (*Server, error) { return server.New(opts) }
 
 // Type constructors (the output of the IDL compiler).
