@@ -133,38 +133,22 @@ func TestFig7BandwidthOrdering(t *testing.T) {
 }
 
 func TestTRServerShape(t *testing.T) {
-	// Timing shapes are asserted on per-cell minima over several
-	// repetitions: under `go test ./...` every package competes for
-	// CPU, and a single contended measurement says nothing.
+	// Timing shapes are asserted on per-cell minima over interleaved
+	// repetitions, each after a GC: under `go test ./...` every package
+	// competes for CPU, and a single contended measurement says nothing.
+	rows, err := TRServer(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 9 {
+		t.Fatalf("rows = %d", len(rows))
+	}
 	byName := map[string]TRServerRow{}
-	for rep := 0; rep < 3; rep++ {
-		rows, err := TRServer(1)
-		if err != nil {
-			t.Fatal(err)
+	for _, r := range rows {
+		if r.ServerApply <= 0 || r.ServerCollect <= 0 || r.ClientCollect <= 0 {
+			t.Errorf("%s: non-positive timings %+v", r.Name, r)
 		}
-		if len(rows) != 9 {
-			t.Fatalf("rows = %d", len(rows))
-		}
-		for _, r := range rows {
-			if r.ServerApply <= 0 || r.ServerCollect <= 0 || r.ClientCollect <= 0 {
-				t.Errorf("%s: non-positive timings %+v", r.Name, r)
-			}
-			best, ok := byName[r.Name]
-			if !ok {
-				byName[r.Name] = r
-				continue
-			}
-			if r.ServerApply < best.ServerApply {
-				best.ServerApply = r.ServerApply
-			}
-			if r.ServerCollect < best.ServerCollect {
-				best.ServerCollect = r.ServerCollect
-			}
-			if r.ClientCollect < best.ClientCollect {
-				best.ClientCollect = r.ClientCollect
-			}
-			byName[r.Name] = best
-		}
+		byName[r.Name] = r
 	}
 	// The paper's claim: server costs are much lower than the
 	// client's for fixed-size mixes (wire-format storage avoids

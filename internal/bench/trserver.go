@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"interweave/internal/arch"
@@ -32,7 +33,10 @@ type TRServerRow struct {
 	ClientCollect time.Duration
 }
 
-// TRServer measures server-side translation costs per data mix.
+// TRServer measures server-side translation costs per data mix. Each
+// cell is the fastest of iters interleaved repetitions, each started
+// after a forced GC: under concurrent load one timing says little, and
+// the minimum is the run least disturbed by it.
 func TRServer(iters int) ([]TRServerRow, error) {
 	if iters < 1 {
 		iters = 1
@@ -60,19 +64,17 @@ func trServerCase(prof *arch.Profile, spec mixSpec, iters int) (TRServerRow, err
 		return row, err
 	}
 
-	// Client whole-block translation, timed, producing the update
-	// diff the server will repeatedly apply.
-	var update *wire.SegmentDiff
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		update, err = diff.CollectSegment(c.src.seg, diff.CollectOptions{
+	// Client whole-block translation, producing the update diff the
+	// server will repeatedly apply.
+	collect := func() (*wire.SegmentDiff, error) {
+		return diff.CollectSegment(c.src.seg, diff.CollectOptions{
 			Version: 1, NoDiff: true, Swizzle: c.src.swizzler(),
 		})
-		if err != nil {
-			return row, err
-		}
 	}
-	row.ClientCollect = time.Since(start) / time.Duration(iters)
+	update, err := collect()
+	if err != nil {
+		return row, err
+	}
 
 	// Creation diff: the same data plus block and descriptor records
 	// (the case setup already consumed the pending flags).
@@ -95,27 +97,43 @@ func trServerCase(prof *arch.Profile, spec mixSpec, iters int) (TRServerRow, err
 		return row, err
 	}
 
-	// Server apply: a fully modified whole-block diff per iteration.
-	start = time.Now()
+	// timed runs f after a GC and keeps the fastest time in *best.
+	timed := func(best *time.Duration, f func() error) error {
+		runtime.GC()
+		start := time.Now()
+		err := f()
+		if d := time.Since(start); *best == 0 || d < *best {
+			*best = d
+		}
+		return err
+	}
 	for i := 0; i < iters; i++ {
-		if _, _, err := svr.ApplyDiff(update); err != nil {
+		// Client whole-block translation.
+		if err := timed(&row.ClientCollect, func() error {
+			_, err := collect()
+			return err
+		}); err != nil {
+			return row, err
+		}
+		// Server apply: a fully modified whole-block diff.
+		if err := timed(&row.ServerApply, func() error {
+			_, _, err := svr.ApplyDiff(update)
+			return err
+		}); err != nil {
+			return row, err
+		}
+		// Server collect: assemble the full update for a client one
+		// version behind.
+		before := svr.Version - 1
+		if err := timed(&row.ServerCollect, func() error {
+			d, err := svr.CollectDiff(before)
+			if err == nil && d == nil {
+				err = fmt.Errorf("no diff for lagging client")
+			}
+			return err
+		}); err != nil {
 			return row, err
 		}
 	}
-	row.ServerApply = time.Since(start) / time.Duration(iters)
-
-	// Server collect: assemble the full update for a lagging client.
-	before := svr.Version - 1
-	start = time.Now()
-	for i := 0; i < iters; i++ {
-		d, err := svr.CollectDiff(before)
-		if err != nil {
-			return row, err
-		}
-		if d == nil {
-			return row, fmt.Errorf("no diff for lagging client")
-		}
-	}
-	row.ServerCollect = time.Since(start) / time.Duration(iters)
 	return row, nil
 }

@@ -23,6 +23,7 @@ const (
 	mDiffBytes      = "iw_client_diff_bytes_total"
 	mDiffSize       = "iw_client_diff_size_bytes"
 	mDiffUnitsSent  = "iw_client_diff_units_sent_total"
+	mDiffScanned    = "iw_client_diff_scanned_bytes_total"
 	mDiffUnitsFull  = "iw_client_diff_units_full_total"
 	mApplyUnits     = "iw_client_apply_units_total"
 	mDegradedReads  = "iw_client_degraded_reads_total"
@@ -56,6 +57,7 @@ type clientInstruments struct {
 	diffSize      *obs.Histogram
 	diffBytes     *obs.Counter
 	diffUnitsSent *obs.Counter
+	diffScanned   *obs.Counter
 	diffUnitsFull *obs.Counter
 	applyUnits    *obs.Counter
 
@@ -94,6 +96,8 @@ func newClientInstruments(reg *obs.Registry) *clientInstruments {
 			"Wire payload bytes of outgoing diff runs (Figure 7 bandwidth)."),
 		diffUnitsSent: reg.Counter(mDiffUnitsSent,
 			"Primitive units shipped in outgoing diffs."),
+		diffScanned: reg.Counter(mDiffScanned,
+			"Bytes of modified pages compared against their twins at release (the store-hinted chunks)."),
 		diffUnitsFull: reg.Counter(mDiffUnitsFull,
 			"Primitive units a full transfer would have shipped at each release; sent/full is the diffing savings."),
 		applyUnits: reg.Counter(mApplyUnits,

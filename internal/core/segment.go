@@ -621,6 +621,7 @@ func (c *Client) WUnlock(h *Segment) error {
 		c.ins.diffSize.Observe(float64(st.Bytes))
 		c.ins.diffBytes.Add(uint64(st.Bytes))
 		c.ins.diffUnitsSent.Add(uint64(st.Units))
+		c.ins.diffScanned.Add(uint64(st.ScannedBytes))
 		total := 0
 		s.m.Blocks(func(b *mem.Block) bool {
 			total += b.PrimCount()

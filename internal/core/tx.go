@@ -77,6 +77,7 @@ func (c *Client) TxCommit(hs ...*Segment) error {
 		if c.ins != nil {
 			c.ins.diffBytes.Add(uint64(stats[i].Bytes))
 			c.ins.diffUnitsSent.Add(uint64(stats[i].Units))
+			c.ins.diffScanned.Add(uint64(stats[i].ScannedBytes))
 		}
 		attachDescDefs(s, d)
 		s.wseq++

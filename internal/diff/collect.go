@@ -4,8 +4,8 @@
 // When a client releases a write lock, the library gathers local
 // changes and converts them into machine-independent wire format —
 // "diff collection". It scans the pagemaps of the segment's
-// subsegments, performs a word-by-word comparison of each modified
-// page against its twin, splices nearly-adjacent runs, maps the
+// subsegments, compares the store-hinted chunks of each modified page
+// against its twin word by word, splices nearly-adjacent runs, maps the
 // changed byte ranges onto blocks through the address-sorted metadata
 // trees, and translates each run into wire format through the blocks'
 // type descriptors. "Diff application" is the inverse: wire-format
@@ -14,9 +14,11 @@
 package diff
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"interweave/internal/arch"
@@ -43,6 +45,9 @@ type Stats struct {
 	// WordDiff is time spent in word-by-word twin comparison
 	// ("client word diffing").
 	WordDiff time.Duration
+	// ScannedBytes is the number of bytes compared against twins:
+	// the dirty-hinted chunks of the modified pages.
+	ScannedBytes int
 	// Translate is time spent converting runs to or from wire
 	// format ("client translation").
 	Translate time.Duration
@@ -84,22 +89,14 @@ type CollectOptions struct {
 // cleared. Twins are left in place; the caller drops them after the
 // diff is accepted.
 func CollectSegment(seg *mem.SegMem, opts CollectOptions) (*wire.SegmentDiff, error) {
-	c := &collector{
-		seg:    seg,
-		heap:   seg.Heap(),
-		prof:   seg.Heap().Profile(),
-		opts:   opts,
-		diffs:  make(map[uint32]int),
-		splice: opts.SpliceWords,
-	}
-	if c.splice == 0 {
-		c.splice = DefaultSpliceWords
-	}
-	if c.splice < 0 {
-		c.splice = 0
-	}
-	d := &wire.SegmentDiff{Version: opts.Version, Freed: opts.Freed}
-	c.out = d
+	return collectWith(seg, opts, (*collector).wordDiff)
+}
+
+// collectWith is CollectSegment with the twin comparison as a
+// parameter, so tests can hold the hinted scan to the page scan.
+func collectWith(seg *mem.SegMem, opts CollectOptions, scan func(*collector) []interval) (*wire.SegmentDiff, error) {
+	c := newCollector(seg, opts)
+	d := c.out
 
 	// Pending (newly created) blocks: announce and send whole.
 	var pending []*mem.Block
@@ -139,9 +136,10 @@ func CollectSegment(seg *mem.SegMem, opts CollectOptions) (*wire.SegmentDiff, er
 	} else {
 		// Word-by-word twin comparison over modified pages.
 		start := time.Now()
-		intervals := c.wordDiff()
+		intervals := scan(c)
 		if opts.Stats != nil {
 			opts.Stats.WordDiff += time.Since(start)
+			opts.Stats.ScannedBytes += c.scanned
 		}
 		start = time.Now()
 		for _, iv := range intervals {
@@ -184,45 +182,89 @@ type collector struct {
 	out    *wire.SegmentDiff
 	diffs  map[uint32]int // block serial -> index in out.Blocks
 	splice int
+	// scanned counts the bytes wordDiff compared against twins.
+	scanned int
+}
+
+func newCollector(seg *mem.SegMem, opts CollectOptions) *collector {
+	c := &collector{
+		seg:    seg,
+		heap:   seg.Heap(),
+		prof:   seg.Heap().Profile(),
+		opts:   opts,
+		out:    &wire.SegmentDiff{Version: opts.Version, Freed: opts.Freed},
+		diffs:  make(map[uint32]int),
+		splice: opts.SpliceWords,
+	}
+	if c.splice == 0 {
+		c.splice = DefaultSpliceWords
+	}
+	if c.splice < 0 {
+		c.splice = 0
+	}
+	return c
 }
 
 // wordDiff scans the pagemaps and produces spliced modified byte
-// intervals in address order.
+// intervals in address order. It compares only the dirty-hinted
+// chunks of each twinned page: an equal chunk is skipped whole, a
+// differing one is compared eight bytes at a time, then by 32-bit
+// word. Every word it skips is unchanged, so splicing decided by the
+// gap between changed words (at most splice unchanged words between
+// them) yields exactly the intervals of a word-by-word page scan.
 func (c *collector) wordDiff() []interval {
 	var out []interval
 	for _, mr := range c.seg.ModifiedRanges() {
 		ss := mr.Sub
-		base := mr.FirstPage << arch.PageShift
-		words := mr.NumPages * arch.PageWords
-		// Runs of changed words with gaps <= splice absorbed.
+		// Runs of changed words (indices within ss) with gaps <=
+		// splice absorbed.
 		runStart := -1
 		lastChanged := -1
 		flush := func() {
 			if runStart >= 0 {
 				out = append(out, interval{
 					sub: ss,
-					lo:  base + runStart*arch.WordBytes,
-					hi:  base + (lastChanged+1)*arch.WordBytes,
+					lo:  runStart * arch.WordBytes,
+					hi:  (lastChanged + 1) * arch.WordBytes,
 				})
 				runStart = -1
 			}
 		}
-		for w := 0; w < words; w++ {
-			pg := mr.FirstPage + (w / arch.PageWords)
-			twin := ss.Twin(pg)
-			off := (base + w*arch.WordBytes) & (arch.PageSize - 1)
-			cur := binary.NativeEndian.Uint32(ss.Data[base+w*arch.WordBytes:])
-			old := binary.NativeEndian.Uint32(twin[off:])
-			if cur == old {
-				if runStart >= 0 && w-lastChanged > c.splice {
-					flush()
-				}
-				continue
+		changed := func(w int) {
+			if runStart >= 0 && w-lastChanged > c.splice+1 {
+				flush()
 			}
 			if runStart < 0 {
 				runStart = w
 			}
 			lastChanged = w
+		}
+		for pg := mr.FirstPage; pg < mr.FirstPage+mr.NumPages; pg++ {
+			base := pg << arch.PageShift
+			page := ss.Data[base : base+arch.PageSize]
+			twin := ss.Twin(pg)
+			for dirty := ss.Dirty(pg); dirty != 0; dirty &= dirty - 1 {
+				k := bits.TrailingZeros64(dirty) << mem.ChunkShift
+				cur := page[k : k+mem.ChunkBytes]
+				old := twin[k : k+mem.ChunkBytes]
+				c.scanned += mem.ChunkBytes
+				if bytes.Equal(cur, old) {
+					continue
+				}
+				for j := 0; j < mem.ChunkBytes; j += 8 {
+					x := binary.LittleEndian.Uint64(cur[j:]) ^ binary.LittleEndian.Uint64(old[j:])
+					if x == 0 {
+						continue
+					}
+					w := (base + k + j) / arch.WordBytes
+					if uint32(x) != 0 {
+						changed(w)
+					}
+					if x>>32 != 0 {
+						changed(w + 1)
+					}
+				}
+			}
 		}
 		flush()
 	}

@@ -542,6 +542,10 @@ func TestStatsPopulated(t *testing.T) {
 	if st.Runs != 1 || st.Units == 0 {
 		t.Errorf("incremental collect stats = %+v", st)
 	}
+	// One 4-byte store dirties one chunk; only that chunk is scanned.
+	if st.ScannedBytes != mem.ChunkBytes {
+		t.Errorf("scanned %d bytes for a one-word store, want %d", st.ScannedBytes, mem.ChunkBytes)
+	}
 	if st.WordDiff == 0 && st.Translate == 0 {
 		t.Log("timings are zero; acceptable on coarse clocks")
 	}

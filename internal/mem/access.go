@@ -15,8 +15,24 @@ import (
 // the page is copied into the subsegment's pagemap and the page is
 // un-protected — after which the store proceeds. Library-internal
 // writes (zeroing fresh blocks, applying incoming diffs) use RawWrite*
-// and bypass fault tracking, just as the real library writes below
-// the protection machinery.
+// or MutView and bypass fault tracking, just as the real library
+// writes below the protection machinery.
+//
+// Unlike a hardware MMU, the simulated one sees every store, not just
+// the first per page. Each store to a twinned page sets a dirty hint
+// for the ChunkBytes-sized chunks it touches, so diff collection
+// compares only those chunks against the twin instead of whole pages.
+// Alloc hints the zeroing of a new block the same way.
+
+// ChunkShift and ChunkBytes set the dirty-hint granularity: one bit
+// per 64-byte chunk, one uint64 per page.
+const (
+	ChunkShift = 6
+	ChunkBytes = 1 << ChunkShift
+)
+
+// A page must hold exactly 64 chunks for its hints to fit one uint64.
+var _ = [1]struct{}{}[arch.PageSize/ChunkBytes-64]
 
 // View returns a read-only view of [a, a+n). The caller must not
 // modify the returned slice.
@@ -72,7 +88,7 @@ func (h *Heap) RawWriteZero(a Addr, n int) error {
 }
 
 // faultRange takes simulated write faults for every protected page
-// overlapping [off, off+n).
+// overlapping [off, off+n), then hints the range dirty.
 func (ss *SubSeg) faultRange(off, n int) {
 	first := off >> arch.PageShift
 	last := (off + n - 1) >> arch.PageShift
@@ -83,13 +99,43 @@ func (ss *SubSeg) faultRange(off, n int) {
 		h := ss.Seg.heap
 		h.stats.Faults++
 		if ss.twins[p] == nil {
-			twin := make([]byte, arch.PageSize)
+			twin := h.twinPage()
 			copy(twin, ss.Data[p<<arch.PageShift:(p+1)<<arch.PageShift])
 			ss.twins[p] = twin
 			h.stats.Twins++
 		}
 		ss.protected[p] = false
 	}
+	ss.hint(off, n)
+}
+
+// hint sets the dirty bits of every chunk of a twinned page that
+// [off, off+n) overlaps.
+func (ss *SubSeg) hint(off, n int) {
+	for end := off + n; off < end; {
+		p := off >> arch.PageShift
+		pageEnd := (p + 1) << arch.PageShift
+		hi := min(end, pageEnd)
+		if ss.twins[p] != nil {
+			c0 := off & (arch.PageSize - 1) >> ChunkShift
+			c1 := (hi - 1) & (arch.PageSize - 1) >> ChunkShift
+			ss.dirty[p] |= ^uint64(0) >> (63 - c1) &^ (1<<c0 - 1)
+		}
+		off = hi
+	}
+}
+
+// twinPage takes a page buffer from the twin pool, or allocates one.
+// Its contents are stale; the caller overwrites all of it.
+func (h *Heap) twinPage() []byte {
+	n := len(h.twinPool)
+	if n == 0 {
+		return make([]byte, arch.PageSize)
+	}
+	pg := h.twinPool[n-1]
+	h.twinPool[n-1] = nil
+	h.twinPool = h.twinPool[:n-1]
+	return pg
 }
 
 // WriteProtect write-protects every page of the segment's local copy.
@@ -114,11 +160,17 @@ func (s *SegMem) Unprotect() {
 	}
 }
 
-// DropTwins discards all twins after diff collection.
+// DropTwins discards all twins and their dirty hints after diff
+// collection, returning the twin pages to the heap's pool.
 func (s *SegMem) DropTwins() {
+	h := s.heap
 	for ss := s.first; ss != nil; ss = ss.Next {
-		for i := range ss.twins {
-			ss.twins[i] = nil
+		for i, twin := range ss.twins {
+			if twin != nil {
+				h.twinPool = append(h.twinPool, twin)
+				ss.twins[i] = nil
+				ss.dirty[i] = 0
+			}
 		}
 	}
 }

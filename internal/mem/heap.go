@@ -67,6 +67,11 @@ type Heap struct {
 	segs    map[string]*SegMem          // segment table
 	next    Addr
 	stats   Stats
+	// twinPool holds page buffers of dropped twins for the next
+	// faults to reuse, so steady-state modification tracking
+	// allocates nothing. It never holds more pages than were twinned
+	// at once.
+	twinPool [][]byte
 }
 
 // NewHeap returns an empty heap whose local data formats follow prof.
@@ -136,6 +141,10 @@ type SubSeg struct {
 	// twins is the pagemap: twins[i] is the pristine copy of page i
 	// taken at fault time, or nil.
 	twins [][]byte
+	// dirty holds the sub-page dirty hints of twinned pages: bit k of
+	// dirty[i] is set once a tracked store touched chunk k (bytes
+	// [k*ChunkBytes, (k+1)*ChunkBytes)) of page i since it was twinned.
+	dirty []uint64
 	// blocks is the blk_addr_tree of blocks starting in this
 	// subsegment.
 	blocks *rbtree.Tree[Addr, *Block]
@@ -150,6 +159,13 @@ func (ss *SubSeg) End() Addr { return ss.Base + Addr(len(ss.Data)) }
 // Twin returns the pristine copy of page i, or nil if the page has
 // not faulted since protection was last enabled.
 func (ss *SubSeg) Twin(i int) []byte { return ss.twins[i] }
+
+// Dirty returns the dirty hints of page i: bit k is set if a tracked
+// store touched chunk k of the page since it was twinned. Every byte
+// of a twinned page that differs from its twin lies in a dirty chunk,
+// unless it was changed by a library write (RawWrite*, MutView), which
+// is not tracked. Pages without a twin have no hints.
+func (ss *SubSeg) Dirty(i int) uint64 { return ss.dirty[i] }
 
 // Protected reports whether page i is write-protected.
 func (ss *SubSeg) Protected(i int) bool { return ss.protected[i] }
@@ -249,12 +265,14 @@ func (h *Heap) Segments() []string {
 	return out
 }
 
-// DropSegment removes a cached segment and unmaps its subsegments.
+// DropSegment removes a cached segment, unmaps its subsegments and
+// returns their twin pages to the heap.
 func (h *Heap) DropSegment(name string) error {
 	s, ok := h.segs[name]
 	if !ok {
 		return fmt.Errorf("mem: segment %q not cached", name)
 	}
+	s.DropTwins()
 	for ss := s.first; ss != nil; ss = ss.Next {
 		h.subsegs.Delete(ss.Base)
 	}
@@ -297,6 +315,7 @@ func (s *SegMem) growSubSeg(size int) (*SubSeg, error) {
 		Data:      make([]byte, bytes),
 		protected: make([]bool, pages),
 		twins:     make([][]byte, pages),
+		dirty:     make([]uint64, pages),
 		blocks: rbtree.New[Addr, *Block](func(a, b Addr) int {
 			switch {
 			case a < b:
@@ -460,10 +479,14 @@ func (s *SegMem) AllocWithSerial(serial uint32, layout *types.Layout, count int,
 		s.nextSerial = serial + 1
 	}
 	// Zero the block without tripping the fault path: freshly
-	// created blocks travel whole, not as twin diffs.
+	// created blocks travel whole, not as twin diffs. On an already
+	// twinned page the zeroing still differs from the twin, so it is
+	// hinted like a store and the word diff sees what a full page
+	// scan would.
 	if err := s.heap.RawWriteZero(addr, size); err != nil {
 		return nil, fmt.Errorf("mem: zeroing new block: %w", err)
 	}
+	ss.hint(int(addr-ss.Base), size)
 	return b, nil
 }
 

@@ -554,6 +554,186 @@ func TestModifiedRangesDisjoint(t *testing.T) {
 	if ranges[0].NumPages != 2 || ranges[1].NumPages != 1 {
 		t.Errorf("range sizes = %d,%d; want 2,1", ranges[0].NumPages, ranges[1].NumPages)
 	}
+	// Each one-word store hinted exactly the chunk it landed in.
+	ss := b.Sub
+	first := int(base-ss.Base) >> arch.PageShift
+	for pg := 0; pg < ss.Pages(); pg++ {
+		var want uint64
+		switch pg - first {
+		case 1, 2, 5:
+			want = 1 << (int(base-ss.Base) & (arch.PageSize - 1) >> ChunkShift)
+		}
+		if got := ss.Dirty(pg); got != want {
+			t.Errorf("page %d dirty mask = %#x, want %#x", pg, got, want)
+		}
+	}
+	s.DropTwins()
+	if len(s.ModifiedRanges()) != 0 {
+		t.Error("ranges remain after DropTwins")
+	}
+	for pg := 0; pg < ss.Pages(); pg++ {
+		if ss.Dirty(pg) != 0 {
+			t.Errorf("page %d dirty mask %#x survives DropTwins", pg, ss.Dirty(pg))
+		}
+	}
+}
+
+func TestDirtyHints(t *testing.T) {
+	h := newHeap(t, arch.AMD64())
+	s := newSeg(t, h, "s")
+	b, err := s.Alloc(intArrayLayout(t, arch.AMD64(), 2*arch.PageWords), 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := b.Sub
+	off := int(b.Addr - ss.Base)
+	// Unprotected, untwinned pages carry no hints.
+	if err := h.WriteI32(b.Addr, 1); err != nil {
+		t.Fatal(err)
+	}
+	if ss.Dirty(off>>arch.PageShift) != 0 {
+		t.Error("store to an untwinned page was hinted")
+	}
+	s.WriteProtect()
+	// A store straddling a chunk boundary hints both chunks; a
+	// library write to the twinned page hints nothing.
+	a := b.Addr + Addr(2*ChunkBytes-4)
+	if err := h.WriteI64(a, -1); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.RawWrite(b.Addr+Addr(10*ChunkBytes), []byte{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	pg := off >> arch.PageShift
+	c := (off + 2*ChunkBytes - 4) & (arch.PageSize - 1) >> ChunkShift
+	if got, want := ss.Dirty(pg), uint64(3)<<c; got != want {
+		t.Errorf("dirty mask after straddling store = %#x, want %#x", got, want)
+	}
+	// A store straddling the page boundary hints the last chunk of one
+	// page and the first chunk of the next.
+	pageEnd := ss.Base + Addr((pg+1)<<arch.PageShift)
+	if err := h.WriteI64(pageEnd-2, -1); err != nil {
+		t.Fatal(err)
+	}
+	if ss.Dirty(pg)>>63 != 1 || ss.Dirty(pg+1) != 1 {
+		t.Errorf("page-straddling store: masks %#x, %#x", ss.Dirty(pg), ss.Dirty(pg+1))
+	}
+	// Zeroing a new block on a twinned page is hinted like a store:
+	// twin the free page after b through its last word, then allocate
+	// at its start.
+	free := b.End()
+	if err := h.WriteI32(free+Addr(arch.PageSize-4), 1); err != nil {
+		t.Fatal(err)
+	}
+	nb, err := s.Alloc(intArrayLayout(t, arch.AMD64(), 4), 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	npg := int(free-ss.Base) >> arch.PageShift
+	if nb.Addr != free || ss.Twin(npg) == nil {
+		t.Fatalf("new block at %#x (want %#x), page twinned %v", uint64(nb.Addr), uint64(free), ss.Twin(npg) != nil)
+	}
+	if got, want := ss.Dirty(npg), uint64(1)|1<<63; got != want {
+		t.Errorf("dirty mask after alloc on a twinned page = %#x, want %#x", got, want)
+	}
+}
+
+// TestTwinPoolLifetime checks that dropped twin pages are reused,
+// never leak a previous page's bytes, and leave fault accounting as
+// it was without the pool.
+func TestTwinPoolLifetime(t *testing.T) {
+	h := newHeap(t, arch.AMD64())
+	s := newSeg(t, h, "s")
+	b, err := s.Alloc(intArrayLayout(t, arch.AMD64(), 2*arch.PageWords), 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := b.Sub
+	pg := int(b.Addr-ss.Base) >> arch.PageShift
+	page := func() []byte { return ss.Data[pg<<arch.PageShift : (pg+1)<<arch.PageShift] }
+
+	s.WriteProtect()
+	if err := h.WriteI32(b.Addr, 11); err != nil {
+		t.Fatal(err)
+	}
+	first := ss.Twin(pg)
+	s.DropTwins()
+	if len(h.twinPool) != 1 {
+		t.Fatalf("pool holds %d pages after DropTwins, want 1", len(h.twinPool))
+	}
+	// New pristine contents, written unprotected, then a re-fault:
+	// the reused twin holds exactly those bytes.
+	for i := 0; i < arch.PageWords; i += 7 {
+		if err := h.WriteI32(b.Addr+Addr(4*i), int32(i)+100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pristine := append([]byte(nil), page()...)
+	s.WriteProtect()
+	if err := h.WriteI32(b.Addr+4, 99); err != nil {
+		t.Fatal(err)
+	}
+	twin := ss.Twin(pg)
+	if &twin[0] != &first[0] {
+		t.Error("re-fault did not reuse the pooled twin page")
+	}
+	if string(twin) != string(pristine) {
+		t.Error("reused twin does not hold the page's pristine bytes")
+	}
+
+	// Fault accounting: one fault per store to a protected page, one
+	// twin per page without one, pooled or not.
+	h.ResetStats()
+	s.DropTwins()
+	s.WriteProtect()
+	mustWrite := func(a Addr) {
+		t.Helper()
+		if err := h.WriteI32(a, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustWrite(b.Addr)                       // fault + twin
+	mustWrite(b.Addr + 8)                   // no fault
+	s.WriteProtect()                        // re-protect, twin kept
+	mustWrite(b.Addr + 12)                  // fault, no twin
+	mustWrite(b.Addr + Addr(arch.PageSize)) // fault + twin on the next page
+	if st := h.Stats(); st.Faults != 3 || st.Twins != 2 {
+		t.Errorf("faults=%d twins=%d, want 3 and 2", st.Faults, st.Twins)
+	}
+
+	// DropSegment returns its twin pages to the heap; a second
+	// segment's faults take them back.
+	if err := h.DropSegment("s"); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.twinPool) != 2 {
+		t.Fatalf("pool holds %d pages after DropSegment, want 2", len(h.twinPool))
+	}
+	s2 := newSeg(t, h, "s2")
+	b2, err := s2.Alloc(intArrayLayout(t, arch.AMD64(), 2*arch.PageWords), 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2.WriteProtect()
+	mustWrite(b2.Addr)
+	mustWrite(b2.Addr + Addr(arch.PageSize))
+	if len(h.twinPool) != 0 {
+		t.Errorf("pool holds %d pages after two faults, want 0", len(h.twinPool))
+	}
+
+	// Steady state: a protect/store/drop round allocates nothing. (The
+	// typed accessors box their value through the profile's byte
+	// order; Write with a caller's buffer does not.)
+	val := []byte{1, 2, 3, 4}
+	allocs := testing.AllocsPerRun(20, func() {
+		s2.WriteProtect()
+		_ = h.Write(b2.Addr, val)
+		_ = h.Write(b2.Addr+Addr(arch.PageSize), val)
+		s2.DropTwins()
+	})
+	if allocs != 0 {
+		t.Errorf("protect/store/drop round allocates %.1f objects, want 0", allocs)
+	}
 }
 
 func TestAddressSpaceExhaustion32(t *testing.T) {
