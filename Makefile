@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-short bench bench-e2e bench-json bench-regress loadgen-slo loadgen-smoke iwtop-smoke proxy-smoke evict-smoke figures fig4 fig5 fig6 fig7 examples cluster-demo cover doccheck linkcheck clean
+.PHONY: all build vet test race race-short bench bench-e2e loadgen-slo loadgen-smoke iwtop-smoke proxy-smoke evict-smoke figures fig4 fig5 fig6 fig7 examples cluster-demo cover doccheck linkcheck clean
 
 all: build vet test
 
@@ -32,23 +32,6 @@ bench:
 # what catches an internal API move that breaks it.
 bench-e2e:
 	bash benchmark/run.sh
-
-# Machine-readable benchmark snapshot: writes BENCH_<UTC-date>.json at
-# the repo root (schema interweave-bench/1). Pass flags through
-# BENCHJSON_FLAGS, e.g. `make bench-json BENCHJSON_FLAGS=-smoke` for
-# the fast CI schema check.
-bench-json:
-	$(GO) run ./tools/benchjson $(BENCHJSON_FLAGS)
-
-# Benchmark-regression smoke (also run in CI): re-measures the
-# multi-segment server throughput benchmark at full benchtime and
-# fails if any case slowed down more than 20% against the newest
-# committed BENCH_*.json snapshot. New/renamed benchmarks only warn.
-BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-bench-regress:
-	$(GO) run ./tools/benchjson -pattern MultiSegmentThroughput \
-		-compare $(BENCH_BASELINE) -compare-pattern MultiSegmentThroughput \
-		-out bench-regress.json
 
 # Session-scale SLO runs (CAPACITY.md, EXPERIMENTS.md "Loadgen"):
 # the headline 100k-session measurement, and the CI-sized smoke.
@@ -184,5 +167,5 @@ linkcheck:
 	$(GO) run ./tools/linkcheck README.md DESIGN.md PROTOCOL.md EXPERIMENTS.md OBSERVABILITY.md CAPACITY.md
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bench-regress.json bench-smoke.json loadgen-slo.json loadgen-smoke.json iwtop-smoke.json iwtop-smoke.err iwserver-smoke iwproxy-smoke proxysmoke-check proxy-smoke.json evictsmoke-check evict-smoke.json
+	rm -f cover.out loadgen-slo.json loadgen-smoke.json iwtop-smoke.json iwtop-smoke.err iwserver-smoke iwproxy-smoke proxysmoke-check proxy-smoke.json evictsmoke-check evict-smoke.json
 	rm -rf evict-smoke-journal

@@ -72,20 +72,6 @@ func BenchmarkFig7(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiSegmentThroughput measures aggregate release
-// throughput with one writer pipeline per segment against a live
-// server. Per-segment locking (DESIGN.md §8) keeps the pipelines
-// independent, so on a multicore machine the segs=8 ns/op should be
-// a fraction of the segs=1 figure; a global server lock would pin
-// every case to the segs=1 rate.
-func BenchmarkMultiSegmentThroughput(b *testing.B) {
-	for _, segs := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("segs%d", segs), func(b *testing.B) {
-			bench.MultiSegmentThroughput(b, segs)
-		})
-	}
-}
-
 // Ablations: each optimization of Section 3.3 on and off.
 
 func BenchmarkAblationSplicing(b *testing.B) {

@@ -12,11 +12,11 @@
 // address change, nothing more. Proxies chain: -upstream may name
 // another proxy, forming a distribution tree.
 //
-// Staleness is bounded with -max-lag (versions) and -max-age: a read
-// that finds the mirror beyond either bound blocks on a synchronous
-// pull first. When the upstream is unreachable the proxy serves
-// degraded stale reads (counted in iw_proxy_reads_degraded_total) and
-// reroutes via the cluster ring when the upstream was clustered.
+// Staleness is bounded with -max-lag (versions): a read that finds the
+// mirror further behind blocks on a synchronous pull first. When the
+// upstream is unreachable the proxy serves degraded stale reads
+// (counted in iw_proxy_reads_degraded_total) and reroutes via the
+// cluster ring when the upstream was clustered.
 //
 // Observability mirrors iwserver: -metrics-addr serves Prometheus
 // text on /metrics and the health verdict on /healthz. The metrics
@@ -35,6 +35,7 @@ import (
 	"syscall"
 	"time"
 
+	"interweave/internal/cluster"
 	"interweave/internal/obs"
 	"interweave/internal/proxy"
 )
@@ -52,9 +53,7 @@ func run(args []string) error {
 	upstream := fs.String("upstream", "", "upstream server or proxy address (required)")
 	advertise := fs.String("advertise", "", "address downstream clients reach this proxy at (default: the bound listen address)")
 	maxLag := fs.Uint("max-lag", 0, "staleness bound in versions: reads finding the mirror further behind block on a sync pull (0 = unbounded)")
-	maxAge := fs.Duration("max-age", 0, "staleness bound in time since the last confirmed upstream sync (0 = unbounded)")
 	syncEvery := fs.Duration("sync-every", proxy.DefaultSyncEvery, "maintenance cadence: upstream re-subscribe + catch-up probe per mirror")
-	rpcTimeout := fs.Duration("rpc-timeout", 0, "upstream RPC timeout (0 = none)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = off)")
 	quiet := fs.Bool("quiet", false, "suppress diagnostics")
 	if err := fs.Parse(args); err != nil {
@@ -67,9 +66,7 @@ func run(args []string) error {
 		Upstream:      *upstream,
 		Advertise:     *advertise,
 		MaxVersionLag: uint32(*maxLag),
-		MaxAge:        *maxAge,
 		SyncEvery:     *syncEvery,
-		RPCTimeout:    *rpcTimeout,
 	}
 	if !*quiet {
 		logger := log.New(os.Stderr, "iwproxy: ", log.LstdFlags)
@@ -86,7 +83,7 @@ func run(args []string) error {
 			return fmt.Errorf("metrics listen %s: %w", *metricsAddr, err)
 		}
 		defer mln.Close()
-		opts.MetricsAddr = advertiseAddr(mln.Addr().String(), firstNonEmpty(*advertise, *addr))
+		opts.MetricsAddr = cluster.AdvertiseAddr(mln.Addr().String(), firstNonEmpty(*advertise, *addr))
 	}
 	p, err := proxy.New(opts)
 	if err != nil {
@@ -124,23 +121,6 @@ func run(args []string) error {
 	case err := <-errc:
 		return err
 	}
-}
-
-// advertiseAddr turns the metrics listener's bound address into a
-// dialable one: a wildcard-host bind advertises the proxy's own host
-// with the bound port (same logic as iwserver).
-func advertiseAddr(bound, self string) string {
-	host, port, err := net.SplitHostPort(bound)
-	if err != nil {
-		return bound
-	}
-	if ip := net.ParseIP(host); host != "" && (ip == nil || !ip.IsUnspecified()) {
-		return bound
-	}
-	if sh, _, err := net.SplitHostPort(self); err == nil && sh != "" {
-		return net.JoinHostPort(sh, port)
-	}
-	return net.JoinHostPort("127.0.0.1", port)
 }
 
 func firstNonEmpty(a, b string) string {

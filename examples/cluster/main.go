@@ -13,7 +13,7 @@
 //	make cluster-demo
 //
 // The same topology can be built out of real processes with iwserver's
-// -cluster-self / -cluster-peers flags; this example keeps everything
+// cluster flags (DESIGN.md §7); this example keeps everything
 // in one binary so the failure injection is deterministic.
 package main
 

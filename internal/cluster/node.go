@@ -24,8 +24,6 @@ type Options struct {
 	// Replicas is R, the number of successors each segment streams to.
 	// Zero means no replication.
 	Replicas int
-	// VNodes is the virtual-node count per member; 0 = DefaultVNodes.
-	VNodes int
 	// Heartbeat is the peer-probe interval. Zero disables the probe
 	// loop; tests drive failure detection manually with MarkDead.
 	Heartbeat time.Duration
@@ -46,6 +44,25 @@ type Options struct {
 	// Dial overrides peer dialing, e.g. to route through faultnet in
 	// tests; nil uses net.DialTimeout("tcp", ...).
 	Dial func(addr string) (net.Conn, error)
+}
+
+// AdvertiseAddr turns a listener's bound address into one peers can
+// dial, for MetricsAddr: a bind to an unspecified host (":9090",
+// "0.0.0.0:9090", "[::]:9090") advertises self's host with the bound
+// port, or 127.0.0.1 when self names no host. An unparsable bound
+// address is returned as is.
+func AdvertiseAddr(bound, self string) string {
+	host, port, err := net.SplitHostPort(bound)
+	if err != nil {
+		return bound
+	}
+	if ip := net.ParseIP(host); host != "" && (ip == nil || !ip.IsUnspecified()) {
+		return bound
+	}
+	if sh, _, err := net.SplitHostPort(self); err == nil && sh != "" {
+		return net.JoinHostPort(sh, port)
+	}
+	return net.JoinHostPort("127.0.0.1", port)
 }
 
 // Node is one server's live view of the cluster: the current
@@ -108,11 +125,8 @@ func NewNode(opts Options) *Node {
 	}
 	addrs := append([]string{opts.Self}, opts.Peers...)
 	sort.Strings(addrs)
-	ms := protocol.Membership{
-		Epoch:    1,
-		Replicas: uint8(opts.Replicas),
-		VNodes:   uint16(opts.VNodes),
-	}
+	// VNodes stays zero: the ring places DefaultVNodes per member.
+	ms := protocol.Membership{Epoch: 1, Replicas: uint8(opts.Replicas)}
 	for _, a := range addrs {
 		m := protocol.Member{Addr: a}
 		if a == opts.Self {

@@ -442,3 +442,23 @@ func TestNodeHeartbeatMarksDead(t *testing.T) {
 		}
 	}
 }
+
+// TestAdvertiseAddr: a wildcard bind advertises the self host (or
+// loopback when self has none) with the bound port; anything else is
+// advertised as bound.
+func TestAdvertiseAddr(t *testing.T) {
+	for _, tc := range []struct{ bound, self, want string }{
+		{"10.0.0.5:9090", "host1:7777", "10.0.0.5:9090"},
+		{"metrics.local:9090", "host1:7777", "metrics.local:9090"},
+		{":9090", "host1:7777", "host1:9090"},
+		{"0.0.0.0:9090", "host1:7777", "host1:9090"},
+		{"[::]:9090", "host1:7777", "host1:9090"},
+		{":9090", ":7777", "127.0.0.1:9090"},
+		{"0.0.0.0:9090", "", "127.0.0.1:9090"},
+		{"not-an-addr", "host1:7777", "not-an-addr"},
+	} {
+		if got := AdvertiseAddr(tc.bound, tc.self); got != tc.want {
+			t.Errorf("AdvertiseAddr(%q, %q) = %q, want %q", tc.bound, tc.self, got, tc.want)
+		}
+	}
+}

@@ -44,22 +44,16 @@ type Options struct {
 	// own downstream-facing listen address — so servers can exempt the
 	// session from MaxSessions admission and advertise the role.
 	ProxyAddr string
-	// Dial overrides TCP dialing (tests, custom transports).
+	// Dial overrides TCP dialing (tests, custom transports); the
+	// default dials TCP with a 10 s timeout.
 	Dial func(addr string) (net.Conn, error)
 	// DefaultPolicy is the coherence policy used by segments that
 	// never called SetPolicy; Full() if unset.
 	DefaultPolicy coherence.Policy
-	// NoDiffOn is the modified fraction at which a segment switches
-	// to no-diff mode (default 0.75); NoDiffOff disables the switch
-	// entirely when negative.
-	NoDiffOn float64
 	// NoDiffResample is how many no-diff critical sections pass
 	// before one diffing section re-samples application behaviour
 	// (default 8).
 	NoDiffResample int
-	// DialTimeout bounds each TCP dial attempt (default 10s).
-	// Ignored when Dial is set.
-	DialTimeout time.Duration
 	// RPCTimeout bounds the round trip of RPCs that the server
 	// answers immediately. Lock-acquisition RPCs (ReadLock,
 	// WriteLock, TxCommit) are exempt: they may legitimately queue
@@ -106,10 +100,17 @@ type Client struct {
 	prof    *arch.Profile
 	heap    *mem.Heap
 	opts    Options
-	conns   map[string]*serverConn
 	segs    map[string]*segment
 	layouts types.Cache
-	closed  bool
+
+	// conns is the connection pool. Reads hold mu; writes hold mu and
+	// connsMu, so Close can snapshot the pool under connsMu alone and
+	// never waits for a call that holds mu across its round trip.
+	// closed is set before that snapshot and checked under connsMu
+	// before a new connection joins the pool.
+	connsMu sync.Mutex
+	conns   map[string]*serverConn
+	closed  atomic.Bool
 
 	// Cluster routing state (route.go): per-segment owner routes
 	// learned from redirects, and the newest membership seen, with the
@@ -160,13 +161,10 @@ func NewClient(opts Options) (*Client, error) {
 	if err := opts.DefaultPolicy.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.NoDiffOn == 0 {
-		opts.NoDiffOn = 0.75
-	}
 	if opts.NoDiffResample <= 0 {
 		opts.NoDiffResample = 8
 	}
-	opts.Dial = session.Dialer(opts.Dial, opts.DialTimeout)
+	opts.Dial = session.Dialer(opts.Dial)
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 3
 	}
@@ -215,20 +213,22 @@ func (c *Client) Heap() *mem.Heap { return c.heap }
 // Profile returns the client's machine profile.
 func (c *Client) Profile() *arch.Profile { return c.prof }
 
+// errClientClosed fails every call made on, or in flight across, Close.
+var errClientClosed = errors.New("core: client closed")
+
 // Close releases all server connections. Segments remain readable
-// locally but can no longer be locked or updated.
+// locally but can no longer be locked or updated. It does not wait for
+// calls in flight: closing their connections fails them at once.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Swap(true) {
 		return nil
 	}
-	c.closed = true
+	c.connsMu.Lock()
 	conns := make([]*serverConn, 0, len(c.conns))
 	for _, sc := range c.conns {
 		conns = append(conns, sc)
 	}
-	c.mu.Unlock()
+	c.connsMu.Unlock()
 	for _, sc := range conns {
 		sc.Close()
 	}
@@ -271,17 +271,20 @@ func (c *Client) connTo(addr string) (*serverConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: connecting to %s: %w (%v)", addr, ErrUnavailable, err)
 	}
-	if c.closed {
-		_ = conn.Close()
-		return nil, errors.New("core: client closed")
-	}
 	if sc, ok := c.conns[addr]; ok && !sc.Closed() {
 		// Someone else won the race; use theirs.
 		_ = conn.Close()
 		return sc, nil
 	}
+	c.connsMu.Lock()
+	if c.closed.Load() {
+		c.connsMu.Unlock()
+		_ = conn.Close()
+		return nil, errClientClosed
+	}
 	sc := &serverConn{Dialed: session.NewDialed(conn, c.pushed), addr: addr}
 	c.conns[addr] = sc
+	c.connsMu.Unlock()
 	if c.ins != nil {
 		c.ins.dials.Inc()
 	}
@@ -362,6 +365,9 @@ func (c *Client) callSeg(s *segment, m protocol.Message, sp *obs.Span) (protocol
 		if !isTransport(err) {
 			return reply, err
 		}
+		if c.closed.Load() {
+			return nil, errClientClosed
+		}
 		lastErr = err
 		if !retryable(m) || attempt >= c.opts.MaxRetries {
 			return nil, lastErr
@@ -398,6 +404,9 @@ func (c *Client) callRetry(segName string, m protocol.Message, sp *obs.Span) (pr
 			}
 			if !isTransport(err) {
 				return reply, err
+			}
+			if c.closed.Load() {
+				return nil, errClientClosed
 			}
 			lastErr = err
 		}
@@ -546,7 +555,7 @@ func (c *Client) sleepRetry(attempt int) bool {
 	c.mu.Unlock()
 	time.Sleep(d)
 	c.mu.Lock()
-	return !c.closed
+	return !c.closed.Load()
 }
 
 // serverConn is the cached connection of the paper's segment table:

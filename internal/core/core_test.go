@@ -769,3 +769,59 @@ func TestPtrToMIPPublicAPI(t *testing.T) {
 		t.Errorf("PtrToMIP(0) = %q, %v", s, err)
 	}
 }
+
+// TestCloseDoesNotWaitForParkedCall: Close must not wait for a call in
+// flight. B's WLock is parked at the server behind A's writer; closing
+// B returns at once and fails that WLock instead of waiting for A to
+// let go.
+func TestCloseDoesNotWaitForParkedCall(t *testing.T) {
+	srv, addr := startChaosServer(t)
+	a := newTestClient(t, arch.AMD64(), "a")
+	b := newTestClient(t, arch.AMD64(), "b")
+	name := addr + "/close"
+	ha, err := a.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WLock(ha); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Alloc(ha, types.Int32(), 1, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WUnlock(ha); err != nil {
+		t.Fatal(err)
+	}
+	hb, err := b.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WLock(ha); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = a.WUnlock(ha) }()
+
+	parked := make(chan error, 1)
+	go func() { parked <- b.WLock(hb) }()
+	for deadline := time.Now().Add(5 * time.Second); srv.DebugSegments()[0].Waiters == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("B's WriteLock never queued at the server")
+		}
+	}
+
+	closed := make(chan struct{})
+	go func() { _ = b.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(time.Second):
+		t.Fatal("Close waited for the parked WLock")
+	}
+	select {
+	case err := <-parked:
+		if err == nil {
+			t.Fatal("parked WLock succeeded on a closed client")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("parked WLock did not fail after Close")
+	}
+}

@@ -38,10 +38,9 @@ var (
 
 // MuxOptions configures DialMux.
 type MuxOptions struct {
-	// Dial overrides TCP dialing (tests, faultnet).
+	// Dial overrides TCP dialing (tests, faultnet); the default dials
+	// TCP with a 10 s timeout.
 	Dial func(addr string) (net.Conn, error)
-	// DialTimeout bounds the TCP dial when Dial is nil (default 10s).
-	DialTimeout time.Duration
 	// RPCTimeout bounds each Call round trip. Unlike the full
 	// client's serial stream, mux replies are matched by request ID,
 	// so a timeout fails only the one call — a late reply is
@@ -82,7 +81,7 @@ type MuxSession struct {
 
 // DialMux connects to a server for session-multiplexed use.
 func DialMux(addr string, opts MuxOptions) (*MuxConn, error) {
-	conn, err := session.Dialer(opts.Dial, opts.DialTimeout)(addr)
+	conn, err := session.Dialer(opts.Dial)(addr)
 	if err != nil {
 		return nil, fmt.Errorf("core: connecting to %s: %w (%v)", addr, ErrUnavailable, err)
 	}

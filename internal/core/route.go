@@ -233,8 +233,8 @@ func (c *Client) Migrate(segName, target string) error {
 func (c *Client) Forward(segName string, m protocol.Message) (protocol.Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, errors.New("core: client closed")
+	if c.closed.Load() {
+		return nil, errClientClosed
 	}
 	return c.callRetry(segName, m, nil)
 }

@@ -37,9 +37,13 @@ var (
 	ErrNotReplicated = errors.New("core: write release not replicated to all replicas")
 )
 
-// hotReleasesToNoDiff is how many consecutive mostly-modified write
-// critical sections trigger no-diff mode.
-const hotReleasesToNoDiff = 2
+// No-diff mode (Section 3.3): hotReleasesToNoDiff consecutive write
+// critical sections that each modify at least the noDiffOn fraction of
+// a segment's units switch it to whole-segment transmission.
+const (
+	hotReleasesToNoDiff = 2
+	noDiffOn            = 0.75
+)
 
 // segment is the client-side state of one cached segment.
 type segment struct {
@@ -715,7 +719,7 @@ func (c *Client) recoverWUnlock(s *segment, m *protocol.WriteUnlock, sp *obs.Spa
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
 		if attempt > 0 && !c.sleepRetry(attempt-1) {
-			return nil, errors.New("core: client closed")
+			return nil, errClientClosed
 		}
 		reply, err := c.callSeg(s, &protocol.Resume{Seg: s.name, WriterID: m.WriterID, Seq: m.Seq}, rsp)
 		if err != nil {
@@ -801,9 +805,6 @@ func (c *Client) resetSegCache(s *segment) {
 // transmission, and periodically switches back to diffing to capture
 // changes in application behaviour (Section 3.3).
 func (s *segment) updateNoDiff(c *Client, unitsSent int) {
-	if c.opts.NoDiffOn < 0 {
-		return
-	}
 	total := 0
 	s.m.Blocks(func(b *mem.Block) bool {
 		total += b.PrimCount()
@@ -820,7 +821,7 @@ func (s *segment) updateNoDiff(c *Client, unitsSent int) {
 		}
 		return
 	}
-	if float64(unitsSent) >= c.opts.NoDiffOn*float64(total) {
+	if float64(unitsSent) >= noDiffOn*float64(total) {
 		s.hotReleases++
 		if s.hotReleases >= hotReleasesToNoDiff {
 			s.noDiff = true

@@ -220,12 +220,10 @@ func (sess *downstream) forwarder(p *Proxy) (*core.Client, error) {
 		return sess.fwd, nil
 	}
 	c, err := core.NewClient(core.Options{
-		Name:        p.opts.Name + "-fwd",
-		ProxyAddr:   p.advertiseAddr(),
-		Dial:        p.opts.Dial,
-		DialTimeout: p.opts.DialTimeout,
-		RPCTimeout:  p.opts.RPCTimeout,
-		MaxRetries:  p.opts.MaxRetries,
+		Name:       p.opts.Name + "-fwd",
+		ProxyAddr:  p.advertiseAddr(),
+		Dial:       p.opts.Dial,
+		RPCTimeout: p.opts.RPCTimeout,
 	})
 	if err != nil {
 		return nil, err

@@ -72,12 +72,8 @@ type Options struct {
 	MetricsAddr string
 	// Dial overrides TCP dialing (tests, faultnet).
 	Dial func(addr string) (net.Conn, error)
-	// DialTimeout and RPCTimeout bound upstream dials and round
-	// trips, as in core.Options.
-	DialTimeout time.Duration
-	RPCTimeout  time.Duration
-	// MaxRetries bounds upstream retry attempts (core.Options).
-	MaxRetries int
+	// RPCTimeout bounds upstream round trips, as in core.Options.
+	RPCTimeout time.Duration
 	// Metrics, when non-nil, receives the proxy's instrumentation
 	// (iw_proxy_*, OBSERVABILITY.md).
 	Metrics *obs.Registry
@@ -202,13 +198,11 @@ func (p *Proxy) Serve(ln net.Listener) error {
 		p.advertise = ln.Addr().String()
 	}
 	up, err := core.NewClient(core.Options{
-		Name:        p.opts.Name,
-		ProxyAddr:   p.advertise,
-		Dial:        p.opts.Dial,
-		DialTimeout: p.opts.DialTimeout,
-		RPCTimeout:  p.opts.RPCTimeout,
-		MaxRetries:  p.opts.MaxRetries,
-		OnNotify:    p.onUpstreamNotify,
+		Name:       p.opts.Name,
+		ProxyAddr:  p.advertise,
+		Dial:       p.opts.Dial,
+		RPCTimeout: p.opts.RPCTimeout,
+		OnNotify:   p.onUpstreamNotify,
 	})
 	if err != nil {
 		p.mu.Unlock()
@@ -697,7 +691,7 @@ func (p *Proxy) gossipCandidates() []string {
 // — the gossip path, which must not ride the upstream client's
 // segment-routed machinery.
 func (p *Proxy) rpc(addr string, m protocol.Message) (protocol.Message, error) {
-	conn, err := session.Dialer(p.opts.Dial, p.opts.DialTimeout)(addr)
+	conn, err := session.Dialer(p.opts.Dial)(addr)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"interweave/internal/cluster"
+	"interweave/internal/coherence"
 	"interweave/internal/core"
 	"interweave/internal/mem"
 	"interweave/internal/obs"
@@ -554,4 +555,78 @@ func TestProxyFailoverReroute(t *testing.T) {
 	// The proxy reroutes via the ring and catches up; the reader never
 	// changed its address.
 	waitVal(t, r, hr, 2, 10*time.Second)
+}
+
+// TestProxySessionCloseDoesNotStallConnection: closing a downstream
+// session whose forwarded WriteLock is parked upstream must not hold up
+// the other sessions on the same connection. Session B on A's
+// connection is answered while A's WriteLock still waits for the
+// origin's writer.
+func TestProxySessionCloseDoesNotStallConnection(t *testing.T) {
+	origin, srv := startOriginServer(t, server.Options{})
+	p, paddr := startProxyOn(t, Options{Upstream: origin})
+	seg := origin + "/close"
+	holder := newTestClient(t, "holder")
+	h, err := holder.Open(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeVal(t, holder, h, 1)
+	if err := holder.WLock(h); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = holder.WUnlock(h) }()
+
+	mc, err := core.DialMux(paddr, core.MuxOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	a, err := mc.NewSession("a", "x86-32le")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mc.NewSession("b", "x86-32le")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Call(&protocol.OpenSegment{Name: seg}); err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, err := a.Call(&protocol.WriteLock{Seg: seg, Policy: coherence.Full()})
+		parked <- err
+	}()
+	waitUntil(t, 5*time.Second, "A's forwarded WriteLock queued at the origin", func() bool {
+		return srv.DebugSegments()[0].Waiters == 1
+	})
+	go func() { _ = a.Close() }()
+	waitUntil(t, 5*time.Second, "the proxy releasing A", func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.sessions == 1
+	})
+
+	answered := make(chan error, 1)
+	go func() {
+		_, err := b.Call(&protocol.ReadLock{Seg: seg, Policy: coherence.Full()})
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Fatalf("B's ReadLock: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("B's ReadLock was not answered while A's forwarded WriteLock was parked")
+	}
+	select {
+	case err := <-parked:
+		if err == nil {
+			t.Fatal("A's WriteLock was granted after A closed")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("A's parked WriteLock was never answered after A closed")
+	}
 }

@@ -514,9 +514,7 @@ func (s *Server) demoteSegLocked(st *segState) []func() {
 		})
 	})
 	st.subs = Subscriptions[*clientSession]{}
-	seg := NewSegment(name)
-	s.capDiffCache(seg)
-	st.seg = seg
+	st.seg = NewSegment(name)
 	st.evictedVer = 0
 	st.applied = make(map[string]appliedWrite)
 	if s.journal != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"os"
 
 	"interweave/internal/obs"
 	"interweave/internal/protocol"
@@ -107,7 +108,7 @@ func (s *Server) flush(st *segState) {
 	go func() {
 		defer s.wg.Done()
 		if s.flight != nil {
-			defer s.flight.DumpOnPanic(s.crashw, "commit flusher "+st.name)
+			defer s.flight.DumpOnPanic(os.Stderr, "commit flusher "+st.name)
 		}
 		for s.flushBatch(&rest) {
 		}

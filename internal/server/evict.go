@@ -79,7 +79,6 @@ func (s *Server) ensureResident(st *segState) error {
 		return fmt.Errorf("server: fault-in of %q recovered version %d, stub recorded %d",
 			st.name, seg.Version, st.evictedVer)
 	}
-	s.capDiffCache(seg)
 	st.seg = seg
 	st.evictedVer = 0
 	if s.ins != nil {

@@ -185,7 +185,6 @@ func (s *Server) applyRecord(m *protocol.Replicate) (*protocol.ReplicateReply, *
 		if img.Name != m.Seg {
 			return nil, errReply(protocol.CodeBadRequest, "snapshot is of %q, not %q", img.Name, m.Seg)
 		}
-		s.capDiffCache(img)
 	}
 	st, err := s.getSeg(m.Seg, true)
 	if err != nil {

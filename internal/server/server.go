@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
@@ -31,9 +30,6 @@ type Options struct {
 	// DefaultJournalCompactBytes; negative disables size-triggered
 	// compaction (eviction, CompactJournal and Close still compact).
 	JournalCompactBytes int64
-	// DiffCacheCap overrides the per-segment diff cache capacity
-	// when non-zero (negative disables caching).
-	DiffCacheCap int
 	// Logf, when non-nil, receives diagnostic messages.
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, receives the server's instrumentation
@@ -79,15 +75,10 @@ type Options struct {
 	// Flight, when non-nil, is the always-on flight recorder: the
 	// server records structural incidents into it (session evictions,
 	// commit-pipeline flushes, promotions, demotions, fencing, epoch
-	// changes, journal compactions), dumps it when a handler goroutine
-	// panics, and /debug/flight serves it. A nil recorder disables
+	// changes, journal compactions), dumps it to stderr when a handler
+	// goroutine panics, and /debug/flight serves it. A nil recorder disables
 	// every recording site and every panic hook (OBSERVABILITY.md).
 	Flight *obs.FlightRecorder
-	// CrashDump is where a panicking server goroutine writes its
-	// post-mortem (the panic value, the flight recorder's contents,
-	// and the stack) before re-panicking. Nil means os.Stderr. Only
-	// consulted when Flight is non-nil.
-	CrashDump io.Writer
 	// SLOShortWindow and SLOLongWindow override the SLO tracker's
 	// rolling windows; zero means obs.DefaultSLOShortWindow and
 	// obs.DefaultSLOLongWindow. The tracker exists only when Metrics
@@ -160,12 +151,11 @@ type Server struct {
 	tracer *obs.Tracer
 
 	// Observability plane (health.go, OBSERVABILITY.md): construction
-	// time for the uptime gauge, the flight recorder and its crash
-	// writer, the SLO tracker, and the counter samples Health's
-	// windowed-rate reasons difference against.
+	// time for the uptime gauge, the flight recorder, the SLO tracker,
+	// and the counter samples Health's windowed-rate reasons difference
+	// against.
 	start  time.Time
 	flight *obs.FlightRecorder
-	crashw io.Writer
 	slo    *obs.SLOTracker
 
 	healthMu      sync.Mutex
@@ -260,7 +250,6 @@ func New(opts Options) (*Server, error) {
 		tracer:   opts.Tracer,
 		start:    time.Now(),
 		flight:   opts.Flight,
-		crashw:   opts.CrashDump,
 
 		transport: session.Config{
 			ConnQueue:    opts.ConnSendQueue,
@@ -268,9 +257,6 @@ func New(opts Options) (*Server, error) {
 			WriteTimeout: opts.WriteTimeout,
 			Logf:         opts.Logf,
 		},
-	}
-	if s.crashw == nil {
-		s.crashw = os.Stderr
 	}
 	if s.transport.SessionQueue <= 0 {
 		s.transport.SessionQueue = DefaultSessionSendQueue
@@ -413,7 +399,7 @@ func (s *Server) Serve(ln net.Listener) error {
 				// Post-mortem hook: a panic on this connection's read
 				// loop dumps the flight recorder before killing the
 				// process (obs.FlightRecorder.DumpOnPanic re-panics).
-				defer s.flight.DumpOnPanic(s.crashw, "server connection")
+				defer s.flight.DumpOnPanic(os.Stderr, "server connection")
 			}
 			sc.Serve()
 			s.mu.Lock()
@@ -475,20 +461,10 @@ func (s *Server) newSegState(name string) *segState {
 // or one recovered from its journal. It is the only place
 // a segState is constructed.
 func (s *Server) adoptSegState(seg *Segment, applied map[string]appliedWrite) *segState {
-	s.capDiffCache(seg)
 	st := &segState{name: seg.Name, seg: seg, applied: applied}
 	st.flushDone = sync.NewCond(&st.mu)
 	st.lastTouch.Store(time.Now().UnixNano())
 	return st
-}
-
-// capDiffCache applies Options.DiffCacheCap to a segment image the
-// server is about to serve from (zero keeps the segment's default,
-// negative disables caching).
-func (s *Server) capDiffCache(seg *Segment) {
-	if n := s.opts.DiffCacheCap; n != 0 {
-		seg.SetDiffCacheCap(max(n, 0))
-	}
 }
 
 // getSeg returns the named segment state, creating it if requested.
@@ -519,7 +495,7 @@ func (s *Server) Handle(ts *session.Session, msg protocol.Message, tc protocol.T
 	if s.flight != nil && ts.SID() != 0 {
 		// A non-zero session's request runs on its own goroutine, out
 		// of reach of the connection's post-mortem hook.
-		defer s.flight.DumpOnPanic(s.crashw, "session request handler")
+		defer s.flight.DumpOnPanic(os.Stderr, "session request handler")
 	}
 	var sp *obs.Span
 	if tr := s.tracer; tr != nil {

@@ -287,15 +287,13 @@ var cases = []struct {
 		parked := rc.post(5, &protocol.WriteLock{Seg: e.seg, Policy: coherence.Full()})
 		time.Sleep(100 * time.Millisecond) // let it park
 		closeID := rc.post(5, &protocol.SessionClose{})
-		// The fake and the server answer the parked request as its
-		// session dies. The proxy's release of a session first waits out
-		// the call its upstream forwarder has in flight, so the blocker
-		// lets go and the reply is the late grant.
-		time.Sleep(100 * time.Millisecond)
-		e.publish(t)
-		// Both answers arrive, in either order: the SessionClose ack
-		// and a reply to the parked request, addressed to the dead
-		// session so the client's pending call resolves.
+		// Every target answers the parked request as its session dies,
+		// while the blocker still holds the lock: the proxy's release
+		// closes the session's upstream forwarder without waiting for
+		// the call it has in flight. Both answers arrive, in either
+		// order: the SessionClose ack and a reply to the parked request,
+		// addressed to the dead session so the client's pending call
+		// resolves.
 		for left := 2; left > 0; {
 			f, err := rc.read()
 			if err != nil {

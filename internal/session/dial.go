@@ -184,18 +184,17 @@ func (d *Dialed) call(sid uint32, m protocol.Message, tc protocol.TraceContext, 
 	return reply, nil
 }
 
+// dialTimeout bounds a default TCP dial.
+const dialTimeout = 10 * time.Second
+
 // Dialer returns dial when the caller supplied one (tests, faultnet),
-// otherwise a TCP dialer bounded by timeout — ten seconds when the
-// caller set none.
-func Dialer(dial func(addr string) (net.Conn, error), timeout time.Duration) func(addr string) (net.Conn, error) {
+// otherwise a TCP dialer bounded by dialTimeout.
+func Dialer(dial func(addr string) (net.Conn, error)) func(addr string) (net.Conn, error) {
 	if dial != nil {
 		return dial
 	}
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
 	return func(addr string) (net.Conn, error) {
-		return net.DialTimeout("tcp", addr, timeout)
+		return net.DialTimeout("tcp", addr, dialTimeout)
 	}
 }
 

@@ -3,7 +3,11 @@
 // opening with the standard godoc phrase ("Package <name> ..." for
 // libraries, "Command <name> ..." for main packages), and every
 // exported top-level declaration (type, function, method, const/var
-// group) must carry a doc comment. CI runs it over the whole tree —
+// group) must carry a doc comment. A command's doc comment may only
+// name flags its own package defines: every flag token in it (a dash
+// that starts a word, then a name) must match a flag constructor call
+// such as fs.String("name", …) or flag.IntVar(&x, "name", …), so usage
+// text cannot outlive a deleted flag. CI runs it over the whole tree —
 // root, internal, cmd, tools, and examples; see
 // .github/workflows/ci.yml and the README's documentation rule.
 //
@@ -24,7 +28,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -104,7 +110,8 @@ func checkDir(dir string) int {
 	}
 	bad := 0
 	for name, pkg := range pkgs {
-		switch doc := packageDoc(pkg); {
+		doc := packageDoc(pkg)
+		switch {
 		case doc == "":
 			fmt.Printf("%s: package %s has no package comment\n", dir, name)
 			bad++
@@ -113,6 +120,9 @@ func checkDir(dir string) int {
 			// ("Command iwserver ..."), not the package.
 			fmt.Printf("%s: package %s doc comment does not start with %q\n", dir, name, docPrefix(name))
 			bad++
+		}
+		if name == "main" {
+			bad += checkFlags(dir, doc, pkg)
 		}
 		for file, f := range pkg.Files {
 			if isGenerated(f) {
@@ -146,6 +156,59 @@ func docPrefix(pkgName string) string {
 		return "Command "
 	}
 	return "Package " + pkgName + " "
+}
+
+// flagToken matches a flag reference in prose: a dash that starts a
+// word, followed by a lower-case flag name ("-addr", "-max-lag").
+var flagToken = regexp.MustCompile(`(?:^|[^\w-])-([a-z][a-z0-9]*(?:-[a-z0-9]+)*)`)
+
+// flagNameArg maps the flag package's constructors to the position of
+// their name argument: the pointer-returning forms take it first, the
+// *Var forms after the destination.
+var flagNameArg = map[string]int{
+	"Bool": 0, "BoolFunc": 0, "Duration": 0, "Float64": 0, "Func": 0,
+	"Int": 0, "Int64": 0, "String": 0, "Uint": 0, "Uint64": 0,
+	"BoolVar": 1, "DurationVar": 1, "Float64Var": 1, "IntVar": 1, "Int64Var": 1,
+	"StringVar": 1, "TextVar": 1, "UintVar": 1, "Uint64Var": 1, "Var": 1,
+}
+
+// checkFlags reports every "-name" token in a command's doc comment
+// that names no flag the package defines, returning the number of
+// findings.
+func checkFlags(dir, doc string, pkg *ast.Package) int {
+	defined := make(map[string]bool)
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			i, ok := flagNameArg[sel.Sel.Name]
+			if !ok || i >= len(call.Args) {
+				return true
+			}
+			if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					defined[name] = true
+				}
+			}
+			return true
+		})
+	}
+	bad := 0
+	reported := make(map[string]bool)
+	for _, m := range flagToken.FindAllStringSubmatch(doc, -1) {
+		if name := m[1]; !defined[name] && !reported[name] {
+			reported[name] = true
+			fmt.Printf("%s: command doc names -%s, which the package does not define\n", dir, name)
+			bad++
+		}
+	}
+	return bad
 }
 
 // isGenerated detects the standard "Code generated ... DO NOT EDIT."

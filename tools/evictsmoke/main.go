@@ -1,6 +1,6 @@
 // Command evictsmoke asserts the cold-segment eviction contract
 // (DESIGN.md §12) against a live server after a loadgen run whose
-// working set outgrows the server's -max-resident-bytes budget. It is
+// working set outgrows the server's resident-bytes budget. It is
 // the check behind `make evict-smoke`.
 //
 // It reads the loadgen JSON report and requires a clean run — every

@@ -1,7 +1,7 @@
 // Command iwtop is the fleet-wide observability aggregator
 // (OBSERVABILITY.md): top(1) for an InterWeave cluster. From one seed
 // node it discovers the whole membership over the cluster's own
-// RingGet RPC — every member advertises its -metrics-addr in gossip —
+// RingGet RPC — every member advertises its metrics address in gossip —
 // then concurrently scrapes each node's /metrics, /healthz,
 // /debug/slo, and /debug/segments, merges the per-node histograms
 // bucket-for-bucket into cluster-level latency quantiles, and renders
@@ -53,7 +53,6 @@ func main() {
 	flag.BoolVar(&cfg.JSON, "json", false, "emit one schema-stable JSON document per tick instead of the terminal view")
 	flag.BoolVar(&cfg.Once, "once", false, "render a single tick and exit")
 	flag.IntVar(&cfg.Expect, "expect", 0, "with -once: exit non-zero unless at least this many nodes are scraped and healthy")
-	flag.IntVar(&cfg.TopSegments, "top", 12, "segment rows shown/emitted, hottest first")
 	flag.Parse()
 	if err := run(cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "iwtop:", err)
@@ -62,15 +61,18 @@ func main() {
 }
 
 type config struct {
-	Seed        string
-	Metrics     string
-	Interval    time.Duration
-	Timeout     time.Duration
-	JSON        bool
-	Once        bool
-	Expect      int
-	TopSegments int
+	Seed     string
+	Metrics  string
+	Interval time.Duration
+	Timeout  time.Duration
+	JSON     bool
+	Once     bool
+	Expect   int
 }
+
+// topSegments is how many segment rows a tick shows and emits,
+// hottest first.
+const topSegments = 12
 
 // nodeDoc is one node's row in the fleet document. Role and the
 // upstream-lag fields are additive to schema interweave-iwtop/1:
@@ -418,8 +420,8 @@ func (a *app) merge(doc *fleetDoc) {
 		}
 		return doc.Segments[i].Name < doc.Segments[j].Name
 	})
-	if a.cfg.TopSegments > 0 && len(doc.Segments) > a.cfg.TopSegments {
-		doc.Segments = doc.Segments[:a.cfg.TopSegments]
+	if len(doc.Segments) > topSegments {
+		doc.Segments = doc.Segments[:topSegments]
 	}
 }
 

@@ -160,7 +160,7 @@ func TestFleetDiscoveryMergeAndKill(t *testing.T) {
 		fn.node.Gossip()
 	}
 	a := &app{
-		cfg:    config{Seed: nodes[0].addr, Timeout: 2 * time.Second, TopSegments: 12},
+		cfg:    config{Seed: nodes[0].addr, Timeout: 2 * time.Second},
 		client: &http.Client{Timeout: 2 * time.Second},
 	}
 	var doc fleetDoc

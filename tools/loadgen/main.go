@@ -41,12 +41,11 @@
 // requested session count (refused or evicted sessions), so CI can
 // gate on it.
 //
-// The report also carries the server's own health verdict: for the
-// in-process server it is computed directly from the server's SLO
-// tracker after the measurement window; for an external server, point
-// -health at its /healthz endpoint. With -slo-gate the run
-// additionally fails when that verdict is not "ok" — the generator
-// consumes the server's burn-rate math instead of re-deriving it.
+// A run against the in-process server also reports that server's own
+// health verdict, computed from its SLO tracker after the measurement
+// window. With -slo-gate the run additionally fails when that verdict
+// is not "ok" — the generator consumes the server's burn-rate math
+// instead of re-deriving it.
 package main
 
 import (
@@ -55,7 +54,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"strings"
@@ -82,14 +80,10 @@ func main() {
 	flag.DurationVar(&cfg.Duration, "duration", 10*time.Second, "measurement duration")
 	flag.IntVar(&cfg.Segments, "segments", 16, "hot segments the sessions read")
 	flag.IntVar(&cfg.Writers, "writers", 2, "background writer clients churning the segments")
-	flag.DurationVar(&cfg.WriteEvery, "write-every", 20*time.Millisecond, "per-writer release interval")
 	flag.Float64Var(&cfg.Subscribe, "subscribe", 0, "fraction of sessions subscribing to their segment (exercises notify/shed)")
 	flag.Float64Var(&cfg.ReadRatio, "read-ratio", 1, "fraction of scheduled session ops that are reads; the rest are no-op write lock/unlock pairs")
 	flag.StringVar(&cfg.ViaProxy, "via-proxy", "", "route the session connections through this proxy address (seeder and writers stay on -addr)")
-	flag.IntVar(&cfg.OpWorkers, "op-workers", 256, "concurrent operation issuers")
-	flag.IntVar(&cfg.MaxSessions, "max-sessions", 0, "in-process server session cap (0 = unlimited)")
 	flag.StringVar(&cfg.JSONOut, "json", "", "write the SLO document to this path")
-	flag.StringVar(&cfg.Health, "health", "", "external server's /healthz URL, fetched after the run (in-process runs compute it directly)")
 	flag.BoolVar(&cfg.SLOGate, "slo-gate", false, "exit non-zero when the post-run health verdict is not \"ok\"")
 	flag.Parse()
 	if err := run(cfg); err != nil {
@@ -107,14 +101,10 @@ type config struct {
 	DurationStr string        `json:"duration"`
 	Segments    int           `json:"segments"`
 	Writers     int           `json:"writers"`
-	WriteEvery  time.Duration `json:"-"`
 	Subscribe   float64       `json:"subscribe_fraction"`
 	ReadRatio   float64       `json:"read_ratio"`
 	ViaProxy    string        `json:"via_proxy,omitempty"`
-	OpWorkers   int           `json:"op_workers"`
-	MaxSessions int           `json:"max_sessions"`
 	JSONOut     string        `json:"-"`
-	Health      string        `json:"health_url,omitempty"`
 	SLOGate     bool          `json:"slo_gate"`
 }
 
@@ -167,8 +157,8 @@ type report struct {
 	// committed version at that moment. Always ~0 against the origin;
 	// through a proxy it measures the tier's staleness bound.
 	Staleness histReport `json:"read_staleness_versions"`
-	// Health is the server's own post-run verdict (in-process SLO
-	// tracker, or a -health fetch); absent when neither is available.
+	// Health is the in-process server's own post-run verdict; absent
+	// against an external server.
 	Health *server.Health `json:"health,omitempty"`
 }
 
@@ -225,7 +215,6 @@ func run(cfg config) error {
 	var inproc *server.Server
 	if cfg.Addr == "" {
 		srv, err := server.New(server.Options{
-			MaxSessions:    cfg.MaxSessions,
 			Metrics:        obs.NewRegistry(),
 			SLOSampleEvery: -1,
 		})
@@ -276,7 +265,7 @@ func run(cfg config) error {
 		writerWG.Add(1)
 		go func(w int, wc *core.Client) {
 			defer writerWG.Done()
-			runWriter(w, wc, cfg, segNames, committed, stopWriters, &writeErrs)
+			runWriter(w, wc, segNames, committed, stopWriters, &writeErrs)
 		}(w, wc)
 	}
 	_ = seeder.Close()
@@ -386,7 +375,7 @@ func run(cfg config) error {
 	var opWG sync.WaitGroup
 	var rr atomic.Uint64
 	readPerMille := int64(cfg.ReadRatio * 1000)
-	for w := 0; w < cfg.OpWorkers; w++ {
+	for w := 0; w < opWorkers; w++ {
 		opWG.Add(1)
 		go func() {
 			defer opWG.Done()
@@ -469,13 +458,6 @@ func run(cfg config) error {
 	if inproc != nil {
 		h := inproc.Health(time.Now())
 		rep.Health = &h
-	} else if cfg.Health != "" {
-		h, err := fetchHealth(cfg.Health)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loadgen: health fetch: %v\n", err)
-		} else {
-			rep.Health = h
-		}
 	}
 
 	fmt.Printf("held %d sessions; %d ops in %v (%.0f/s, target %.0f/s); fresh=%d diffs=%d errors=%d\n",
@@ -513,7 +495,7 @@ func run(cfg config) error {
 	}
 	if cfg.SLOGate {
 		if rep.Health == nil {
-			return fmt.Errorf("slo gate: no health verdict (in-process server or -health required)")
+			return fmt.Errorf("slo gate: no health verdict (needs the in-process server)")
 		}
 		if rep.Health.Status != server.HealthOK {
 			return fmt.Errorf("slo gate: server %s: %s",
@@ -523,28 +505,18 @@ func run(cfg config) error {
 	return nil
 }
 
-// fetchHealth pulls an external server's /healthz verdict. The
-// endpoint answers 503 when overloaded, so any decodable body counts.
-func fetchHealth(url string) (*server.Health, error) {
-	c := &http.Client{Timeout: 5 * time.Second}
-	resp, err := c.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var h server.Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return nil, fmt.Errorf("decoding %s: %w", url, err)
-	}
-	return &h, nil
-}
-
 func secs(v float64) string {
 	return time.Duration(v * float64(time.Second)).Round(time.Microsecond).String()
 }
 
-// arrayUnits is the int32 array length each hot segment holds.
-const arrayUnits = 64
+// Fixed run shape: arrayUnits is the int32 array length each hot
+// segment holds, writeEvery each background writer's release interval,
+// and opWorkers the number of concurrent operation issuers.
+const (
+	arrayUnits = 64
+	writeEvery = 20 * time.Millisecond
+	opWorkers  = 256
+)
 
 // versionBuckets is the staleness ladder, in whole versions.
 var versionBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
@@ -575,11 +547,11 @@ func seedSegment(c *core.Client, name string) error {
 
 // runWriter churns its share of the segments: write-lock, bump one
 // int, release — at the configured interval, until stopped.
-func runWriter(w int, wc *core.Client, cfg config, segNames []string, committed []atomic.Uint32, stop <-chan struct{}, errs *atomic.Int64) {
+func runWriter(w int, wc *core.Client, segNames []string, committed []atomic.Uint32, stop <-chan struct{}, errs *atomic.Int64) {
 	rng := rand.New(rand.NewSource(int64(w) + 1))
 	handles := make([]*core.Segment, len(segNames))
 	addrs := make([]mem.Addr, len(segNames))
-	ticker := time.NewTicker(cfg.WriteEvery)
+	ticker := time.NewTicker(writeEvery)
 	defer ticker.Stop()
 	for i := 0; ; i++ {
 		select {
