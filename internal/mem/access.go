@@ -58,13 +58,24 @@ func (h *Heap) MutView(a Addr, n int) ([]byte, error) {
 
 // Write stores src at a through the fault path.
 func (h *Heap) Write(a Addr, src []byte) error {
-	ss, off, err := h.resolve(a, len(src))
+	dst, err := h.store(a, len(src))
 	if err != nil {
 		return err
 	}
-	ss.faultRange(off, len(src))
-	copy(ss.Data[off:], src)
+	copy(dst, src)
 	return nil
+}
+
+// store takes the fault path for [a, a+n) and returns the bytes the
+// caller then writes: the typed stores encode into them directly, so
+// no value passes through a temporary buffer.
+func (h *Heap) store(a Addr, n int) ([]byte, error) {
+	ss, off, err := h.resolve(a, n)
+	if err != nil {
+		return nil, err
+	}
+	ss.faultRange(off, n)
+	return ss.Data[off : off+n : off+n], nil
 }
 
 // RawWrite stores src at a without fault tracking.
@@ -219,7 +230,12 @@ func (h *Heap) ReadU8(a Addr) (byte, error) {
 
 // WriteU8 stores one byte through the fault path.
 func (h *Heap) WriteU8(a Addr, v byte) error {
-	return h.Write(a, []byte{v})
+	dst, err := h.store(a, 1)
+	if err != nil {
+		return err
+	}
+	dst[0] = v
+	return nil
 }
 
 // ReadI16 loads a 16-bit integer in local byte order.
@@ -233,9 +249,12 @@ func (h *Heap) ReadI16(a Addr) (int16, error) {
 
 // WriteI16 stores a 16-bit integer in local byte order.
 func (h *Heap) WriteI16(a Addr, v int16) error {
-	var buf [2]byte
-	h.prof.Order.PutUint16(buf[:], uint16(v))
-	return h.Write(a, buf[:])
+	dst, err := h.store(a, 2)
+	if err != nil {
+		return err
+	}
+	h.prof.Order.PutUint16(dst, uint16(v))
+	return nil
 }
 
 // ReadI32 loads a 32-bit integer in local byte order.
@@ -249,9 +268,12 @@ func (h *Heap) ReadI32(a Addr) (int32, error) {
 
 // WriteI32 stores a 32-bit integer in local byte order.
 func (h *Heap) WriteI32(a Addr, v int32) error {
-	var buf [4]byte
-	h.prof.Order.PutUint32(buf[:], uint32(v))
-	return h.Write(a, buf[:])
+	dst, err := h.store(a, 4)
+	if err != nil {
+		return err
+	}
+	h.prof.Order.PutUint32(dst, uint32(v))
+	return nil
 }
 
 // ReadI64 loads a 64-bit integer in local byte order.
@@ -265,9 +287,12 @@ func (h *Heap) ReadI64(a Addr) (int64, error) {
 
 // WriteI64 stores a 64-bit integer in local byte order.
 func (h *Heap) WriteI64(a Addr, v int64) error {
-	var buf [8]byte
-	h.prof.Order.PutUint64(buf[:], uint64(v))
-	return h.Write(a, buf[:])
+	dst, err := h.store(a, 8)
+	if err != nil {
+		return err
+	}
+	h.prof.Order.PutUint64(dst, uint64(v))
+	return nil
 }
 
 // ReadF32 loads a 32-bit float in local byte order.
@@ -321,28 +346,27 @@ func (h *Heap) WritePtr(a Addr, p Addr) error {
 		if p > 0xFFFFFFFF {
 			return fmt.Errorf("mem: pointer %#x exceeds 32-bit word", uint64(p))
 		}
-		var buf [4]byte
-		h.prof.Order.PutUint32(buf[:], uint32(p))
-		return h.Write(a, buf[:])
+		return h.WriteI32(a, int32(uint32(p)))
 	}
-	var buf [8]byte
-	h.prof.Order.PutUint64(buf[:], uint64(p))
-	return h.Write(a, buf[:])
+	return h.WriteI64(a, int64(p))
 }
 
 // RawWritePtr stores a pointer cell without fault tracking.
 func (h *Heap) RawWritePtr(a Addr, p Addr) error {
-	if h.prof.WordSize == 4 {
-		if p > 0xFFFFFFFF {
-			return fmt.Errorf("mem: pointer %#x exceeds 32-bit word", uint64(p))
-		}
-		var buf [4]byte
-		h.prof.Order.PutUint32(buf[:], uint32(p))
-		return h.RawWrite(a, buf[:])
+	n := h.prof.WordSize
+	if n == 4 && p > 0xFFFFFFFF {
+		return fmt.Errorf("mem: pointer %#x exceeds 32-bit word", uint64(p))
 	}
-	var buf [8]byte
-	h.prof.Order.PutUint64(buf[:], uint64(p))
-	return h.RawWrite(a, buf[:])
+	dst, err := h.MutView(a, n)
+	if err != nil {
+		return err
+	}
+	if n == 4 {
+		h.prof.Order.PutUint32(dst, uint32(p))
+	} else {
+		h.prof.Order.PutUint64(dst, uint64(p))
+	}
+	return nil
 }
 
 // ReadCString loads a NUL-terminated string from a fixed-capacity
@@ -364,9 +388,12 @@ func (h *Heap) WriteCString(a Addr, capacity int, s string) error {
 	if len(s) >= capacity {
 		return fmt.Errorf("mem: string of %d bytes overflows capacity %d", len(s), capacity)
 	}
-	buf := make([]byte, capacity)
-	copy(buf, s)
-	return h.Write(a, buf)
+	dst, err := h.store(a, capacity)
+	if err != nil {
+		return err
+	}
+	clear(dst[copy(dst, s):])
+	return nil
 }
 
 func f32bits(f float32) uint32     { return math.Float32bits(f) }

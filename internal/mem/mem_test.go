@@ -805,3 +805,51 @@ func TestRandomAllocFree(t *testing.T) {
 		t.Errorf("NumBlocks = %d, want %d", s.NumBlocks(), len(live))
 	}
 }
+
+// TestTypedStoresAllocateNothing pins the typed store path: once a
+// page is twinned, every Write* — and RawWritePtr — allocates nothing,
+// in either byte order and word size.
+func TestTypedStoresAllocateNothing(t *testing.T) {
+	for _, prof := range []*arch.Profile{arch.AMD64(), arch.Sparc()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			h := newHeap(t, prof)
+			s := newSeg(t, h, "host/allocs")
+			b, err := s.Alloc(intArrayLayout(t, prof, 64), 1, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := b.Addr
+			s.WriteProtect()
+			if err := h.WriteI32(a, 1); err != nil { // twins the page
+				t.Fatal(err)
+			}
+			stores := map[string]func() error{
+				"Write":        func() error { return h.Write(a, []byte{1, 2, 3}) },
+				"WriteU8":      func() error { return h.WriteU8(a, 7) },
+				"WriteI16":     func() error { return h.WriteI16(a, -3) },
+				"WriteI32":     func() error { return h.WriteI32(a, 1<<20) },
+				"WriteI64":     func() error { return h.WriteI64(a+8, -1<<40) },
+				"WriteF32":     func() error { return h.WriteF32(a, 1.5) },
+				"WriteF64":     func() error { return h.WriteF64(a+8, 2.25) },
+				"WritePtr":     func() error { return h.WritePtr(a+16, a) },
+				"RawWritePtr":  func() error { return h.RawWritePtr(a+16, a) },
+				"WriteCString": func() error { return h.WriteCString(a+32, 16, "hello") },
+			}
+			for name, store := range stores {
+				if got := testing.AllocsPerRun(50, func() {
+					if err := store(); err != nil {
+						t.Fatal(err)
+					}
+				}); got != 0 {
+					t.Errorf("%s: %v allocations per store, want 0", name, got)
+				}
+			}
+			if v, _ := h.ReadPtr(a + 16); v != a {
+				t.Errorf("pointer cell reads %#x, want %#x", uint64(v), uint64(a))
+			}
+			if v, _ := h.ReadCString(a+32, 16); v != "hello" {
+				t.Errorf("string cell reads %q", v)
+			}
+		})
+	}
+}

@@ -333,6 +333,15 @@ func appendApplied(buf []byte, entries []AppliedEntry) []byte {
 	return buf
 }
 
+// appliedLen is the encoded size of an at-most-once table.
+func appliedLen(entries []AppliedEntry) int {
+	n := 2
+	for _, e := range entries {
+		n += 4 + len(e.WriterID) + 4 + 4
+	}
+	return n
+}
+
 func readApplied(r *wire.Reader) ([]AppliedEntry, error) {
 	n := r.U16()
 	if r.Err() != nil {
@@ -390,7 +399,7 @@ func (m *Replicate) encode(buf []byte) []byte {
 	buf = wire.AppendString(buf, m.From)
 	buf = wire.AppendU32(buf, m.PrevVersion)
 	buf = wire.AppendU32(buf, m.Version)
-	buf = appendDiff(buf, m.Diff)
+	buf = appendDiff(buf, m.Diff, 4+len(m.Raw)+appliedLen(m.Applied))
 	buf = wire.AppendBytes(buf, m.Raw)
 	return appendApplied(buf, m.Applied)
 }
@@ -463,7 +472,7 @@ func (m *Pull) decode(r *wire.Reader) error {
 
 func (m *PullReply) encode(buf []byte) []byte {
 	buf = wire.AppendU32(buf, m.Version)
-	buf = appendDiff(buf, m.Diff)
+	buf = appendDiff(buf, m.Diff, appliedLen(m.Applied))
 	return appendApplied(buf, m.Applied)
 }
 

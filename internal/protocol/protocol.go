@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"interweave/internal/coherence"
@@ -56,8 +57,9 @@ const (
 )
 
 // maxFrame bounds a single frame; segments larger than this must be
-// pathological.
-const maxFrame = 1 << 30
+// pathological. It is a variable only so tests can reach it without
+// gigabyte payloads.
+var maxFrame = 1 << 30
 
 // typeTraceFlag marks a frame whose body starts with a 16-byte trace
 // context (8-byte trace ID + 8-byte span ID) ahead of the payload.
@@ -283,10 +285,15 @@ func readPolicy(r *wire.Reader) coherence.Policy {
 	}
 }
 
-func appendDiff(buf []byte, d *wire.SegmentDiff) []byte {
+// appendDiff appends an optional diff. tail is the size of whatever
+// the caller appends after it: the buffer grows once, by the diff's
+// exact encoded size plus tail, so a large diff is never copied by a
+// second growth.
+func appendDiff(buf []byte, d *wire.SegmentDiff, tail int) []byte {
 	if d == nil {
 		return wire.AppendU8(buf, 0)
 	}
+	buf = slices.Grow(buf, 1+d.EncodedLen()+tail)
 	buf = wire.AppendU8(buf, 1)
 	return d.Marshal(buf)
 }
@@ -329,7 +336,7 @@ func (m *OpenReply) encode(buf []byte) []byte {
 		buf = wire.AppendU8(buf, 0)
 	}
 	buf = wire.AppendU32(buf, m.Version)
-	return appendDiff(buf, m.Dir)
+	return appendDiff(buf, m.Dir, 0)
 }
 
 func (m *OpenReply) decode(r *wire.Reader) error {
@@ -375,7 +382,7 @@ func (m *LockReply) encode(buf []byte) []byte {
 	} else {
 		buf = wire.AppendU8(buf, 0)
 	}
-	return appendDiff(buf, m.Diff)
+	return appendDiff(buf, m.Diff, 0)
 }
 
 func (m *LockReply) decode(r *wire.Reader) error {
@@ -399,7 +406,7 @@ func (m *WriteUnlock) encode(buf []byte) []byte {
 	buf = wire.AppendString(buf, m.Seg)
 	buf = wire.AppendString(buf, m.WriterID)
 	buf = wire.AppendU32(buf, m.Seq)
-	return appendDiff(buf, m.Diff)
+	return appendDiff(buf, m.Diff, 0)
 }
 
 func (m *WriteUnlock) decode(r *wire.Reader) error {
@@ -677,8 +684,8 @@ func ReadFrameMux(r io.Reader) (uint32, Message, TraceContext, uint32, error) {
 	}
 	n := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
 	id := uint32(hdr[4])<<24 | uint32(hdr[5])<<16 | uint32(hdr[6])<<8 | uint32(hdr[7])
-	if n > maxFrame {
-		return 0, nil, tc, 0, fmt.Errorf("protocol: frame of %d bytes exceeds limit", n)
+	if int64(n) > int64(maxFrame) {
+		return 0, nil, tc, 0, errFrameTooBig(int(n))
 	}
 	typ := hdr[8]
 	muxed := typ&typeSessFlag != 0
@@ -713,22 +720,15 @@ func ReadFrameMux(r io.Reader) (uint32, Message, TraceContext, uint32, error) {
 	// fail after at most one chunk, not provoke a gigabyte
 	// allocation.
 	const chunk = 1 << 20
-	initial := int(n)
-	if initial > chunk {
-		initial = chunk
-	}
-	payload := make([]byte, 0, initial)
-	for remaining := int(n); remaining > 0; {
-		step := remaining
-		if step > chunk {
-			step = chunk
-		}
-		off := len(payload)
-		payload = append(payload, make([]byte, step)...)
+	payload := make([]byte, min(int(n), chunk))
+	for off := 0; ; {
 		if _, err := io.ReadFull(r, payload[off:]); err != nil {
 			return 0, nil, tc, 0, fmt.Errorf("protocol: reading frame payload: %w", err)
 		}
-		remaining -= step
+		if off = len(payload); off == int(n) {
+			break
+		}
+		payload = append(payload, make([]byte, min(int(n)-off, chunk))...)
 	}
 	wr := wire.NewReader(payload)
 	if muxed {

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/binary"
 	"io"
 
 	"interweave/internal/wire"
@@ -86,34 +87,39 @@ var _ [1]struct{} = [TypeSessionClose - TypePullReply]struct{}{}
 // session. Session zero — the connection's implicit session — and a
 // zero trace context produce a frame byte-identical to WriteFrame's,
 // so a peer that never multiplexes emits the classic format.
+//
+// The message is encoded straight into the frame buffer behind a
+// reserved header, whose length field is patched afterwards; a diff
+// in the message grows that buffer once to its exact size, so a frame
+// costs one buffer and one Write, and the payload is never copied.
 func WriteFrameMux(w io.Writer, id uint32, m Message, tc TraceContext, sess uint32) error {
-	payload := m.encode(make([]byte, 0, 64))
-	if len(payload) > maxFrame {
-		return errFrameTooBig(len(payload))
-	}
 	typ := byte(m.Type())
-	extra := 0
+	hdr := 9
 	if sess != 0 {
 		typ |= typeSessFlag
-		extra += sessIDBytes
+		hdr += sessIDBytes
 	}
 	if tc.Valid() {
 		typ |= typeTraceFlag
-		extra += traceCtxBytes
+		hdr += traceCtxBytes
 	}
-	hdr := make([]byte, 0, 9+extra+len(payload))
-	hdr = wire.AppendU32(hdr, uint32(len(payload)+extra))
-	hdr = wire.AppendU32(hdr, id)
-	hdr = wire.AppendU8(hdr, typ)
+	buf := make([]byte, 0, hdr+64)
+	buf = wire.AppendU32(buf, 0) // length, patched once the payload is in
+	buf = wire.AppendU32(buf, id)
+	buf = wire.AppendU8(buf, typ)
 	if sess != 0 {
-		hdr = wire.AppendU32(hdr, sess)
+		buf = wire.AppendU32(buf, sess)
 	}
 	if tc.Valid() {
-		hdr = wire.AppendU64(hdr, tc.TraceID)
-		hdr = wire.AppendU64(hdr, tc.SpanID)
+		buf = wire.AppendU64(buf, tc.TraceID)
+		buf = wire.AppendU64(buf, tc.SpanID)
 	}
-	hdr = append(hdr, payload...)
-	if _, err := w.Write(hdr); err != nil {
+	buf = m.encode(buf)
+	if n := len(buf) - hdr; n > maxFrame {
+		return errFrameTooBig(n)
+	}
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-9))
+	if _, err := w.Write(buf); err != nil {
 		return errWritingFrame(err)
 	}
 	return nil

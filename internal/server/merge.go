@@ -17,8 +17,8 @@ import (
 
 // mergeCachedDiffs builds a merged diff for a client at sinceVer from
 // cached per-version diffs, reporting ok=false when any needed
-// version is missing from the cache (or a cached diff fails to
-// decode).
+// version is missing from the cache. A client one version behind gets
+// the cached diff itself, which the caller must not modify.
 func (s *Segment) mergeCachedDiffs(sinceVer uint32) (*wire.SegmentDiff, bool) {
 	if sinceVer >= s.Version {
 		return nil, false
@@ -29,12 +29,8 @@ func (s *Segment) mergeCachedDiffs(sinceVer uint32) (*wire.SegmentDiff, bool) {
 	}
 	diffs := make([]*wire.SegmentDiff, 0, span)
 	for v := sinceVer + 1; v <= s.Version; v++ {
-		enc, ok := s.diffCache[v]
+		d, ok := s.diffCache[v]
 		if !ok {
-			return nil, false
-		}
-		d, err := wire.UnmarshalSegmentDiff(enc)
-		if err != nil {
 			return nil, false
 		}
 		diffs = append(diffs, d)

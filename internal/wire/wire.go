@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"interweave/internal/types"
 )
@@ -244,7 +245,24 @@ func (d *SegmentDiff) Empty() bool {
 
 // WireSize returns the encoded size in bytes, the quantity Figure 7
 // reports as bandwidth.
-func (d *SegmentDiff) WireSize() int { return len(d.Marshal(nil)) }
+func (d *SegmentDiff) WireSize() int { return d.EncodedLen() }
+
+// EncodedLen returns len(d.Marshal(nil)), computed from the headers
+// and run lengths without marshaling.
+func (d *SegmentDiff) EncodedLen() int {
+	n := 4 + 4 + 4 + 4 + 4 // version and the four section counts
+	for _, dd := range d.Descs {
+		n += 4 + 4 + len(dd.Bytes)
+	}
+	for _, nb := range d.News {
+		n += 4 + 4 + 4 + 4 + len(nb.Name)
+	}
+	n += 4 * len(d.Freed)
+	for i := range d.Blocks {
+		n += 4 + 4 + 4 + d.Blocks[i].DataLen()
+	}
+	return n
+}
 
 // DataBytes returns the total run payload across every block diff,
 // without marshaling — the cheap per-release byte count the
@@ -269,8 +287,11 @@ func (d *SegmentDiff) Units() int {
 	return n
 }
 
-// Marshal appends the canonical encoding of the diff to buf.
+// Marshal appends the canonical encoding of the diff to buf. It grows
+// buf once, by exactly EncodedLen bytes, so a diff is encoded with at
+// most one allocation whatever its size.
 func (d *SegmentDiff) Marshal(buf []byte) []byte {
+	buf = slices.Grow(buf, d.EncodedLen())
 	buf = AppendU32(buf, d.Version)
 	buf = AppendU32(buf, uint32(len(d.Descs)))
 	for _, dd := range d.Descs {
