@@ -122,6 +122,14 @@ func loadSegment(name string, base []byte, recs []*protocol.Replicate) (*Segment
 		if rec.Seg != name {
 			return nil, nil, 0, fmt.Errorf("journal of %q holds a record for %q", name, rec.Seg)
 		}
+		if rec.Diff != nil && rec.Version > seg.Version {
+			// The record's runs alias the journal image it was read
+			// from, or belong to a record the log's window still holds:
+			// replay a copy that owns its bytes, as the cache keeps it.
+			own := *rec
+			own.Diff = ownedCopy(rec.Diff)
+			rec = &own
+		}
 		advanced, err := seg.advance(rec)
 		if err != nil {
 			return nil, nil, 0, fmt.Errorf("replaying %q at version %d: %w", name, rec.Version, err)

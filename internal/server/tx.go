@@ -112,6 +112,9 @@ func (sess *clientSession) handleTxCommit(m *protocol.TxCommit, sp *obs.Span) pr
 			return relockAbort(errReply(protocol.CodeInternal, "staging %q: %v", m.Parts[i].Seg, err))
 		}
 		clone.SetDiffCacheCap(snaps[i].cacheCap)
+		// Every part's runs alias the one transaction frame; the part
+		// keeps a copy of its own bytes for the cache and the journal.
+		m.Parts[i].Diff = ownedCopy(m.Parts[i].Diff)
 		newVer, modified, err := clone.ApplyDiff(m.Parts[i].Diff)
 		if err != nil {
 			return relockAbort(errReply(protocol.CodeBadRequest, "transaction part %q: %v", m.Parts[i].Seg, err))
