@@ -74,7 +74,7 @@ iwtop-smoke:
 # boots an origin plus a two-level proxy tree (p1 -> origin,
 # p2 -> p1), drives 1000 reader sessions through the leaf with
 # tools/loadgen (95% reads, 20% subscribers, background writers on
-# the origin), and asserts via tools/proxysmoke that the run was
+# the origin), and asserts via tools/smokecheck that the run was
 # error-free with bounded observed staleness and that notify fan-out
 # happened at the edge: the origin's session and notification counts
 # track its proxy subscriptions, not the 1000 readers. Then the chaos
@@ -85,8 +85,8 @@ proxy-smoke:
 	@set -e; \
 	$(GO) build -o iwserver-smoke ./cmd/iwserver; \
 	$(GO) build -o iwproxy-smoke ./cmd/iwproxy; \
-	$(GO) build -o proxysmoke-check ./tools/proxysmoke; \
-	trap 'kill $$S0 $$P1 $$P2 2>/dev/null; rm -f iwserver-smoke iwproxy-smoke proxysmoke-check' EXIT; \
+	$(GO) build -o smokecheck-bin ./tools/smokecheck; \
+	trap 'kill $$S0 $$P1 $$P2 2>/dev/null; rm -f iwserver-smoke iwproxy-smoke smokecheck-bin' EXIT; \
 	./iwserver-smoke -quiet -addr 127.0.0.1:7791 -metrics-addr 127.0.0.1:9991 & S0=$$!; \
 	./iwproxy-smoke -quiet -addr 127.0.0.1:7792 -upstream 127.0.0.1:7791 \
 		-max-lag 8 -sync-every 250ms -metrics-addr 127.0.0.1:9992 & P1=$$!; \
@@ -97,29 +97,29 @@ proxy-smoke:
 		-sessions 1000 -conns 8 -rate 500 -duration 5s \
 		-read-ratio 0.95 -subscribe 0.2 -segments 4 -writers 2 \
 		-json proxy-smoke.json; \
-	./proxysmoke-check -report proxy-smoke.json -origin 127.0.0.1:9991 -leaf 127.0.0.1:9993; \
+	./smokecheck-bin -report proxy-smoke.json -origin 127.0.0.1:9991 -leaf 127.0.0.1:9993; \
 	echo "proxy-smoke: killing mid-tier proxy (leaf upstream)"; \
 	kill $$P1; \
-	./proxysmoke-check -wait-status degraded -leaf 127.0.0.1:9993 -timeout 15s; \
+	./smokecheck-bin -wait-status degraded -leaf 127.0.0.1:9993 -timeout 15s; \
 	echo "proxy-smoke: restarting mid-tier proxy"; \
 	./iwproxy-smoke -quiet -addr 127.0.0.1:7792 -upstream 127.0.0.1:7791 \
 		-max-lag 8 -sync-every 250ms -metrics-addr 127.0.0.1:9992 & P1=$$!; \
-	./proxysmoke-check -wait-status ok -leaf 127.0.0.1:9993 -timeout 15s; \
+	./smokecheck-bin -wait-status ok -leaf 127.0.0.1:9993 -timeout 15s; \
 	echo "proxy-smoke: fan-out independent of reader count; degraded/recovered cleanly (proxy-smoke.json)"
 
 # Cold-segment eviction smoke (also run in CI, DESIGN.md §12): a
 # journal-mode server with a resident budget ~4x smaller than the
 # loadgen working set (32 hot segments) serves reads + writes + via-
 # proxy reads with zero client-visible errors while the evictor drops
-# and reloads segments; evictsmoke gates on a clean report, positive
+# and reloads segments; tools/smokecheck gates on a clean report, positive
 # eviction/fault counters, and resident bytes <= budget + one segment.
 evict-smoke:
 	@set -e; \
 	$(GO) build -o iwserver-smoke ./cmd/iwserver; \
 	$(GO) build -o iwproxy-smoke ./cmd/iwproxy; \
-	$(GO) build -o evictsmoke-check ./tools/evictsmoke; \
+	$(GO) build -o smokecheck-bin ./tools/smokecheck; \
 	rm -rf evict-smoke-journal; \
-	trap 'kill $$S0 $$P1 2>/dev/null; wait $$S0 $$P1 2>/dev/null; rm -rf iwserver-smoke iwproxy-smoke evictsmoke-check evict-smoke-journal' EXIT; \
+	trap 'kill $$S0 $$P1 2>/dev/null; wait $$S0 $$P1 2>/dev/null; rm -rf iwserver-smoke iwproxy-smoke smokecheck-bin evict-smoke-journal' EXIT; \
 	./iwserver-smoke -quiet -addr 127.0.0.1:7795 -metrics-addr 127.0.0.1:9995 \
 		-journal-dir evict-smoke-journal \
 		-max-resident-bytes 16384 -evict-interval 100ms & S0=$$!; \
@@ -130,7 +130,7 @@ evict-smoke:
 		-sessions 200 -conns 8 -rate 400 -duration 5s \
 		-read-ratio 0.7 -subscribe 0.2 -segments 32 -writers 8 \
 		-json evict-smoke.json; \
-	./evictsmoke-check -report evict-smoke.json -metrics 127.0.0.1:9995 -budget 16384; \
+	./smokecheck-bin -report evict-smoke.json -origin 127.0.0.1:9995 -budget 16384; \
 	echo "evict-smoke: working set outgrew the 16KB budget with zero client-visible errors (evict-smoke.json)"
 
 # Figure regeneration (EXPERIMENTS.md): -iters 3 matches the
@@ -167,5 +167,5 @@ linkcheck:
 	$(GO) run ./tools/linkcheck README.md DESIGN.md PROTOCOL.md EXPERIMENTS.md OBSERVABILITY.md CAPACITY.md
 
 clean:
-	rm -f cover.out loadgen-slo.json loadgen-smoke.json iwtop-smoke.json iwtop-smoke.err iwserver-smoke iwproxy-smoke proxysmoke-check proxy-smoke.json evictsmoke-check evict-smoke.json
+	rm -f cover.out loadgen-slo.json loadgen-smoke.json iwtop-smoke.json iwtop-smoke.err iwserver-smoke iwproxy-smoke smokecheck-bin proxy-smoke.json evict-smoke.json
 	rm -rf evict-smoke-journal

@@ -583,26 +583,12 @@ func (n *Node) Close() {
 	n.wg.Wait()
 }
 
-// dial opens a peer connection.
-func (n *Node) dial(addr string) (net.Conn, error) {
-	if n.opts.Dial != nil {
-		return n.opts.Dial(addr)
-	}
-	return net.DialTimeout("tcp", addr, n.opts.DialTimeout)
-}
-
 // Call performs one synchronous RPC against a peer: dial, one frame
 // out, one frame in. Cluster control traffic is rare enough that
 // per-call connections keep the failure model trivial — any wedged
 // peer costs one DialTimeout, never a pooled connection.
 func (n *Node) Call(addr string, req protocol.Message) (protocol.Message, error) {
-	conn, err := n.dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(n.opts.DialTimeout))
-	reply, err := session.RoundTrip(conn, req)
+	reply, err := session.RoundTrip(n.opts.Dial, addr, req, n.opts.DialTimeout)
 	var e *protocol.ErrorReply
 	if errors.As(err, &e) {
 		return nil, fmt.Errorf("cluster: peer %s: %w", addr, e)

@@ -54,12 +54,11 @@ type Options struct {
 	// before one diffing section re-samples application behaviour
 	// (default 8).
 	NoDiffResample int
-	// RPCTimeout bounds the round trip of RPCs that the server
-	// answers immediately. Lock-acquisition RPCs (ReadLock,
-	// WriteLock, TxCommit) are exempt: they may legitimately queue
-	// behind another client's writer for an unbounded time. Zero
-	// disables the timeout. A timed-out connection is failed — the
-	// multiplexed stream behind it can no longer be trusted.
+	// RPCTimeout bounds the round trip of every request the client
+	// sends except WriteLock and TxCommit, which may legitimately
+	// queue behind another client's writer for an unbounded time.
+	// Zero disables the timeout. A timed-out connection is failed —
+	// the ordered stream behind it can no longer be trusted.
 	RPCTimeout time.Duration
 	// MaxRetries is how many times a transport-failed retryable RPC
 	// is retried after reconnecting (default 3; negative disables
@@ -311,126 +310,101 @@ func (c *Client) connTo(addr string) (*serverConn, error) {
 	return sc, nil
 }
 
-// callSeg issues a request against a segment's server, re-dialing
-// when the cached connection has died (e.g. after a server restart
-// from its journal) and retrying transport failures of retryable
-// RPCs with bounded exponential backoff + jitter. Lock and
-// subscription state held by the old server instance is gone, so the
-// segment's subscription is dropped on reconnect; its cached data
-// remains valid and is re-validated by version number on the next
-// lock. Non-retryable RPCs (WriteUnlock, TxCommit) get at most one
-// send per call — their recovery runs at a higher level (Resume) —
-// but dial failures are retried for every RPC kind: a request that
-// never reached a server cannot have been applied, so rerouting and
-// redialing is always safe. Caller holds c.mu.
-// The span, when non-nil, parents one child span per RPC attempt
-// whose context rides the wire.
-func (c *Client) callSeg(s *segment, m protocol.Message, sp *obs.Span) (protocol.Message, error) {
-	var lastErr error
+// call is the client's one routed call: it issues m for the segment
+// named name and returns the reply. s is the segment's shell, nil
+// before one exists (open, Migrate, Forward); a shell pins the
+// connection its requests ride, otherwise each attempt takes the
+// connection of the segment's current route.
+//
+// A dead connection is redialed (e.g. after a server restart from its
+// journal). Lock and subscription state held by the old server
+// instance is gone, so reconnecting drops the segment's subscription;
+// its cached data remains valid and is re-validated by version number
+// on the next lock. Dial failures are retried for every RPC kind — a
+// request that never reached a server cannot have been applied, so
+// rerouting and redialing is always safe — but transport failures
+// after a send only for retryable kinds: WriteUnlock and TxCommit get
+// at most one send per call, their recovery runs at a higher level
+// (Resume). Retries back off exponentially with jitter; a Redirect is
+// followed to the owner without spending the retry budget, and a
+// closed client fails at once. Each attempt is one rpc, whose span sp
+// (when non-nil) parents. Caller holds c.mu.
+func (c *Client) call(name string, s *segment, m protocol.Message, sp *obs.Span) (protocol.Message, error) {
 	hops := 0
 	for attempt := 0; ; attempt++ {
-		if s.conn == nil || s.conn.Closed() {
-			sc, derr := c.connFor(s.name)
-			if derr != nil {
-				lastErr = fmt.Errorf("core: reconnecting to server of %q: %w", s.name, derr)
-				// Nothing was sent, so even WriteUnlock/TxCommit can
-				// safely reroute and redial.
-				if attempt < c.opts.MaxRetries {
-					c.rerouteSeg(s.name)
-					if c.retryPause(m, attempt, lastErr) {
-						continue
-					}
-				}
-				return nil, lastErr
-			}
-			s.conn = sc
-			s.state.Subscribed = false
-			s.state.Invalidated = false
+		var sc *serverConn
+		if s != nil {
+			sc = s.conn
 		}
-		reply, err := c.callObserved(s.conn, m, sp, attempt)
-		if err == nil {
-			if red, ok := reply.(*protocol.Redirect); ok {
-				// Not a failure: the server we asked does not own the
-				// segment (any RPC kind, WriteUnlock included, was
-				// refused un-applied). Follow to the owner.
-				if rerr := c.followRedirect(s.name, s.conn.addr, red, &hops); rerr != nil {
-					return nil, rerr
+		if sc == nil || sc.Closed() {
+			var err error
+			if sc, err = c.connFor(name); err != nil {
+				if attempt >= c.opts.MaxRetries {
+					return nil, err
 				}
-				s.conn = nil // repoint to the new route next spin
-				attempt--    // a redirect is not a failure; keep the retry budget
+				c.rerouteSeg(name)
+				if !c.retryPause(m, attempt, err) {
+					return nil, err
+				}
 				continue
 			}
-			return reply, nil
+			if s != nil {
+				s.conn = sc
+				s.state.Subscribed = false
+				s.state.Invalidated = false
+			}
 		}
-		if !isTransport(err) {
+		reply, err := c.rpc(sc, m, sp, attempt)
+		if red, ok := reply.(*protocol.Redirect); ok {
+			// Not a failure: the server we asked does not own the
+			// segment (any RPC kind, WriteUnlock included, was refused
+			// un-applied). Follow to the owner.
+			if rerr := c.followRedirect(name, sc.addr, red, &hops); rerr != nil {
+				return nil, rerr
+			}
+			if s != nil {
+				s.conn = nil // repoint to the new route next spin
+			}
+			attempt--
+			continue
+		}
+		if err == nil || !isTransport(err) {
 			return reply, err
 		}
 		if c.closed.Load() {
 			return nil, errClientClosed
 		}
-		lastErr = err
 		if !retryable(m) || attempt >= c.opts.MaxRetries {
-			return nil, lastErr
+			return nil, err
 		}
-		c.rerouteSeg(s.name)
+		c.rerouteSeg(name)
 		if !c.retryPause(m, attempt, err) {
-			return nil, lastErr
+			return nil, err
 		}
 	}
 }
 
-// callRetry issues a request against the server addressed by segName
-// before any segment state exists (the open path), with the same
-// backoff-retry behaviour as callSeg. Caller holds c.mu.
-func (c *Client) callRetry(segName string, m protocol.Message, sp *obs.Span) (protocol.Message, error) {
-	var lastErr error
-	hops := 0
-	for attempt := 0; ; attempt++ {
-		sc, err := c.connFor(segName)
-		dialFailed := err != nil
-		if dialFailed {
-			lastErr = err
-		} else {
-			reply, err := c.callObserved(sc, m, sp, attempt)
-			if err == nil {
-				if red, ok := reply.(*protocol.Redirect); ok {
-					if rerr := c.followRedirect(segName, sc.addr, red, &hops); rerr != nil {
-						return nil, rerr
-					}
-					attempt-- // a redirect is not a failure; keep the retry budget
-					continue
-				}
-				return reply, nil
-			}
-			if !isTransport(err) {
-				return reply, err
-			}
-			if c.closed.Load() {
-				return nil, errClientClosed
-			}
-			lastErr = err
-		}
-		// Dial failures retry for every RPC kind (nothing was sent);
-		// transport failures after a send only for retryable ones.
-		if (!dialFailed && !retryable(m)) || attempt >= c.opts.MaxRetries {
-			return nil, lastErr
-		}
-		c.rerouteSeg(segName)
-		if !c.retryPause(m, attempt, lastErr) {
-			return nil, lastErr
-		}
-	}
+// rpc is one attempt of m on sc: the client's roundTrip, the path every
+// request it sends takes, so each is bounded by timeoutFor(m), counted in
+// iw_client_rpc_* and, when traced, given a child span of sp. It does
+// not redial, reroute or retry: call does that for routed requests,
+// while a subscription RPC goes to the connection holding the
+// subscription, once, because a subscription does not survive a
+// reconnect. Caller holds c.mu.
+func (c *Client) rpc(sc *serverConn, m protocol.Message, sp *obs.Span, attempt int) (protocol.Message, error) {
+	return roundTrip(sc.Dialed, 0, m, c.timeoutFor(m), c.ins, sp, attempt)
 }
 
-// callObserved performs one RPC round trip through sc, recording
-// latency (healthy round trips, including server-reported errors) or
-// a transport error when metrics are enabled. When sp is non-nil, the
-// round trip gets its own child span — one per attempt, so retries
-// appear as sibling spans — and the child's context is attached to
-// the outgoing frame for the server to join. All span work is gated
-// on sp, keeping the nil-tracer path free of clock reads and
-// allocations (rpcName formats).
-func (c *Client) callObserved(sc *serverConn, m protocol.Message, sp *obs.Span, attempt int) (protocol.Message, error) {
+// roundTrip performs one request on session sid of d, bounded by
+// timeout, recording latency (healthy round trips, including
+// server-reported errors) or a transport error when ins is non-nil.
+// When sp is non-nil the round trip gets its own child span — one per
+// attempt, so retries appear as sibling spans — whose context is
+// attached to the outgoing frame for the server to join. All span work
+// is gated on sp, keeping the untraced path free of clock reads and
+// allocations (rpcName formats). Server error codes come back typed
+// (typedErr).
+func roundTrip(d *session.Dialed, sid uint32, m protocol.Message, timeout time.Duration, ins *clientInstruments, sp *obs.Span, attempt int) (protocol.Message, error) {
 	var asp *obs.Span
 	var tc protocol.TraceContext
 	if sp != nil {
@@ -439,31 +413,44 @@ func (c *Client) callObserved(sc *serverConn, m protocol.Message, sp *obs.Span, 
 		sctx := asp.Context()
 		tc = protocol.TraceContext{TraceID: sctx.TraceID, SpanID: sctx.SpanID}
 	}
-	if c.ins == nil {
-		reply, err := sc.CallOrdered(m, tc, c.timeoutFor(m))
+	if ins == nil {
+		reply, err := d.Call(sid, m, tc, timeout)
 		endRPCSpan(asp, err)
-		return reply, wrapShed(err)
+		return reply, typedErr(err)
 	}
 	rpc := rpcName(m)
 	start := time.Now()
-	reply, err := sc.CallOrdered(m, tc, c.timeoutFor(m))
+	reply, err := d.Call(sid, m, tc, timeout)
 	if err != nil && isTransport(err) {
-		c.ins.transportErrors(rpc).Inc()
+		ins.transportErrors(rpc).Inc()
 	} else {
-		c.ins.latency(rpc).ObserveSince(start)
+		ins.latency(rpc).ObserveSince(start)
 	}
 	endRPCSpan(asp, err)
-	return reply, wrapShed(err)
+	return reply, typedErr(err)
 }
 
-// wrapShed marks server admission refusals with the typed
-// ErrOverloaded (the ErrorReply stays in the chain, so code
-// introspection and isTransport still work).
-func wrapShed(err error) error {
-	if err != nil && errCode(err) == protocol.CodeOverloaded {
-		return fmt.Errorf("%w: %w", ErrOverloaded, err)
+// typedErr marks the server error codes callers act on with the typed
+// error they match with errors.Is: admission refusals and sheds
+// (ErrOverloaded), a session unknown to the server (ErrSessionLost)
+// and a release not replicated (ErrNotReplicated). The ErrorReply stays
+// in the chain, so errCode and isTransport still see it.
+func typedErr(err error) error {
+	if err == nil {
+		return nil
 	}
-	return err
+	var typed error
+	switch errCode(err) {
+	case protocol.CodeOverloaded:
+		typed = ErrOverloaded
+	case protocol.CodeNoSession:
+		typed = ErrSessionLost
+	case protocol.CodeNotReplicated:
+		typed = ErrNotReplicated
+	default:
+		return err
+	}
+	return fmt.Errorf("%w: %w", typed, err)
 }
 
 // endRPCSpan closes an attempt span, recording the error when the
@@ -561,18 +548,13 @@ func (c *Client) sleepRetry(attempt int) bool {
 // serverConn is the cached connection of the paper's segment table:
 // one dialed connection (internal/session) on which the client speaks
 // only the implicit session, so replies arrive in request order and an
-// overdue one fails the whole connection (CallOrdered).
+// overdue one fails the whole connection.
 type serverConn struct {
 	*session.Dialed
 	// addr is the server address this connection was dialed for —
 	// the pool key, which redirect handling uses to identify the
 	// server a reply actually came from.
 	addr string
-}
-
-// call is an untraced, unbounded CallOrdered.
-func (sc *serverConn) call(m protocol.Message) (protocol.Message, error) {
-	return sc.CallOrdered(m, protocol.TraceContext{}, 0)
 }
 
 // pushed handles a server-initiated frame on one of the client's

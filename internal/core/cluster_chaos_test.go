@@ -165,6 +165,9 @@ func TestClusterFailoverMidWrite(t *testing.T) {
 	if err := c.RefreshRing(survivor.addr); err != nil {
 		t.Fatal(err)
 	}
+	if n := reg.Snapshot().Histograms[`iw_client_rpc_latency_seconds{rpc="RingGet"}`].Count; n < 1 {
+		t.Errorf(`iw_client_rpc_latency_seconds{rpc="RingGet"} count = %d, want >= 1`, n)
+	}
 
 	h, err := c.Open(seg)
 	if err != nil {

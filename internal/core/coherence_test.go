@@ -7,6 +7,7 @@ import (
 	"interweave/internal/arch"
 	"interweave/internal/coherence"
 	"interweave/internal/mem"
+	"interweave/internal/obs"
 	"interweave/internal/types"
 )
 
@@ -188,7 +189,12 @@ func TestAdaptiveUnsubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := newTestClient(t, arch.AMD64(), "r")
+	reg := obs.NewRegistry()
+	r, err := NewClient(Options{Profile: arch.AMD64(), Name: "r", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = r.Close() }()
 	hr, err := r.Open(segName)
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +253,13 @@ func TestAdaptiveUnsubscribe(t *testing.T) {
 	r.mu.Unlock()
 	if stillSubscribed {
 		t.Error("reader still subscribed after repeated invalidations")
+	}
+	// The subscription RPCs are counted like every other client RPC.
+	snap := reg.Snapshot()
+	for _, rpc := range []string{"Subscribe", "Unsubscribe"} {
+		if n := snap.Histograms[`iw_client_rpc_latency_seconds{rpc="`+rpc+`"}`].Count; n < 1 {
+			t.Errorf("iw_client_rpc_latency_seconds{rpc=%q} count = %d, want >= 1", rpc, n)
+		}
 	}
 }
 

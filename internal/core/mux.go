@@ -169,9 +169,8 @@ func (s *MuxSession) Lost() bool {
 }
 
 // Call performs one RPC on the session. Server-reported ErrorReplies
-// come back as errors, with CodeOverloaded mapped to ErrOverloaded
-// and CodeNoSession to ErrSessionLost (both wrap the ErrorReply, so
-// errCode introspection still works).
+// come back as errors, typed as the full client's are (typedErr); an
+// ErrSessionLost latches the session dead.
 func (s *MuxSession) Call(m protocol.Message) (protocol.Message, error) {
 	s.mu.Lock()
 	if s.lost {
@@ -184,17 +183,10 @@ func (s *MuxSession) Call(m protocol.Message) (protocol.Message, error) {
 	}
 	s.mu.Unlock()
 	reply, err := s.mc.call(s.sid, m)
-	if err == nil {
-		return reply, nil
-	}
-	switch errCode(err) {
-	case protocol.CodeNoSession:
-		err = fmt.Errorf("%w: %w", ErrSessionLost, err)
+	if errors.Is(err, ErrSessionLost) {
 		s.markLost(err)
-	case protocol.CodeOverloaded:
-		err = fmt.Errorf("%w: %w", ErrOverloaded, err)
 	}
-	return nil, err
+	return reply, err
 }
 
 // Close ends the session on the server (best effort) and forgets it
@@ -208,5 +200,5 @@ func (s *MuxSession) Close() error {
 
 // call performs one request/reply round trip addressed to a session.
 func (mc *MuxConn) call(sid uint32, m protocol.Message) (protocol.Message, error) {
-	return mc.d.Call(sid, m, protocol.TraceContext{}, mc.opts.RPCTimeout)
+	return roundTrip(mc.d, sid, m, mc.opts.RPCTimeout, nil, nil, 0)
 }

@@ -11,15 +11,16 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"interweave/internal/protocol"
 )
 
-// muxFakeServer accepts one connection and answers frames with the
+// muxFakeServer accepts connections and answers frames with the
 // handler's reply (nil = swallow the request). Pushes can be injected
-// with push().
+// with push(), on the newest connection.
 type muxFakeServer struct {
 	t  *testing.T
 	ln net.Listener
@@ -37,21 +38,25 @@ func startMuxFake(t *testing.T, handler func(sid uint32, m protocol.Message) pro
 	fs := &muxFakeServer{t: t, ln: ln}
 	t.Cleanup(func() { _ = ln.Close() })
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		fs.mu.Lock()
-		fs.conn = conn
-		fs.mu.Unlock()
 		for {
-			id, m, _, sid, err := protocol.ReadFrameMux(conn)
+			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			if reply := handler(sid, m); reply != nil {
-				fs.send(sid, id, reply)
-			}
+			fs.mu.Lock()
+			fs.conn = conn
+			fs.mu.Unlock()
+			go func() {
+				for {
+					id, m, _, sid, err := protocol.ReadFrameMux(conn)
+					if err != nil {
+						return
+					}
+					if reply := handler(sid, m); reply != nil {
+						fs.send(sid, id, reply)
+					}
+				}
+			}()
 		}
 	}()
 	return fs
@@ -197,5 +202,68 @@ func TestMuxEvictionNoticeFiresOnEvict(t *testing.T) {
 	}
 	if _, err := s.Call(&protocol.ReadUnlock{Seg: "x"}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("call on evicted session = %v, want ErrOverloaded", err)
+	}
+}
+
+// TestRPCTimeoutBoundsSubscribe pins that RPCTimeout bounds the
+// adaptive protocol's Subscribe like any other RPC: against a server
+// that answers everything but Subscribe, the read lock that subscribes
+// returns within the timeout (failing the connection, whose ordered
+// stream is now suspect), and the next read lock redials.
+func TestRPCTimeoutBoundsSubscribe(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	var hellos, subscribes atomic.Int32
+	fs := startMuxFake(t, func(_ uint32, m protocol.Message) protocol.Message {
+		switch m.(type) {
+		case *protocol.Hello:
+			hellos.Add(1)
+			return &protocol.Ack{}
+		case *protocol.OpenSegment:
+			return &protocol.OpenReply{}
+		case *protocol.ReadLock:
+			return &protocol.LockReply{Fresh: true}
+		case *protocol.Subscribe:
+			subscribes.Add(1)
+		}
+		return nil
+	})
+	c, err := NewClient(Options{Name: "sub", RPCTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	h, err := c.Open(fs.addr() + "/seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rlock := func() {
+		t.Helper()
+		done := make(chan error, 1)
+		start := time.Now()
+		go func() { done <- c.RLock(h) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(timeout + 2*time.Second):
+			t.Fatalf("RLock still blocked after %v (RPCTimeout %v)", time.Since(start), timeout)
+		}
+		if err := c.RUnlock(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; subscribes.Load() == 0; i++ {
+		if i == 10 {
+			t.Fatal("the adaptive protocol never subscribed")
+		}
+		rlock()
+	}
+	if n := hellos.Load(); n != 1 {
+		t.Fatalf("%d connections before the timed-out Subscribe, want 1", n)
+	}
+	rlock()
+	if n := hellos.Load(); n != 2 {
+		t.Errorf("%d connections after the timed-out Subscribe, want 2 (a redial)", n)
 	}
 }

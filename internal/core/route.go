@@ -140,27 +140,12 @@ func (c *Client) rerouteSeg(segName string) bool {
 // for the current membership, adopting the first answer. The ring a
 // survivor returns after failure detection has the dead node marked
 // and the epoch bumped, which is exactly what rerouteSeg needs.
-// Caller holds c.mu; the dials inside connTo release it.
+// Caller holds c.mu.
 func (c *Client) refreshMembership(skip string) {
-	ms := c.ms
-	for _, m := range ms.Members {
-		if m.Dead || m.Addr == skip {
-			continue
+	for _, m := range c.ms.Members {
+		if !m.Dead && m.Addr != skip && c.fetchRing(m.Addr) == nil {
+			return
 		}
-		sc, err := c.connTo(m.Addr)
-		if err != nil {
-			continue
-		}
-		reply, err := sc.CallOrdered(&protocol.RingGet{HaveEpoch: ms.Epoch}, protocol.TraceContext{}, c.opts.RPCTimeout)
-		if err != nil {
-			continue
-		}
-		rr, ok := reply.(*protocol.RingReply)
-		if !ok {
-			continue
-		}
-		c.adoptMembership(rr.Ms)
-		return
 	}
 }
 
@@ -174,6 +159,14 @@ func (c *Client) refreshMembership(skip string) {
 func (c *Client) RefreshRing(addr string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.fetchRing(addr)
+}
+
+// fetchRing is the one RingGet-and-adopt: it asks the server at addr
+// for its membership, in one attempt, and adopts the answer if newer
+// than the cached view. Caller holds c.mu; the dial inside connTo
+// releases it.
+func (c *Client) fetchRing(addr string) error {
 	sc, err := c.connTo(addr)
 	if err != nil {
 		return err
@@ -182,7 +175,7 @@ func (c *Client) RefreshRing(addr string) error {
 	if c.ms != nil {
 		have = c.ms.Epoch
 	}
-	reply, err := sc.CallOrdered(&protocol.RingGet{HaveEpoch: have}, protocol.TraceContext{}, c.opts.RPCTimeout)
+	reply, err := c.rpc(sc, &protocol.RingGet{HaveEpoch: have}, nil, 0)
 	if err != nil {
 		return err
 	}
@@ -205,7 +198,7 @@ func (c *Client) Migrate(segName, target string) error {
 	defer c.mu.Unlock()
 	sp := c.tracer.Start("client.Migrate")
 	defer sp.End()
-	reply, err := c.callRetry(segName, &protocol.Migrate{Seg: segName, Target: target}, sp)
+	reply, err := c.call(segName, nil, &protocol.Migrate{Seg: segName, Target: target}, sp)
 	if err != nil {
 		sp.Error(err)
 		return fmt.Errorf("core: migrating %q: %w", segName, err)
@@ -236,7 +229,7 @@ func (c *Client) Forward(segName string, m protocol.Message) (protocol.Message, 
 	if c.closed.Load() {
 		return nil, errClientClosed
 	}
-	return c.callRetry(segName, m, nil)
+	return c.call(segName, nil, m, nil)
 }
 
 // SeedRoute pins the route for segName to addr, as if a redirect had

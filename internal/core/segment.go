@@ -140,7 +140,7 @@ func (c *Client) Evict(h *Segment) error {
 		}
 	}
 	if s.state.Subscribed {
-		_, _ = s.conn.call(&protocol.Unsubscribe{Seg: s.name})
+		_, _ = c.rpc(s.conn, &protocol.Unsubscribe{Seg: s.name}, nil, 0)
 	}
 	if err := c.heap.DropSegment(s.name); err != nil {
 		return err
@@ -171,13 +171,9 @@ func (c *Client) openShell(name string, create bool) (*segment, error) {
 	}
 	sp := c.tracer.Start("client.Open")
 	defer sp.End()
-	reply, err := c.callRetry(name, &protocol.OpenSegment{Name: name, Create: create}, sp)
+	reply, err := c.call(name, nil, &protocol.OpenSegment{Name: name, Create: create}, sp)
 	if err != nil {
 		return nil, fmt.Errorf("core: opening %q: %w", name, err)
-	}
-	sc, err := c.connFor(name)
-	if err != nil {
-		return nil, err
 	}
 	or, ok := reply.(*protocol.OpenReply)
 	if !ok {
@@ -194,7 +190,6 @@ func (c *Client) openShell(name string, create bool) (*segment, error) {
 	s := &segment{
 		name:          name,
 		m:             sm,
-		conn:          sc,
 		policy:        c.opts.DefaultPolicy,
 		nextLocalDesc: 1,
 		descForType:   make(map[*types.Type]uint32),
@@ -213,7 +208,7 @@ func (c *Client) openShell(name string, create bool) (*segment, error) {
 // refreshDir re-fetches the block directory, materializing blocks
 // created since the shell was opened. Caller holds c.mu.
 func (c *Client) refreshDir(s *segment) error {
-	reply, err := c.callSeg(s, &protocol.OpenSegment{Name: s.name, Create: false}, nil)
+	reply, err := c.call(s.name, s, &protocol.OpenSegment{Name: s.name, Create: false}, nil)
 	if err != nil {
 		return err
 	}
@@ -378,11 +373,13 @@ func (c *Client) SetPolicy(h *Segment, p coherence.Policy) error {
 	defer c.mu.Unlock()
 	s := h.s
 	s.policy = p
-	if s.state.Subscribed {
-		if _, err := c.callSeg(s, &protocol.Subscribe{Seg: s.name, HaveVersion: s.version, Policy: p}, nil); err != nil {
-			s.state.Subscribed = false
-			return err
-		}
+	if !s.state.Subscribed || s.conn.Closed() {
+		// Nothing to re-point; ensureFresh drops a dead subscription.
+		return nil
+	}
+	if _, err := c.rpc(s.conn, &protocol.Subscribe{Seg: s.name, HaveVersion: s.version, Policy: p}, nil, 0); err != nil {
+		s.state.Subscribed = false
+		return err
 	}
 	return nil
 }
@@ -458,7 +455,7 @@ func (c *Client) ensureFresh(s *segment, sp *obs.Span) error {
 		// apply only to subsequent acquisitions.
 		policy = coherence.Full()
 	}
-	reply, err := c.callSeg(s, &protocol.ReadLock{Seg: s.name, HaveVersion: s.version, Policy: policy}, sp)
+	reply, err := c.call(s.name, s, &protocol.ReadLock{Seg: s.name, HaveVersion: s.version, Policy: policy}, sp)
 	if err != nil {
 		if isTransport(err) && s.version > 0 && s.policy.Model != coherence.ModelFull {
 			// Graceful degradation: relaxed coherence already tolerates
@@ -503,14 +500,16 @@ func (c *Client) ensureFresh(s *segment, sp *obs.Span) error {
 			s.state.Version = s.version
 		}
 	}
-	c.adapt(s, updated, wasInvalidated)
+	c.adapt(s, updated, wasInvalidated, sp)
 	return nil
 }
 
 // adapt runs the adaptive polling/notification protocol after a
 // server round trip. Temporal coherence relies purely on the local
-// clock and never subscribes. Caller holds c.mu.
-func (c *Client) adapt(s *segment, updated, wasInvalidated bool) {
+// clock and never subscribes. The Subscribe/Unsubscribe go, in one
+// attempt, to the connection the round trip just used — the one that
+// holds (or will hold) the subscription. Caller holds c.mu.
+func (c *Client) adapt(s *segment, updated, wasInvalidated bool, sp *obs.Span) {
 	if s.policy.Model == coherence.ModelTemporal {
 		return
 	}
@@ -518,14 +517,14 @@ func (c *Client) adapt(s *segment, updated, wasInvalidated bool) {
 		if s.adaptive.RecordNotified(wasInvalidated) {
 			// Too many invalidations: notifications are pure
 			// overhead, go back to polling.
-			if _, err := s.conn.call(&protocol.Unsubscribe{Seg: s.name}); err == nil {
+			if _, err := c.rpc(s.conn, &protocol.Unsubscribe{Seg: s.name}, sp, 0); err == nil {
 				s.state.Subscribed = false
 			}
 		}
 		return
 	}
 	if s.adaptive.RecordPoll(updated) {
-		reply, err := s.conn.call(&protocol.Subscribe{Seg: s.name, HaveVersion: s.version, Policy: s.policy})
+		reply, err := c.rpc(s.conn, &protocol.Subscribe{Seg: s.name, HaveVersion: s.version, Policy: s.policy}, sp, 0)
 		if _, redirected := reply.(*protocol.Redirect); err == nil && !redirected {
 			s.state.Subscribed = true
 			s.state.Invalidated = false
@@ -554,7 +553,7 @@ func (c *Client) WLock(h *Segment) error {
 	}
 	s.writeWaiters--
 	s.writer = true
-	reply, err := c.callSeg(s, &protocol.WriteLock{Seg: s.name, HaveVersion: s.version, Policy: s.policy}, sp)
+	reply, err := c.call(s.name, s, &protocol.WriteLock{Seg: s.name, HaveVersion: s.version, Policy: s.policy}, sp)
 	if err == nil {
 		if lr, ok := reply.(*protocol.LockReply); ok {
 			if !lr.Fresh && lr.Diff != nil {
@@ -643,7 +642,7 @@ func (c *Client) WUnlock(h *Segment) error {
 	}
 	s.wseq++
 	msg := &protocol.WriteUnlock{Seg: s.name, Diff: payload, WriterID: c.writerID, Seq: s.wseq}
-	reply, err := c.callSeg(s, msg, sp)
+	reply, err := c.call(s.name, s, msg, sp)
 	if err != nil && isTransport(err) {
 		// The connection died with the release in flight: the server
 		// may or may not have applied it. Resolve the ambiguity.
@@ -656,16 +655,13 @@ func (c *Client) WUnlock(h *Segment) error {
 		// replying), which holds every acknowledged version — so the
 		// identical release is re-driven there.
 		// CodeLockState: the connection was already known dead, so
-		// callSeg re-dialed (rerouting to a promoted owner when the old
+		// call re-dialed (rerouting to a promoted owner when the old
 		// one is gone) and the release arrived on a fresh session that
 		// holds no lock. Nothing was applied; the same probe decides
 		// between re-acquiring and a lost race.
 		reply, err = c.recoverWUnlock(s, msg, sp)
 	}
 	if err != nil {
-		if errCode(err) == protocol.CodeNotReplicated {
-			err = fmt.Errorf("%w: %w", ErrNotReplicated, err)
-		}
 		s.releaseWrite(c)
 		sp.Error(err)
 		return fmt.Errorf("core: write unlock on %q: %w", s.name, err)
@@ -721,7 +717,7 @@ func (c *Client) recoverWUnlock(s *segment, m *protocol.WriteUnlock, sp *obs.Spa
 		if attempt > 0 && !c.sleepRetry(attempt-1) {
 			return nil, errClientClosed
 		}
-		reply, err := c.callSeg(s, &protocol.Resume{Seg: s.name, WriterID: m.WriterID, Seq: m.Seq}, rsp)
+		reply, err := c.call(s.name, s, &protocol.Resume{Seg: s.name, WriterID: m.WriterID, Seq: m.Seq}, rsp)
 		if err != nil {
 			lastErr = err
 			if isTransport(err) {
@@ -743,7 +739,7 @@ func (c *Client) recoverWUnlock(s *segment, m *protocol.WriteUnlock, sp *obs.Spa
 		}
 		// Not applied and nobody else wrote: take the lock again on
 		// the new session and resend the identical release.
-		lreply, err := c.callSeg(s, &protocol.WriteLock{Seg: s.name, HaveVersion: base, Policy: s.policy}, rsp)
+		lreply, err := c.call(s.name, s, &protocol.WriteLock{Seg: s.name, HaveVersion: base, Policy: s.policy}, rsp)
 		if err != nil {
 			lastErr = err
 			if isTransport(err) {
@@ -758,12 +754,12 @@ func (c *Client) recoverWUnlock(s *segment, m *protocol.WriteUnlock, sp *obs.Spa
 		if !lr.Fresh {
 			// The version moved between probe and grant. We now hold
 			// the server lock — surrender it untouched before failing.
-			_, _ = c.callSeg(s, &protocol.WriteUnlock{Seg: s.name}, rsp)
+			_, _ = c.call(s.name, s, &protocol.WriteUnlock{Seg: s.name}, rsp)
 			return nil, c.conflict(s)
 		}
 		c.trace(obs.Event{Name: "wunlock.resent", Seg: s.name, Attempt: attempt})
 		rsp.Attr("outcome", "resent")
-		reply, err = c.callSeg(s, m, rsp)
+		reply, err = c.call(s.name, s, m, rsp)
 		if err == nil || !isTransport(err) {
 			return reply, err
 		}

@@ -88,13 +88,10 @@ func (c *Client) TxCommit(hs ...*Segment) error {
 		msg.Parts[i] = part
 	}
 
-	reply, err := c.callSeg(first, msg, sp)
+	reply, err := c.call(first.name, first, msg, sp)
 	if err != nil {
 		// The commit failed as a unit; release local locks so the
 		// caller can recover (retry after a fresh TxLock).
-		if errCode(err) == protocol.CodeNotReplicated {
-			err = fmt.Errorf("%w: %w", ErrNotReplicated, err)
-		}
 		for _, h := range hs {
 			h.s.releaseWrite(c)
 		}

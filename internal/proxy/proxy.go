@@ -691,15 +691,7 @@ func (p *Proxy) gossipCandidates() []string {
 // — the gossip path, which must not ride the upstream client's
 // segment-routed machinery.
 func (p *Proxy) rpc(addr string, m protocol.Message) (protocol.Message, error) {
-	conn, err := session.Dialer(p.opts.Dial)(addr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if to := p.opts.RPCTimeout; to > 0 {
-		_ = conn.SetDeadline(time.Now().Add(to))
-	}
-	return session.RoundTrip(conn, m)
+	return session.RoundTrip(p.opts.Dial, addr, m, p.opts.RPCTimeout)
 }
 
 // errReply builds a protocol error reply.

@@ -132,23 +132,14 @@ func (d *Dialed) Start(sid uint32, m protocol.Message, tc protocol.TraceContext)
 	return id, ch, nil
 }
 
-// Call performs one round trip on session sid. A timeout (zero
-// disables it) fails only this call: replies are matched by ID, so a
-// late one finds no pending entry and is discarded. This is the policy
-// for connections whose sessions are served concurrently.
+// Call performs one round trip on session sid, bounded by timeout
+// (zero disables it). What an overdue reply means depends on the
+// session, and is the same fact the accept side acts on: a non-zero
+// session is served concurrently and its replies are matched by ID, so
+// a timeout fails only this call and a late reply is discarded; session
+// 0 is served inline, in order, so once one reply is overdue every
+// later one is suspect and the timeout fails the whole connection.
 func (d *Dialed) Call(sid uint32, m protocol.Message, tc protocol.TraceContext, timeout time.Duration) (protocol.Message, error) {
-	return d.call(sid, m, tc, timeout, false)
-}
-
-// CallOrdered is Call for a connection speaking only the implicit
-// session, whose replies arrive in request order: once one is overdue
-// the stream's state is unknowable and every later reply suspect, so a
-// timeout fails the whole connection.
-func (d *Dialed) CallOrdered(m protocol.Message, tc protocol.TraceContext, timeout time.Duration) (protocol.Message, error) {
-	return d.call(0, m, tc, timeout, true)
-}
-
-func (d *Dialed) call(sid uint32, m protocol.Message, tc protocol.TraceContext, timeout time.Duration, failConn bool) (protocol.Message, error) {
 	id, ch, err := d.Start(sid, m, tc)
 	if err != nil {
 		return nil, err
@@ -165,7 +156,7 @@ func (d *Dialed) call(sid uint32, m protocol.Message, tc protocol.TraceContext, 
 	case reply, ok = <-ch:
 	case <-timeoutCh:
 		terr := fmt.Errorf("session: %T RPC timed out after %v", m, timeout)
-		if !failConn {
+		if sid != 0 {
 			d.mu.Lock()
 			delete(d.pending, id)
 			d.mu.Unlock()
@@ -198,11 +189,23 @@ func Dialer(dial func(addr string) (net.Conn, error)) func(addr string) (net.Con
 	}
 }
 
-// RoundTrip performs one request/reply exchange on a connection the
-// caller dialed for it and closes afterwards; the caller bounds it
-// with a deadline on conn. Unsolicited frames (request ID 0) ahead of
-// the reply are skipped, and an ErrorReply comes back as the error.
-func RoundTrip(conn net.Conn, m protocol.Message) (protocol.Message, error) {
+// RoundTrip performs one request/reply exchange on a connection of its
+// own: it dials addr (with dial, or TCP when nil), bounds the dial and
+// the exchange by timeout when positive, and closes the connection
+// afterwards. Unsolicited frames (request ID 0) ahead of the reply are
+// skipped, and an ErrorReply comes back as the error.
+func RoundTrip(dial func(addr string) (net.Conn, error), addr string, m protocol.Message, timeout time.Duration) (protocol.Message, error) {
+	if dial == nil && timeout > 0 {
+		dial = func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) }
+	}
+	conn, err := Dialer(dial)(addr)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	if timeout > 0 {
+		_ = conn.SetDeadline(time.Now().Add(timeout))
+	}
 	if err := protocol.WriteFrameMux(conn, 1, m, protocol.TraceContext{}, 0); err != nil {
 		return nil, err
 	}

@@ -24,9 +24,13 @@
 //
 // The dial side (Dialed) is the matching client connection: a pending
 // table that matches replies to concurrent calls by request ID, with
-// the timeout policy chosen by the kind of caller — Call fails only
-// the overdue call (sessions served concurrently), CallOrdered fails
-// the whole connection (the implicit session's ordered stream).
-// RoundTrip is the one-shot exchange on a throwaway connection that
-// gossip and fleet tools use.
+// one Call whose timeout policy follows from the session ID, the same
+// fact the accept side acts on — an overdue reply on a non-zero session
+// fails only that call, one on session 0 fails the whole connection,
+// whose ordered stream can no longer be trusted. Session 0 stays inline
+// on the accept side because that is measured: serving it on
+// per-request goroutines cost the journaled-write benchmark a quarter
+// of its throughput (DESIGN.md §10). RoundTrip is the one-shot exchange
+// on a connection of its own that gossip and fleet tools use; it dials,
+// bounds, sends, reads and closes.
 package session

@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -259,13 +258,7 @@ func (a *app) discover() (protocol.Membership, error) {
 
 // fetchMembership runs one RingGet RPC against a node's client port.
 func fetchMembership(addr string, timeout time.Duration) (protocol.Membership, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return protocol.Membership{}, err
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	reply, err := session.RoundTrip(conn, &protocol.RingGet{})
+	reply, err := session.RoundTrip(nil, addr, &protocol.RingGet{}, timeout)
 	if err != nil {
 		return protocol.Membership{}, err
 	}
