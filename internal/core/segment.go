@@ -594,54 +594,13 @@ func (c *Client) WUnlock(h *Segment) error {
 		sp.Error(err)
 		return err
 	}
-	var st diff.Stats
-	var collectStart time.Time
-	if c.ins != nil {
-		collectStart = time.Now()
-	}
-	csp := sp.Child("client.diff_collect")
-	d, err := diff.CollectSegment(s.m, diff.CollectOptions{
-		NoDiff:  s.noDiff,
-		Freed:   s.freed,
-		Stats:   &st,
-		Swizzle: c.swizzler(),
-	})
-	if csp != nil {
-		csp.AttrInt("bytes", int64(st.Bytes))
-		csp.AttrInt("units", int64(st.Units))
-		csp.Error(err)
-		csp.End()
-	}
+	msg, st, err := c.collectRelease(s, sp)
 	if err != nil {
 		// Leave the lock held: the caller may retry after fixing the
 		// problem (e.g. an unswizzlable private pointer).
 		sp.Error(err)
-		return fmt.Errorf("core: collecting diff of %q: %w", s.name, err)
+		return err
 	}
-	s.lastCollect = st
-	if c.ins != nil {
-		c.ins.diffCollect.ObserveSince(collectStart)
-		c.ins.diffSize.Observe(float64(st.Bytes))
-		c.ins.diffBytes.Add(uint64(st.Bytes))
-		c.ins.diffUnitsSent.Add(uint64(st.Units))
-		c.ins.diffScanned.Add(uint64(st.ScannedBytes))
-		total := 0
-		s.m.Blocks(func(b *mem.Block) bool {
-			total += b.PrimCount()
-			return true
-		})
-		c.ins.diffUnitsFull.Add(uint64(total))
-		if s.noDiff {
-			c.ins.noDiffReleases.Inc()
-		}
-	}
-	attachDescDefs(s, d)
-	var payload *wire.SegmentDiff
-	if !d.Empty() {
-		payload = d
-	}
-	s.wseq++
-	msg := &protocol.WriteUnlock{Seg: s.name, Diff: payload, WriterID: c.writerID, Seq: s.wseq}
 	reply, err := c.call(s.name, s, msg, sp)
 	if err != nil && isTransport(err) {
 		// The connection died with the release in flight: the server
@@ -661,31 +620,92 @@ func (c *Client) WUnlock(h *Segment) error {
 		// between re-acquiring and a lost race.
 		reply, err = c.recoverWUnlock(s, msg, sp)
 	}
-	if err != nil {
-		s.releaseWrite(c)
-		sp.Error(err)
-		return fmt.Errorf("core: write unlock on %q: %w", s.name, err)
+	var version uint32
+	if err == nil {
+		if vr, ok := reply.(*protocol.VersionReply); ok {
+			version = vr.Version
+		} else {
+			err = fmt.Errorf("core: unexpected reply %T to write unlock", reply)
+		}
+	} else {
+		err = fmt.Errorf("core: write unlock on %q: %w", s.name, err)
 	}
-	vr, ok := reply.(*protocol.VersionReply)
-	if !ok {
-		s.releaseWrite(c)
-		err := fmt.Errorf("core: unexpected reply %T to write unlock", reply)
-		sp.Error(err)
-		return err
-	}
-	s.version = vr.Version
-	s.state.Version = vr.Version
-	s.state.FetchedAt = time.Now()
-	s.state.Invalidated = false
-	s.freed = nil
-	s.m.DropTwins()
-	s.m.Unprotect()
-	s.updateNoDiff(c, st.Units)
-	s.releaseWrite(c)
-	return nil
+	c.endRelease(s, st, version, err)
+	sp.Error(err)
+	return err
 }
 
-func (s *segment) releaseWrite(c *Client) {
+// collectRelease gathers a write-locked segment's local changes into
+// the WriteUnlock that releases it — a WUnlock, or one part of a
+// TxCommit: the diff (under a "client.diff_collect" child of sp, and
+// counted in the iw_client_diff_* metrics), the definitions of the
+// descriptors its new blocks use, and the next at-most-once sequence
+// number. An empty diff travels as none. Caller holds c.mu.
+func (c *Client) collectRelease(s *segment, sp *obs.Span) (*protocol.WriteUnlock, diff.Stats, error) {
+	var st diff.Stats
+	var collectStart time.Time
+	if c.ins != nil {
+		collectStart = time.Now()
+	}
+	csp := sp.Child("client.diff_collect")
+	d, err := diff.CollectSegment(s.m, diff.CollectOptions{
+		NoDiff:  s.noDiff,
+		Freed:   s.freed,
+		Stats:   &st,
+		Swizzle: c.swizzler(),
+	})
+	if csp != nil {
+		csp.Attr("seg", s.name)
+		csp.AttrInt("bytes", int64(st.Bytes))
+		csp.AttrInt("units", int64(st.Units))
+		csp.Error(err)
+		csp.End()
+	}
+	if err != nil {
+		return nil, st, fmt.Errorf("core: collecting diff of %q: %w", s.name, err)
+	}
+	s.lastCollect = st
+	if c.ins != nil {
+		c.ins.diffCollect.ObserveSince(collectStart)
+		c.ins.diffSize.Observe(float64(st.Bytes))
+		c.ins.diffBytes.Add(uint64(st.Bytes))
+		c.ins.diffUnitsSent.Add(uint64(st.Units))
+		c.ins.diffScanned.Add(uint64(st.ScannedBytes))
+		c.ins.diffUnitsFull.Add(uint64(s.totalUnits()))
+		if s.noDiff {
+			c.ins.noDiffReleases.Inc()
+		}
+	}
+	attachDescDefs(s, d)
+	s.wseq++
+	msg := &protocol.WriteUnlock{Seg: s.name, WriterID: c.writerID, Seq: s.wseq}
+	if !d.Empty() {
+		msg.Diff = d
+	}
+	return msg, st, nil
+}
+
+// endRelease ends a write critical section whose release was sent —
+// a WUnlock or one part of a TxCommit — and releases the local write
+// lock. On success the segment adopts version, drops its twins and
+// unprotects its pages, and the no-diff bookkeeping sees the units st
+// sent. A release that failed (refused by the server, or lost after
+// its send) abandons the local changes the way a lost write race
+// does: the cache resets, and the next lock refetches the segment, so
+// no later critical section can publish them. Caller holds c.mu.
+func (c *Client) endRelease(s *segment, st diff.Stats, version uint32, err error) {
+	if err != nil {
+		c.resetSegCache(s)
+	} else {
+		s.version = version
+		s.state.Version = version
+		s.state.FetchedAt = time.Now()
+		s.state.Invalidated = false
+		s.freed = nil
+		s.m.DropTwins()
+		s.m.Unprotect()
+		s.updateNoDiff(c, st.Units)
+	}
 	s.writer = false
 	c.cond.Broadcast()
 }
@@ -801,11 +821,7 @@ func (c *Client) resetSegCache(s *segment) {
 // transmission, and periodically switches back to diffing to capture
 // changes in application behaviour (Section 3.3).
 func (s *segment) updateNoDiff(c *Client, unitsSent int) {
-	total := 0
-	s.m.Blocks(func(b *mem.Block) bool {
-		total += b.PrimCount()
-		return true
-	})
+	total := s.totalUnits()
 	if total == 0 {
 		return
 	}
@@ -826,6 +842,16 @@ func (s *segment) updateNoDiff(c *Client, unitsSent int) {
 	} else {
 		s.hotReleases = 0
 	}
+}
+
+// totalUnits counts the primitive units of the segment's blocks.
+func (s *segment) totalUnits() int {
+	total := 0
+	s.m.Blocks(func(b *mem.Block) bool {
+		total += b.PrimCount()
+		return true
+	})
+	return total
 }
 
 // attachDescDefs prepends definitions for every client-local type

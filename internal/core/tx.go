@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"interweave/internal/diff"
 	"interweave/internal/protocol"
-	"interweave/internal/wire"
 )
 
 // Transactions (the paper's Section 6 work-in-progress, single-server
@@ -40,10 +38,11 @@ func (c *Client) TxLock(hs ...*Segment) error {
 }
 
 // TxCommit collects each write-locked segment's diff and publishes
-// them in one atomic server operation, then releases the locks. On a
-// commit failure no segment advances and the locks are released; the
-// local modifications remain in the caller's cache (at the old
-// version) and are discarded on the next update.
+// them in one atomic server operation, then releases the locks. Each
+// part is collected and settled exactly as a WUnlock is. On a commit
+// failure no segment advances, the locks are released, and every part
+// abandons its local modifications: the parts' cached copies reset and
+// are refetched in full on the next lock.
 func (c *Client) TxCommit(hs ...*Segment) error {
 	sp := c.tracer.Start("client.TxCommit")
 	defer sp.End()
@@ -53,71 +52,39 @@ func (c *Client) TxCommit(hs ...*Segment) error {
 		return errors.New("core: empty transaction")
 	}
 	first := hs[0].s
+	for _, h := range hs {
+		if !h.s.writer {
+			return fmt.Errorf("%w: write (TxCommit %q)", ErrNotLocked, h.s.name)
+		}
+		if h.s.conn != first.conn {
+			return fmt.Errorf("%w: %q vs %q", ErrTxServers, first.name, h.s.name)
+		}
+	}
 	msg := &protocol.TxCommit{Parts: make([]protocol.WriteUnlock, len(hs))}
-	collected := make([]*wire.SegmentDiff, len(hs))
 	stats := make([]diff.Stats, len(hs))
 	for i, h := range hs {
-		s := h.s
-		if !s.writer {
-			return fmt.Errorf("%w: write (TxCommit %q)", ErrNotLocked, s.name)
-		}
-		if s.conn != first.conn {
-			return fmt.Errorf("%w: %q vs %q", ErrTxServers, first.name, s.name)
-		}
-		d, err := diff.CollectSegment(s.m, diff.CollectOptions{
-			NoDiff:  s.noDiff,
-			Freed:   s.freed,
-			Stats:   &stats[i],
-			Swizzle: c.swizzler(),
-		})
+		part, st, err := c.collectRelease(h.s, sp)
 		if err != nil {
-			return fmt.Errorf("core: collecting diff of %q: %w", s.name, err)
+			sp.Error(err)
+			return err
 		}
-		collected[i] = d
-		if c.ins != nil {
-			c.ins.diffBytes.Add(uint64(stats[i].Bytes))
-			c.ins.diffUnitsSent.Add(uint64(stats[i].Units))
-			c.ins.diffScanned.Add(uint64(stats[i].ScannedBytes))
-		}
-		attachDescDefs(s, d)
-		s.wseq++
-		part := protocol.WriteUnlock{Seg: s.name, WriterID: c.writerID, Seq: s.wseq}
-		if !d.Empty() {
-			part.Diff = d
-		}
-		msg.Parts[i] = part
+		msg.Parts[i], stats[i] = *part, st
 	}
 
 	reply, err := c.call(first.name, first, msg, sp)
-	if err != nil {
-		// The commit failed as a unit; release local locks so the
-		// caller can recover (retry after a fresh TxLock).
-		for _, h := range hs {
-			h.s.releaseWrite(c)
-		}
-		sp.Error(err)
-		return fmt.Errorf("core: transaction commit: %w", err)
-	}
 	tr, ok := reply.(*protocol.TxReply)
-	if !ok || len(tr.Versions) != len(hs) {
-		for _, h := range hs {
-			h.s.releaseWrite(c)
-		}
-		return fmt.Errorf("core: unexpected reply %T to transaction", reply)
+	if err != nil {
+		err = fmt.Errorf("core: transaction commit: %w", err)
+	} else if !ok || len(tr.Versions) != len(hs) {
+		err = fmt.Errorf("core: unexpected reply %T to transaction", reply)
 	}
-	now := time.Now()
 	for i, h := range hs {
-		s := h.s
-		s.lastCollect = stats[i]
-		s.version = tr.Versions[i]
-		s.state.Version = tr.Versions[i]
-		s.state.FetchedAt = now
-		s.state.Invalidated = false
-		s.freed = nil
-		s.m.DropTwins()
-		s.m.Unprotect()
-		s.updateNoDiff(c, stats[i].Units)
-		s.releaseWrite(c)
+		var version uint32
+		if err == nil {
+			version = tr.Versions[i]
+		}
+		c.endRelease(h.s, stats[i], version, err)
 	}
-	return nil
+	sp.Error(err)
+	return err
 }

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"interweave/internal/arch"
+	"interweave/internal/mem"
+	"interweave/internal/obs"
+	"interweave/internal/protocol"
 	"interweave/internal/types"
 )
 
@@ -156,7 +159,12 @@ func TestTxCommitAtomicVisibility(t *testing.T) {
 // that no segment advanced.
 func TestTxCommitRollsBackOnFailure(t *testing.T) {
 	addr := startServer(t)
-	w := newTestClient(t, arch.AMD64(), "w")
+	reg := obs.NewRegistry()
+	w, err := NewClient(Options{Profile: arch.AMD64(), Name: "w", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = w.Close() })
 	ha, err := w.Open(addr + "/ra")
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +185,10 @@ func TestTxCommitRollsBackOnFailure(t *testing.T) {
 	}
 	if err := w.TxCommit(ha, hb); err != nil {
 		t.Fatal(err)
+	}
+	// Each part is collected as a release is, metrics included.
+	if n := reg.Snapshot().Histograms["iw_client_diff_collect_seconds"].Count; n != 2 {
+		t.Errorf("iw_client_diff_collect_seconds count = %d after a two-part commit, want 2", n)
 	}
 	va, vb := ha.Version(), hb.Version()
 
@@ -219,6 +231,141 @@ func TestTxCommitRollsBackOnFailure(t *testing.T) {
 		t.Errorf("segment A at v%d, want v%d", hra.Version(), va)
 	}
 	_ = vb
+}
+
+// TestTxCommitRefusedAbandonsChanges: a commit refused after its send
+// abandons the transaction's local changes, as a refused WUnlock does.
+// The connection drops after TxLock, so the commit arrives on a fresh
+// session that holds no lock and is refused; an empty write section
+// that follows must not publish the abandoned write.
+func TestTxCommitRefusedAbandonsChanges(t *testing.T) {
+	addr := startServer(t)
+	w := newTestClient(t, arch.AMD64(), "w")
+	ha, err := w.Open(addr + "/aa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hb, err := w.Open(addr + "/ab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.TxLock(ha, hb); err != nil {
+		t.Fatal(err)
+	}
+	blkA, err := w.Alloc(ha, types.Int32(), 4, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Alloc(hb, types.Int32(), 4, "b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.TxCommit(ha, hb); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := w.TxLock(ha, hb); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Heap().WriteI32(blkA.Addr, 99); err != nil {
+		t.Fatal(err)
+	}
+	ha.s.conn.Close()
+	if err := w.TxCommit(ha, hb); errCode(err) != protocol.CodeLockState {
+		t.Fatalf("commit on a session holding no locks = %v, want CodeLockState", err)
+	}
+	if err := w.WLock(ha); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WUnlock(ha); err != nil {
+		t.Fatal(err)
+	}
+
+	r := newTestClient(t, arch.AMD64(), "r")
+	hra, err := r.Open(addr + "/aa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RLock(hra); err != nil {
+		t.Fatal(err)
+	}
+	ba, _ := hra.Mem().BlockByName("a")
+	v, _ := r.Heap().ReadI32(ba.Addr)
+	if err := r.RUnlock(hra); err != nil {
+		t.Fatal(err)
+	}
+	if v == 99 {
+		t.Errorf("a refused commit's write was published at v%d", hra.Version())
+	}
+}
+
+// TestTxCommitMetricsParity: a transaction part counts in the no-diff
+// release counter exactly as a WUnlock does. Two full rewrites put a
+// segment in no-diff mode; its next release, WUnlock or tx part, is
+// counted.
+func TestTxCommitMetricsParity(t *testing.T) {
+	addr := startServer(t)
+	reg := obs.NewRegistry()
+	c, err := NewClient(Options{Profile: arch.AMD64(), Name: "m", Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	noDiff := func() uint64 { return counterSum(reg.Snapshot(), "iw_client_nodiff_releases_total") }
+	var hs []*Segment
+	for _, name := range []string{"/pa", "/pb", "/pc"} {
+		h, err := c.Open(addr + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+	}
+	ha, hb, hc := hs[0], hs[1], hs[2]
+
+	// Each round rewrites every unit of a and c (creating them first),
+	// through a transaction over a and b and through WUnlock on c.
+	var blkA, blkC mem.Addr
+	for round := 0; round < 3; round++ {
+		if err := c.TxLock(ha, hb); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WLock(hc); err != nil {
+			t.Fatal(err)
+		}
+		if round == 0 {
+			a, err := c.Alloc(ha, types.Int32(), 4, "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Alloc(hb, types.Int32(), 4, "b"); err != nil {
+				t.Fatal(err)
+			}
+			cb, err := c.Alloc(hc, types.Int32(), 4, "c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			blkA, blkC = a.Addr, cb.Addr
+		}
+		for i := 0; i < 4; i++ {
+			for _, base := range []mem.Addr{blkA, blkC} {
+				if err := c.Heap().WriteI32(base+mem.Addr(4*i), int32(10*round+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := c.TxCommit(ha, hb); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WUnlock(hc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !ha.NoDiffMode() || !hc.NoDiffMode() || hb.NoDiffMode() {
+		t.Fatalf("no-diff modes a=%v b=%v c=%v, want true false true", ha.NoDiffMode(), hb.NoDiffMode(), hc.NoDiffMode())
+	}
+	// Round 2 released a and c in no-diff mode: one tx part, one WUnlock.
+	if n := noDiff(); n != 2 {
+		t.Errorf("iw_client_nodiff_releases_total = %d, want 2 (the tx part and the WUnlock)", n)
+	}
 }
 
 // TestTxLockOrderingPreventsDeadlock runs two clients transacting

@@ -616,21 +616,9 @@ func (sess *clientSession) handleMigrate(m *protocol.Migrate) protocol.Message {
 		return errReply(protocol.CodeLockState, "cannot migrate while holding the write lock")
 	}
 	// Write-lock barrier: queue like any writer, with direct handoff.
-	for st.writer != nil {
-		w := &waiter{sess: sess, ch: make(chan struct{})}
-		st.waiters = append(st.waiters, w)
-		st.mu.Unlock()
-		select {
-		case <-w.ch:
-		case <-s.done:
-			return errReply(protocol.CodeInternal, "server shutting down")
-		}
-		s.lockSeg(st)
-		if st.writer == sess {
-			break
-		}
+	if fail := sess.acquireWriter(st, nil); fail != nil {
+		return fail
 	}
-	st.writer = sess
 	// The barrier covers the commit pipeline too: releases that handed
 	// the lock off may still be on their way to the journal and the
 	// replicas, and the snapshot must not overtake them.

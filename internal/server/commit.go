@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"time"
 
 	"interweave/internal/obs"
 	"interweave/internal/protocol"
@@ -11,9 +12,10 @@ import (
 )
 
 // Commit pipeline (DESIGN.md §10): the one path by which a committed
-// version range becomes durable and visible. Every version-advancing
-// WriteUnlock and every advanced TxCommit part applies its diff under
-// the segment lock, records its at-most-once entry, enqueues one
+// version range becomes durable and visible. Every WriteUnlock and
+// every TxCommit part is checked (checkPart) and committed (commitPart)
+// in one critical section under the segment lock: a version-advancing
+// one applies its diff, records its at-most-once entry, enqueues one
 // pendingRelease and hands the write lock to the next queued writer
 // IMMEDIATELY; the request then waits for the segment's flusher. One
 // flusher per segment drains the pending batch: because apply+enqueue
@@ -48,12 +50,12 @@ const maxPendingReleases = 64
 type pendingRelease struct {
 	prevVer uint32
 	version uint32
-	// diff is the writer's own diff as ApplyDiff left it (descriptor
+	// diff is the writer's own diff as applyChecked left it (descriptor
 	// serials remapped to the segment's): what a batch of one journals
 	// and replicates.
 	diff *wire.SegmentDiff
 	// notifications are the subscriber sends this release's
-	// updateSubscribers pass produced; the flusher runs them (the
+	// subscription-table pass produced; the flusher runs them (the
 	// notified flag already dedups within a batch) under a
 	// "server.notify_fanout" child of sp, the request's span.
 	notifications []func()
@@ -64,19 +66,89 @@ type pendingRelease struct {
 	fail *protocol.ErrorReply
 }
 
-// enqueueRelease puts one applied release on st's pending batch and
-// hands sess's write lock off. Called with st.mu held, in the critical
-// section that advanced the segment, so pending always covers a
-// contiguous version range ending at seg.Version. It reports whether
-// the caller became the segment's flusher and must call flush once it
-// has dropped st.mu.
-func enqueueRelease(st *segState, sess *clientSession, pr *pendingRelease) (lead bool) {
-	pr.done = make(chan struct{})
+// checkPart checks one release of st — a WriteUnlock, or one part of
+// a TxCommit — before anything is committed: the session holds the
+// write lock, the segment is resident, and the diff, unless empty,
+// passes checkDiff. It returns what checkDiff resolved for the apply,
+// or the error reply a refused release owes. Called with st.mu held;
+// it changes no segment state.
+func (sess *clientSession) checkPart(st *segState, part *protocol.WriteUnlock) (map[uint32]*descLayout, *protocol.ErrorReply) {
+	if st.writer != sess {
+		return nil, errReply(protocol.CodeLockState, "write lock on %q not held", part.Seg)
+	}
+	// The writer fence means the image cannot have been evicted since
+	// WriteLock faulted it in; this call is defensive and stamps
+	// lastTouch for the eviction LRU clock.
+	if err := sess.srv.ensureResident(st); err != nil {
+		return nil, errReply(protocol.CodeInternal, "%v", err)
+	}
+	if part.Diff == nil || part.Diff.Empty() {
+		return nil, nil
+	}
+	descs, err := st.seg.checkDiff(part.Diff)
+	if err != nil {
+		return nil, errReply(protocol.CodeBadRequest, "applying diff to %q: %v", part.Seg, err)
+	}
+	return descs, nil
+}
+
+// commitPart commits one release checkPart passed, in the same
+// critical section: it applies the diff, records the at-most-once
+// entry and gathers the notifications, then puts the release on st's
+// pending batch and hands sess's write lock off — or, for an empty
+// release, which advances nothing and so has nothing to make durable
+// or visible, only hands the lock off. pending therefore always covers
+// a contiguous version range ending at seg.Version. It returns the
+// version the release leaves the segment at, the pending release to
+// wait for (nil when empty), and whether the caller became the
+// segment's flusher and must call flush once it has dropped st.mu.
+// Called with st.mu held.
+func (sess *clientSession) commitPart(st *segState, part *protocol.WriteUnlock, descs map[uint32]*descLayout, sp *obs.Span) (uint32, *pendingRelease, bool) {
+	s := sess.srv
+	version := st.seg.Version
+	if part.Diff == nil || part.Diff.Empty() {
+		if part.WriterID != "" {
+			st.applied[part.WriterID] = appliedWrite{seq: part.Seq, version: version}
+		}
+		releaseWriter(st, sess)
+		return version, nil, false
+	}
+	version++
+	var start time.Time
+	if s.ins != nil {
+		start = time.Now()
+	}
+	asp := sp.Child("server.diff_apply")
+	modified, err := st.seg.applyChecked(part.Diff, descs, version)
+	if err != nil {
+		// checkDiff found every error the apply can meet; one here
+		// means the two disagree, and the segment is half-written.
+		panic(fmt.Sprintf("server: checked diff failed to apply to %q: %v", st.name, err))
+	}
+	if asp != nil {
+		asp.AttrInt("units", int64(modified))
+		asp.End()
+	}
+	if s.ins != nil {
+		s.ins.applySec.ObserveSince(start)
+		s.ins.applyUnits.Add(uint64(modified))
+	}
+	if part.WriterID != "" {
+		st.applied[part.WriterID] = appliedWrite{seq: part.Seq, version: version}
+	}
+	pr := &pendingRelease{prevVer: version - 1, version: version, diff: part.Diff, sp: sp, done: make(chan struct{})}
+	for _, target := range st.subs.Advance(st.seg, sess, version, modified) {
+		pr.notifications = append(pr.notifications, func() {
+			// Never blocks: a slow consumer is shed, not buffered
+			// (DESIGN.md §10).
+			target.Notify(&protocol.Notify{Seg: st.name, Version: version})
+		})
+	}
 	st.pending = append(st.pending, pr)
 	releaseWriter(st, sess)
-	lead = !st.flushing
+	lead := !st.flushing
 	st.flushing = true
-	return lead
+	return version, pr, lead
 }
 
 // wait blocks until the flush covering pr finished and returns the
@@ -88,7 +160,7 @@ func (pr *pendingRelease) wait() *protocol.ErrorReply {
 }
 
 // flush is the segment's flusher, entered by the request
-// enqueueRelease told to lead. At most one runs per segment (the
+// commitPart told to lead. At most one runs per segment (the
 // st.flushing flag), so journal records and Replicate frames stay
 // version-ordered and never overlap. The first batch — the one holding
 // the leader's own release — is committed on the leader's goroutine,

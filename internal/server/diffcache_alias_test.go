@@ -4,7 +4,8 @@ package server
 // aliases the frames they arrived in, and string and MIP cells are
 // rewritten in place. This test drives a history through every path
 // that could write into either — a later in-place rewrite of the same
-// cells, a tx staging clone, eviction and fault-in — and requires the
+// cells, a decoded copy of the image applying a diff of its own,
+// eviction and fault-in — and requires the
 // cached diffs, the merge over them and the faulted-in image to equal
 // what an independent copy of the segment, fed its own copies of the
 // same diffs, collects afresh.
@@ -131,7 +132,8 @@ func TestDiffCacheAliasing(t *testing.T) {
 		}
 	}
 
-	// A tx stages a clone of the segment and applies to it.
+	// A decoded copy of the image (the form a migration snapshot
+	// travels in) applies a diff of its own.
 	clone, err := decodeSegment(seg.encode())
 	if err != nil {
 		t.Fatal(err)

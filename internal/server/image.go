@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"interweave/internal/protocol"
-	"interweave/internal/types"
 	"interweave/internal/wire"
 )
 
@@ -334,8 +333,7 @@ func (s *Segment) encode() []byte {
 }
 
 // decodeSegment rebuilds a segment from its bare encoding (no applied
-// table, no CRC), the form tx staging clones and migration snapshots
-// travel in.
+// table, no CRC), the form migration snapshots travel in.
 func decodeSegment(data []byte) (*Segment, error) {
 	r := wire.NewReader(data)
 	s, err := decodeSegmentReader(r)
@@ -368,28 +366,11 @@ func decodeSegmentReader(r *wire.Reader) (*Segment, error) {
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		t, err := types.Unmarshal(b)
+		l, err := parseLayout(b)
 		if err != nil {
 			return nil, fmt.Errorf("descriptor %d: %w", serial, err)
 		}
-		walk, err := types.WireWalk(t)
-		if err != nil {
-			return nil, err
-		}
-		kinds := types.UnitKinds(walk)
-		caps := make([]int, 0, len(kinds))
-		for _, ws := range walk {
-			for j := 0; j < ws.Count; j++ {
-				caps = append(caps, ws.Cap)
-			}
-		}
-		cp := make([]byte, len(b))
-		copy(cp, b)
-		s.descs[serial] = cp
-		s.descKinds[serial] = kinds
-		s.descCaps[serial] = caps
-		s.descSteps[serial] = walk
-		s.descIndex[string(cp)] = serial
+		s.addDesc(serial, b, l)
 	}
 	nf := r.U32()
 	if r.Err() != nil || nf > 1<<24 {
@@ -404,35 +385,24 @@ func decodeSegmentReader(r *wire.Reader) (*Segment, error) {
 	}
 	lastMarker := uint32(0)
 	for i := uint32(0); i < nb; i++ {
-		b := &Blk{
-			Serial:     r.U32(),
-			Name:       r.Str(),
-			DescSerial: r.U32(),
-		}
-		b.Count = int(r.U32())
-		b.createdVer = r.U32()
-		b.version = r.U32()
+		serial, name, desc := r.U32(), r.Str(), r.U32()
+		count, createdVer, version := int(r.U32()), r.U32(), r.U32()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		kinds, ok := s.descKinds[b.DescSerial]
+		l, ok := s.layouts[desc]
 		if !ok {
-			return nil, fmt.Errorf("block %d references unknown descriptor %d", b.Serial, b.DescSerial)
+			return nil, fmt.Errorf("block %d references unknown descriptor %d", serial, desc)
 		}
-		if b.Count <= 0 || b.Count > 1<<28 {
-			return nil, fmt.Errorf("block %d count %d out of range", b.Serial, b.Count)
+		if count <= 0 || count > maxBlockCount {
+			return nil, fmt.Errorf("block %d count %d out of range", serial, count)
 		}
-		b.kinds = kinds
-		b.caps = s.descCaps[b.DescSerial]
-		b.steps = s.descSteps[b.DescSerial]
-		units := len(kinds) * b.Count
-		b.subVer = make([]uint32, (units+SubblockUnits-1)/SubblockUnits)
+		b := newBlk(serial, name, desc, count, l)
+		b.createdVer, b.version = createdVer, version
 		for j := range b.subVer {
 			b.subVer[j] = r.U32()
 		}
-		b.initWireGeometry()
-		b.cells = make([]uint64, units)
-		if err := b.readUnits(r); err != nil {
+		if err := b.decodeUnits(r, 0, b.Units()); err != nil {
 			return nil, fmt.Errorf("block %d data: %w", b.Serial, err)
 		}
 		// Rebuild the version list with markers.
@@ -442,56 +412,10 @@ func decodeSegmentReader(r *wire.Reader) (*Segment, error) {
 			s.markers.Put(b.version, m)
 			lastMarker = b.version
 		}
-		b.elem = &listElem{blk: b}
-		s.pushBack(b.elem)
-		s.blocks.Put(b.Serial, b)
-		if b.Name != "" {
-			s.byName[b.Name] = b.Serial
-		}
-		s.totalUnits += units
+		s.addBlock(b)
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// readUnits decodes all of the block's units from r in place, the
-// inverse of appendUnits, without touching the subblock versions.
-func (b *Blk) readUnits(r *wire.Reader) error {
-	err := b.forKindRuns(0, b.Units(), func(k types.Kind, _, u, n int) error {
-		switch k {
-		case types.KindChar:
-			for i := u; i < u+n; i++ {
-				b.cells[i] = uint64(r.U8())
-			}
-		case types.KindInt16:
-			for i := u; i < u+n; i++ {
-				b.cells[i] = uint64(r.U16())
-			}
-		case types.KindInt32, types.KindFloat32:
-			for i := u; i < u+n; i++ {
-				b.cells[i] = uint64(r.U32())
-			}
-		case types.KindInt64, types.KindFloat64:
-			for i := u; i < u+n; i++ {
-				b.cells[i] = r.U64()
-			}
-		case types.KindString, types.KindPointer:
-			for i := u; i < u+n; i++ {
-				data := r.Bytes()
-				if r.Err() != nil {
-					return r.Err()
-				}
-				b.setVar(i, data)
-			}
-		default:
-			return fmt.Errorf("unit %d has invalid kind", u)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return r.Err()
 }

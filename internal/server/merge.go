@@ -144,15 +144,7 @@ func splitRunUnits(b *Blk, run wire.Run, units map[int][]byte) bool {
 	}
 	for u := u0; u < u1; u++ {
 		var enc []byte
-		switch b.kinds[u%eu] {
-		case types.KindChar:
-			enc = r.Take(1)
-		case types.KindInt16:
-			enc = r.Take(2)
-		case types.KindInt32, types.KindFloat32:
-			enc = r.Take(4)
-		case types.KindInt64, types.KindFloat64:
-			enc = r.Take(8)
+		switch p := u % eu; b.kinds[p] {
 		case types.KindString, types.KindPointer:
 			start := r.Offset()
 			n := r.U32()
@@ -163,7 +155,7 @@ func splitRunUnits(b *Blk, run wire.Run, units map[int][]byte) bool {
 			// Re-read the whole length-prefixed region as one blob.
 			enc = run.Data[start:r.Offset()]
 		default:
-			return false
+			enc = r.Take(b.wirePrefix[p+1] - b.wirePrefix[p])
 		}
 		if r.Err() != nil {
 			return false

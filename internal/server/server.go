@@ -177,10 +177,10 @@ type Server struct {
 //
 // mu owns everything below it: the segment's data and version state
 // (seg — note the pointer itself is swapped by demotion, migration
-// snapshots, and transaction commits), the write-lock queue (writer,
+// snapshots, eviction and fault-in), the write-lock queue (writer,
 // waiters), the subscription table (subs), and the at-most-once
 // applied-writer table (applied). The short-critical-section
-// discipline: diff decode, clone staging, wire frame encode, socket
+// discipline: diff decode, wire frame encode, socket
 // writes (replies and notify fan-out), replication streaming, and
 // journal base file I/O all happen OUTSIDE mu — only reads and
 // mutations of the state above happen under it. Multi-segment
@@ -686,6 +686,43 @@ func (sess *clientSession) handleWriteLock(m *protocol.WriteLock, sp *obs.Span) 
 	if s.ins != nil {
 		queuedAt = time.Now()
 	}
+	if fail := sess.acquireWriter(st, sp); fail != nil {
+		return fail
+	}
+	if s.ins != nil {
+		s.ins.lockWait.ObserveSince(queuedAt)
+	}
+	// Ownership may have moved while we were queued (a migration runs
+	// under this same write-lock barrier): re-check before granting,
+	// or the client would commit against a stale owner.
+	if red := s.redirectFor(m.Seg); red != nil {
+		releaseWriter(st, sess)
+		st.mu.Unlock()
+		return red
+	}
+	if err := s.ensureResident(st); err != nil {
+		releaseWriter(st, sess)
+		st.mu.Unlock()
+		return errReply(protocol.CodeInternal, "%v", err)
+	}
+	// A writer always works against the current version.
+	reply := freshnessReply(st, sess, m.HaveVersion, coherence.Full(), sp)
+	if _, isErr := reply.(*protocol.ErrorReply); isErr {
+		releaseWriter(st, sess)
+	}
+	st.mu.Unlock()
+	return reply
+}
+
+// acquireWriter queues sess for st's write lock behind the current
+// writer and the earlier waiters and makes it the writer — the one
+// acquisition WriteLock and Migrate's barrier share. Called with st.mu
+// held; it returns with st.mu held and the lock granted, or with st.mu
+// released and the error reply the request owes: the session went
+// away, or the server is shutting down. The wait, when there is one,
+// is a "server.queue_wait" child of sp.
+func (sess *clientSession) acquireWriter(st *segState, sp *obs.Span) *protocol.ErrorReply {
+	s := sess.srv
 	// The queue-wait span exists only when the lock was actually
 	// contended, so uncontended grants stay span-free.
 	var qsp *obs.Span
@@ -721,29 +758,7 @@ func (sess *clientSession) handleWriteLock(m *protocol.WriteLock, sp *obs.Span) 
 		st.mu.Unlock()
 		return errSessionClosed()
 	}
-	if s.ins != nil {
-		s.ins.lockWait.ObserveSince(queuedAt)
-	}
-	// Ownership may have moved while we were queued (a migration runs
-	// under this same write-lock barrier): re-check before granting,
-	// or the client would commit against a stale owner.
-	if red := s.redirectFor(m.Seg); red != nil {
-		releaseWriter(st, sess)
-		st.mu.Unlock()
-		return red
-	}
-	if err := s.ensureResident(st); err != nil {
-		releaseWriter(st, sess)
-		st.mu.Unlock()
-		return errReply(protocol.CodeInternal, "%v", err)
-	}
-	// A writer always works against the current version.
-	reply := freshnessReply(st, sess, m.HaveVersion, coherence.Full(), sp)
-	if _, isErr := reply.(*protocol.ErrorReply); isErr {
-		releaseWriter(st, sess)
-	}
-	st.mu.Unlock()
-	return reply
+	return nil
 }
 
 // releaseWriter releases sess's write lock, handing it directly to
@@ -784,74 +799,26 @@ func (sess *clientSession) handleWriteUnlock(m *protocol.WriteUnlock, sp *obs.Sp
 	}
 	// Backpressure: a full pending batch makes the release wait (before
 	// applying) until the flusher takes a batch. The condition wait
-	// releases the mutex, so the write lock is checked after it — a
-	// session teardown may have stripped it meanwhile.
+	// releases the mutex, so checkPart checks the write lock after it —
+	// a session teardown may have stripped it meanwhile.
 	for st.writer == sess && len(st.pending) >= maxPendingReleases {
 		st.flushDone.Wait()
 	}
-	if st.writer != sess {
-		st.mu.Unlock()
-		return errReply(protocol.CodeLockState, "write lock not held")
-	}
-	// The writer fence means the image cannot have been evicted since
-	// WriteLock faulted it in; this call is defensive and stamps
-	// lastTouch for the eviction LRU clock.
-	if err := s.ensureResident(st); err != nil {
+	descs, fail := sess.checkPart(st, m)
+	if fail != nil {
 		releaseWriter(st, sess)
 		st.mu.Unlock()
-		return errReply(protocol.CodeInternal, "%v", err)
+		return fail
 	}
-	prevVer := st.seg.Version
-	version := prevVer
-	var notifications []func()
-	if m.Diff != nil && !m.Diff.Empty() {
-		var start time.Time
-		if s.ins != nil {
-			start = time.Now()
-		}
-		asp := sp.Child("server.diff_apply")
-		newVer, modified, err := st.seg.ApplyDiff(m.Diff)
-		if err != nil {
-			if asp != nil {
-				asp.Error(err)
-				asp.End()
-			}
-			releaseWriter(st, sess)
-			st.mu.Unlock()
-			return errReply(protocol.CodeBadRequest, "applying diff: %v", err)
-		}
-		if asp != nil {
-			asp.AttrInt("units", int64(modified))
-			asp.End()
-		}
-		if s.ins != nil {
-			s.ins.applySec.ObserveSince(start)
-			s.ins.applyUnits.Add(uint64(modified))
-		}
-		version = newVer
-		notifications = updateSubscribers(st, sess, newVer, modified)
-	}
-	if m.WriterID != "" {
-		st.applied[m.WriterID] = appliedWrite{seq: m.Seq, version: version}
-	}
-	if version == prevVer {
-		// Nothing advanced (an empty release): there is no version range
-		// to make durable or visible, only a lock to hand on.
-		releaseWriter(st, sess)
-		st.mu.Unlock()
-		return &protocol.VersionReply{Version: version}
-	}
-	// Hand the lock off now and let the segment's flusher journal,
-	// replicate, and notify for whatever batch this release lands in
-	// (commit.go).
-	pr := &pendingRelease{prevVer: prevVer, version: version, diff: m.Diff, notifications: notifications, sp: sp}
-	lead := enqueueRelease(st, sess, pr)
+	version, pr, lead := sess.commitPart(st, m, descs, sp)
 	st.mu.Unlock()
 	if lead {
 		s.flush(st)
 	}
-	if fail := pr.wait(); fail != nil {
-		return fail
+	if pr != nil {
+		if fail := pr.wait(); fail != nil {
+			return fail
+		}
 	}
 	return &protocol.VersionReply{Version: version}
 }
@@ -876,22 +843,6 @@ func (sess *clientSession) handleResume(m *protocol.Resume) protocol.Message {
 		rr.AppliedVersion = ap.version
 	}
 	return rr
-}
-
-// updateSubscribers advances the segment's subscription table after
-// writer's release produced newVer and returns the notification sends
-// to perform once the segment lock is released. Called with st.mu
-// held.
-func updateSubscribers(st *segState, writer *clientSession, newVer uint32, modified int) []func() {
-	var out []func()
-	for _, target := range st.subs.Advance(st.seg, writer, newVer, modified) {
-		out = append(out, func() {
-			// Never blocks: a slow consumer is shed, not buffered
-			// (DESIGN.md §10).
-			target.Notify(&protocol.Notify{Seg: st.name, Version: newVer})
-		})
-	}
-	return out
 }
 
 func (sess *clientSession) handleSubscribe(m *protocol.Subscribe) protocol.Message {

@@ -361,6 +361,44 @@ func TestTxCommitRaw(t *testing.T) {
 	}
 }
 
+// TestRefusedWriteUnlockChangesNothing sends a release whose valid run
+// (unit 0 := 42) is followed by one past the block's end: the refusal
+// must leave the master copy as it was, not half-written, and hand the
+// write lock on.
+func TestRefusedWriteUnlockChangesNothing(t *testing.T) {
+	srv, addr := startTestServer(t, Options{})
+	rc := dialRaw(t, addr)
+	rc.call(&protocol.OpenSegment{Name: "s", Create: true})
+	rc.call(&protocol.WriteLock{Seg: "s", Policy: coherence.Full()})
+	if reply, _ := rc.call(&protocol.WriteUnlock{Seg: "s", Diff: intCreateDiff(t, 1, 7, 8, 9)}); replyCode(reply) != 0 {
+		t.Fatalf("seeding release = %+v", reply)
+	}
+	rc.call(&protocol.WriteLock{Seg: "s", HaveVersion: 1, Policy: coherence.Full()})
+	bad := &wire.SegmentDiff{Blocks: []wire.BlockDiff{{Serial: 1, Runs: []wire.Run{
+		{Start: 0, Count: 1, Data: wire.AppendU32(nil, 42)},
+		{Start: 2, Count: 2, Data: wire.AppendU32(wire.AppendU32(nil, 1), 2)},
+	}}}}
+	if reply, _ := rc.call(&protocol.WriteUnlock{Seg: "s", Diff: bad}); replyCode(reply) != protocol.CodeBadRequest {
+		t.Fatalf("release with a run past the block = %+v, want CodeBadRequest", reply)
+	}
+	seg := srv.SegmentSnapshot("s")
+	if seg.Version != 1 {
+		t.Errorf("version = %d after the refused release, want 1", seg.Version)
+	}
+	d, err := seg.collectFull(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := wire.NewReader(d.Blocks[0].Runs[0].Data).U32(); v != 7 {
+		t.Errorf("unit 0 = %d after the refused release, want 7", v)
+	}
+	other := dialRaw(t, addr)
+	reply, _ := other.call(&protocol.WriteLock{Seg: "s", HaveVersion: 1, Policy: coherence.Full()})
+	if lr, ok := reply.(*protocol.LockReply); !ok || !lr.Fresh {
+		t.Fatalf("write lock after the refused release = %+v", reply)
+	}
+}
+
 func TestDiffCoherenceSubscription(t *testing.T) {
 	_, addr := startTestServer(t, Options{})
 	w := dialRaw(t, addr)

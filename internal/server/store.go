@@ -13,6 +13,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -41,16 +42,9 @@ type Blk struct {
 	Name       string
 	DescSerial uint32
 	Count      int // elements
-	// kinds and caps describe one element's units; steps is the
-	// collapsed wire walk used for bulk translation.
-	kinds []types.Kind
-	caps  []int
-	steps []types.WireStep
-	// wirePrefix[i] is the fixed wire size of units [0,i) of one
-	// element; hasVarlen marks blocks whose estimate must inspect
-	// the variable-length items.
-	wirePrefix []int
-	hasVarlen  bool
+	// descLayout is the geometry of the block's descriptor, shared
+	// with every block of it.
+	*descLayout
 	// cells holds one 8-byte canonical cell per unit; for strings
 	// and MIPs the cell is a 1-based index into vars.
 	cells []uint64
@@ -67,6 +61,126 @@ type Blk struct {
 	version uint32
 	// elem is the block's position in the segment's blk_version_list.
 	elem *listElem
+}
+
+// descLayout is a registered descriptor's wire geometry: one element's
+// unit kinds and string capacities, the collapsed wire walk used for
+// bulk translation, and wirePrefix[i], the fixed wire size of units
+// [0,i) of one element, where a string or MIP counts as its 4-byte
+// length prefix; hasVarlen marks layouts that have such units.
+type descLayout struct {
+	kinds      []types.Kind
+	caps       []int
+	steps      []types.WireStep
+	wirePrefix []int
+	hasVarlen  bool
+}
+
+// parseLayout decodes descriptor bytes into their wire geometry.
+func parseLayout(b []byte) (*descLayout, error) {
+	t, err := types.Unmarshal(b)
+	if err != nil {
+		return nil, err
+	}
+	walk, err := types.WireWalk(t)
+	if err != nil {
+		return nil, err
+	}
+	l := &descLayout{kinds: types.UnitKinds(walk), steps: walk}
+	l.caps = make([]int, 0, len(l.kinds))
+	for _, ws := range walk {
+		for i := 0; i < ws.Count; i++ {
+			l.caps = append(l.caps, ws.Cap)
+		}
+	}
+	l.wirePrefix = make([]int, len(l.kinds)+1)
+	for i, k := range l.kinds {
+		sz, ok := wire.FixedWireSize(k)
+		if !ok {
+			if k != types.KindString && k != types.KindPointer {
+				return nil, fmt.Errorf("unit %d has invalid kind", i)
+			}
+			l.hasVarlen = true
+			sz = 4
+		}
+		l.wirePrefix[i+1] = l.wirePrefix[i] + sz
+	}
+	return l, nil
+}
+
+// prefixSize is the wire size of units [u0,u1), counting each string
+// or MIP as its length prefix alone.
+func (l *descLayout) prefixSize(u0, u1 int) int {
+	eu := len(l.kinds)
+	return (u1/eu-u0/eu)*l.wirePrefix[eu] - l.wirePrefix[u0%eu] + l.wirePrefix[u1%eu]
+}
+
+// checkRun returns the error applyRun would return for run on a block
+// of this layout holding units units, without touching the block: the
+// run must lie in range and its bytes decode exactly — fixed-size units
+// by arithmetic, the length prefix of each string and MIP walked (one
+// item at most wire.MaxItem bytes, as wire.Reader.Bytes reads it), and
+// string capacities enforced.
+func (l *descLayout) checkRun(run wire.Run, units int) error {
+	u0 := int(run.Start)
+	u1 := u0 + int(run.Count)
+	if u1 > units {
+		return fmt.Errorf("run [%d,%d) exceeds %d units", u0, u1, units)
+	}
+	if !l.hasVarlen {
+		if want := l.prefixSize(u0, u1); len(run.Data) != want {
+			return fmt.Errorf("run [%d,%d) carries %d bytes, its units take %d", u0, u1, len(run.Data), want)
+		}
+		return nil
+	}
+	data := run.Data
+	eu := len(l.kinds)
+	off := 0 // end of unit u's fixed part, length prefix included
+	for u, p := u0, u0%eu; u < u1; u++ {
+		off += l.wirePrefix[p+1] - l.wirePrefix[p]
+		if k := l.kinds[p]; k == types.KindString || k == types.KindPointer {
+			if off > len(data) {
+				return wire.ErrTruncated
+			}
+			n := binary.BigEndian.Uint32(data[off-4:])
+			if n > wire.MaxItem || int(n) > len(data)-off {
+				return wire.ErrTruncated
+			}
+			if k == types.KindString && int(n) >= l.caps[p] {
+				return fmt.Errorf("string of %d bytes overflows capacity %d", n, l.caps[p])
+			}
+			off += int(n)
+		}
+		if p++; p == eu {
+			p = 0
+		}
+	}
+	if off > len(data) {
+		return wire.ErrTruncated
+	}
+	if off < len(data) {
+		return fmt.Errorf("%d trailing bytes in run", len(data)-off)
+	}
+	return nil
+}
+
+// maxBlockCount bounds a block's element count, in a diff and in a
+// segment image alike.
+const maxBlockCount = 1 << 28
+
+// newBlk allocates a block of count elements of layout l with zeroed
+// units and subblock versions.
+func newBlk(serial uint32, name string, desc uint32, count int, l *descLayout) *Blk {
+	units := len(l.kinds) * count
+	return &Blk{
+		Serial:     serial,
+		Name:       name,
+		DescSerial: desc,
+		Count:      count,
+		descLayout: l,
+		cells:      make([]uint64, units),
+		subVer:     make([]uint32, (units+SubblockUnits-1)/SubblockUnits),
+	}
 }
 
 // Units returns the block's total unit count.
@@ -121,12 +235,10 @@ type Segment struct {
 	head, tail *listElem
 	// markers is the marker_version_tree.
 	markers *rbtree.Tree[uint32, *listElem]
-	// descs maps global descriptor serials to canonical bytes;
-	// descIndex deduplicates by content.
+	// descs maps global descriptor serials to canonical bytes and
+	// layouts to their geometry; descIndex deduplicates by content.
 	descs      map[uint32][]byte
-	descKinds  map[uint32][]types.Kind
-	descCaps   map[uint32][]int
-	descSteps  map[uint32][]types.WireStep
+	layouts    map[uint32]*descLayout
 	descIndex  map[string]uint32
 	nextDesc   uint32
 	totalUnits int
@@ -183,9 +295,7 @@ func NewSegment(name string) *Segment {
 			}
 		}),
 		descs:     make(map[uint32][]byte),
-		descKinds: make(map[uint32][]types.Kind),
-		descCaps:  make(map[uint32][]int),
-		descSteps: make(map[uint32][]types.WireStep),
+		layouts:   make(map[uint32]*descLayout),
 		descIndex: make(map[string]uint32),
 		nextDesc:  1,
 		diffCache: make(map[uint32]*wire.SegmentDiff),
@@ -218,37 +328,24 @@ func (s *Segment) unlink(e *listElem) {
 	e.prev, e.next = nil, nil
 }
 
-// registerDesc registers descriptor bytes, deduplicating by content,
-// and returns the global serial.
-func (s *Segment) registerDesc(b []byte) (uint32, error) {
-	if serial, ok := s.descIndex[string(b)]; ok {
-		return serial, nil
-	}
-	t, err := types.Unmarshal(b)
-	if err != nil {
-		return 0, fmt.Errorf("server: bad descriptor: %w", err)
-	}
-	walk, err := types.WireWalk(t)
-	if err != nil {
-		return 0, fmt.Errorf("server: descriptor walk: %w", err)
-	}
-	kinds := types.UnitKinds(walk)
-	caps := make([]int, 0, len(kinds))
-	for _, ws := range walk {
-		for i := 0; i < ws.Count; i++ {
-			caps = append(caps, ws.Cap)
-		}
-	}
-	serial := s.nextDesc
-	s.nextDesc++
-	cp := make([]byte, len(b))
-	copy(cp, b)
+// addDesc registers a copy of descriptor bytes under serial.
+func (s *Segment) addDesc(serial uint32, b []byte, l *descLayout) {
+	cp := slices.Clone(b)
 	s.descs[serial] = cp
-	s.descKinds[serial] = kinds
-	s.descCaps[serial] = caps
-	s.descSteps[serial] = walk
+	s.layouts[serial] = l
 	s.descIndex[string(cp)] = serial
-	return serial, nil
+}
+
+// addBlock links a block into the segment's tree, name index and
+// blk_version_list, at the list's tail.
+func (s *Segment) addBlock(b *Blk) {
+	b.elem = &listElem{blk: b}
+	s.pushBack(b.elem)
+	s.blocks.Put(b.Serial, b)
+	if b.Name != "" {
+		s.byName[b.Name] = b.Serial
+	}
+	s.totalUnits += b.Units()
 }
 
 // DescBytes returns the canonical bytes of a registered descriptor.
@@ -281,80 +378,147 @@ func (s *Segment) ApplyReplicatedDiff(d *wire.SegmentDiff, v uint32) (int, error
 	return modified, err
 }
 
-// applyDiffAt is ApplyDiff with the produced version as a parameter.
+// applyDiffAt is ApplyDiff with the produced version as a parameter,
+// and the one apply every receive path takes: a client release, a
+// transaction part, a replica record, a journal replay, a proxy mirror
+// pull. It never mutates the segment before its last check: checkDiff
+// finds every error the apply can meet, so a refused diff leaves the
+// segment (and the diff) as they were, and a checked one cannot fail.
 func (s *Segment) applyDiffAt(d *wire.SegmentDiff, v uint32) (uint32, int, error) {
+	descs, err := s.checkDiff(d)
+	if err != nil {
+		return 0, 0, err
+	}
+	modified, err := s.applyChecked(d, descs, v)
+	return v, modified, err
+}
+
+// checkDiff finds every error applying d to s can meet, touching
+// neither, and returns the layouts of the diff's descriptor serials
+// for applyChecked: the descriptors parse and are defined once; each
+// new block names a known descriptor and a count in range, under a
+// serial and a name no live block and no earlier record holds; and
+// every run targets a block live after the diff's news and frees and
+// decodes exactly into it (checkRun).
+func (s *Segment) checkDiff(d *wire.SegmentDiff) (map[uint32]*descLayout, error) {
 	if d == nil {
-		return 0, 0, errors.New("server: nil diff")
+		return nil, errors.New("server: nil diff")
 	}
-	// Remap descriptors.
-	descMap := make(map[uint32]uint32, len(d.Descs))
-	for i := range d.Descs {
-		global, err := s.registerDesc(d.Descs[i].Bytes)
-		if err != nil {
-			return 0, 0, err
+	var descs map[uint32]*descLayout
+	if len(d.Descs) > 0 {
+		descs = make(map[uint32]*descLayout, len(d.Descs))
+	}
+	for _, dd := range d.Descs {
+		if _, dup := descs[dd.Serial]; dup {
+			return nil, fmt.Errorf("server: descriptor %d defined twice", dd.Serial)
 		}
-		descMap[d.Descs[i].Serial] = global
-		d.Descs[i].Serial = global
-		d.Descs[i].Bytes = s.descs[global]
+		if g, ok := s.descIndex[string(dd.Bytes)]; ok {
+			descs[dd.Serial] = s.layouts[g]
+			continue
+		}
+		l, err := parseLayout(dd.Bytes)
+		if err != nil {
+			return nil, fmt.Errorf("server: bad descriptor: %w", err)
+		}
+		descs[dd.Serial] = l
 	}
 
-	marker := &listElem{marker: v}
-
-	// Validate everything before mutating list/tree state so a bad
-	// diff cannot leave the segment half-updated.
+	// created holds each new block's units under its layout.
+	type block struct {
+		layout *descLayout
+		units  int
+	}
+	var created map[uint32]block
+	var names map[string]bool
+	if len(d.News) > 0 {
+		created = make(map[uint32]block, len(d.News))
+		names = make(map[string]bool)
+	}
 	for i := range d.News {
 		nb := &d.News[i]
-		if g, ok := descMap[nb.DescSerial]; ok {
-			nb.DescSerial = g
+		l, ok := descs[nb.DescSerial]
+		if !ok {
+			l = s.layouts[nb.DescSerial]
 		}
-		if _, ok := s.descs[nb.DescSerial]; !ok {
-			return 0, 0, fmt.Errorf("server: new block %d references unknown descriptor %d", nb.Serial, nb.DescSerial)
+		if l == nil {
+			return nil, fmt.Errorf("server: new block %d references unknown descriptor %d", nb.Serial, nb.DescSerial)
 		}
-		if _, ok := s.blocks.Get(nb.Serial); ok {
-			return 0, 0, fmt.Errorf("server: new block %d already exists", nb.Serial)
+		if _, ok := s.blocks.Get(nb.Serial); ok || created[nb.Serial].layout != nil {
+			return nil, fmt.Errorf("server: new block %d already exists", nb.Serial)
 		}
-		if nb.Count == 0 {
-			return 0, 0, fmt.Errorf("server: new block %d has zero count", nb.Serial)
+		if nb.Count == 0 || nb.Count > maxBlockCount {
+			return nil, fmt.Errorf("server: new block %d count %d out of range", nb.Serial, nb.Count)
 		}
 		if nb.Name != "" {
-			if _, ok := s.byName[nb.Name]; ok {
-				return 0, 0, fmt.Errorf("server: duplicate block name %q", nb.Name)
+			if _, ok := s.byName[nb.Name]; ok || names[nb.Name] {
+				return nil, fmt.Errorf("server: duplicate block name %q", nb.Name)
+			}
+			names[nb.Name] = true
+		}
+		created[nb.Serial] = block{layout: l, units: len(l.kinds) * int(nb.Count)}
+	}
+
+	var freed map[uint32]bool
+	if len(d.Freed) > 0 {
+		freed = make(map[uint32]bool, len(d.Freed))
+		for _, serial := range d.Freed {
+			freed[serial] = true
+		}
+	}
+	var last *Blk
+	for i := range d.Blocks {
+		bd := &d.Blocks[i]
+		target := created[bd.Serial]
+		if b := s.findBlock(bd.Serial, last); b != nil {
+			target, last = block{layout: b.descLayout, units: b.Units()}, b
+		}
+		if target.layout == nil || freed[bd.Serial] {
+			return nil, fmt.Errorf("server: diff for unknown block %d", bd.Serial)
+		}
+		for _, run := range bd.Runs {
+			if err := target.layout.checkRun(run, target.units); err != nil {
+				return nil, fmt.Errorf("server: block %d: %w", bd.Serial, err)
 			}
 		}
 	}
+	return descs, nil
+}
 
+// applyChecked applies a diff checkDiff passed as version v, given the
+// layouts checkDiff returned: it registers the descriptors new to the
+// segment and remaps the diff's descriptor serials in place, creates
+// and frees blocks, applies the runs, and caches the diff. It returns
+// the conservative count of units modified. Its errors are the checks
+// applyRun keeps, which checkDiff has already passed.
+func (s *Segment) applyChecked(d *wire.SegmentDiff, descs map[uint32]*descLayout, v uint32) (int, error) {
+	descMap := make(map[uint32]uint32, len(d.Descs))
+	for i := range d.Descs {
+		dd := &d.Descs[i]
+		g, ok := s.descIndex[string(dd.Bytes)]
+		if !ok {
+			g = s.nextDesc
+			s.nextDesc++
+			s.addDesc(g, dd.Bytes, descs[dd.Serial])
+		}
+		descMap[dd.Serial] = g
+		dd.Serial, dd.Bytes = g, s.descs[g]
+	}
+
+	marker := &listElem{marker: v}
 	s.pushBack(marker)
 	s.markers.Put(v, marker)
 
 	for i := range d.News {
 		nb := &d.News[i]
-		kinds := s.descKinds[nb.DescSerial]
-		caps := s.descCaps[nb.DescSerial]
-		units := len(kinds) * int(nb.Count)
-		b := &Blk{
-			Serial:     nb.Serial,
-			Name:       nb.Name,
-			DescSerial: nb.DescSerial,
-			Count:      int(nb.Count),
-			kinds:      kinds,
-			caps:       caps,
-			steps:      s.descSteps[nb.DescSerial],
-			cells:      make([]uint64, units),
-			subVer:     make([]uint32, (units+SubblockUnits-1)/SubblockUnits),
-			createdVer: v,
-			version:    v,
+		if g, ok := descMap[nb.DescSerial]; ok {
+			nb.DescSerial = g
 		}
+		b := newBlk(nb.Serial, nb.Name, nb.DescSerial, int(nb.Count), s.layouts[nb.DescSerial])
 		for j := range b.subVer {
 			b.subVer[j] = v
 		}
-		b.initWireGeometry()
-		b.elem = &listElem{blk: b}
-		s.pushBack(b.elem)
-		s.blocks.Put(b.Serial, b)
-		if b.Name != "" {
-			s.byName[b.Name] = b.Serial
-		}
-		s.totalUnits += units
+		b.createdVer, b.version = v, v
+		s.addBlock(b)
 	}
 
 	for _, serial := range d.Freed {
@@ -377,13 +541,13 @@ func (s *Segment) applyDiffAt(d *wire.SegmentDiff, v uint32) (uint32, int, error
 		bd := &d.Blocks[i]
 		b := s.findBlock(bd.Serial, last)
 		if b == nil {
-			return 0, 0, fmt.Errorf("server: diff for unknown block %d", bd.Serial)
+			return 0, fmt.Errorf("server: diff for unknown block %d", bd.Serial)
 		}
 		last = b
 		for _, run := range bd.Runs {
 			n, err := b.applyRun(run, v)
 			if err != nil {
-				return 0, 0, fmt.Errorf("server: block %d: %w", bd.Serial, err)
+				return 0, fmt.Errorf("server: block %d: %w", bd.Serial, err)
 			}
 			modified += n
 		}
@@ -397,7 +561,7 @@ func (s *Segment) applyDiffAt(d *wire.SegmentDiff, v uint32) (uint32, int, error
 	s.Version = v
 	d.Version = v
 	s.cacheDiff(v, d)
-	return v, modified, nil
+	return modified, nil
 }
 
 // findBlock locates a block by serial, predicting that diffs arrive
@@ -465,6 +629,22 @@ func (b *Blk) applyRun(run wire.Run, v uint32) (int, error) {
 		return 0, fmt.Errorf("run [%d,%d) exceeds %d units", u0, u1, b.Units())
 	}
 	r := wire.NewReader(run.Data)
+	if err := b.decodeUnits(r, u0, u1); err != nil {
+		return 0, err
+	}
+	if r.Remaining() != 0 {
+		return 0, fmt.Errorf("%d trailing bytes in run", r.Remaining())
+	}
+	for sb := u0 / SubblockUnits; sb <= (u1-1)/SubblockUnits; sb++ {
+		b.subVer[sb] = v
+	}
+	return u1 - u0, nil
+}
+
+// decodeUnits decodes units [u0, u1) from r into the block's cells in
+// place, the inverse of appendUnits, enforcing string capacities: a
+// run being applied, or a whole block of a segment image.
+func (b *Blk) decodeUnits(r *wire.Reader, u0, u1 int) error {
 	err := b.forKindRuns(u0, u1, func(k types.Kind, strCap, u, n int) error {
 		switch k {
 		case types.KindChar:
@@ -500,18 +680,9 @@ func (b *Blk) applyRun(run wire.Run, v uint32) (int, error) {
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if err := r.Err(); err != nil {
-		return 0, err
-	}
-	if r.Remaining() != 0 {
-		return 0, fmt.Errorf("%d trailing bytes in run", r.Remaining())
-	}
-	for sb := u0 / SubblockUnits; sb <= (u1-1)/SubblockUnits; sb++ {
-		b.subVer[sb] = v
-	}
-	return u1 - u0, nil
+	return r.Err()
 }
 
 // setVar stores a copy of a variable-length item for unit u. A unit
@@ -555,33 +726,15 @@ func (b *Blk) getVar(u int) []byte {
 	return b.vars[idx-1]
 }
 
-// initWireGeometry precomputes per-element wire-size prefix sums for
-// the capacity estimates.
-func (b *Blk) initWireGeometry() {
-	eu := b.elemUnits()
-	b.wirePrefix = make([]int, eu+1)
-	for i, k := range b.kinds {
-		sz, ok := wire.FixedWireSize(k)
-		if !ok {
-			b.hasVarlen = true
-			sz = 4 // length prefix; contents added in the estimate
-		}
-		b.wirePrefix[i+1] = b.wirePrefix[i] + sz
-	}
-}
-
 // wireSizeEstimate returns a capacity estimate for encoding units
 // [u0, u1), so collection buffers are allocated once.
 func (b *Blk) wireSizeEstimate(u0, u1 int) int {
 	if u0 >= u1 {
 		return 0
 	}
-	eu := b.elemUnits()
-	elemSize := b.wirePrefix[eu]
-	e0, p0 := u0/eu, u0%eu
-	e1, p1 := u1/eu, u1%eu
-	total := (e1-e0)*elemSize - b.wirePrefix[p0] + b.wirePrefix[p1]
+	total := b.prefixSize(u0, u1)
 	if b.hasVarlen {
+		eu := b.elemUnits()
 		for i := u0; i < u1; i++ {
 			switch b.kinds[i%eu] {
 			case types.KindString, types.KindPointer:

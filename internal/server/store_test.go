@@ -1,13 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"testing"
 
 	"interweave/internal/types"
 	"interweave/internal/wire"
 )
 
-func intDescBytes(t *testing.T) []byte {
+func intDescBytes(t testing.TB) []byte {
 	t.Helper()
 	b, err := types.Marshal(types.Int32())
 	if err != nil {
@@ -16,7 +17,7 @@ func intDescBytes(t *testing.T) []byte {
 	return b
 }
 
-func mixDescBytes(t *testing.T) []byte {
+func mixDescBytes(t testing.TB) []byte {
 	t.Helper()
 	s8, err := types.StringOf(8)
 	if err != nil {
@@ -43,7 +44,7 @@ func mixDescBytes(t *testing.T) []byte {
 
 // intsDiff builds a creation diff: one block of n int32s with values
 // vals (padded with zeros).
-func intsDiff(t *testing.T, descLocal, serial uint32, n int, name string, vals ...uint32) *wire.SegmentDiff {
+func intsDiff(t testing.TB, descLocal, serial uint32, n int, name string, vals ...uint32) *wire.SegmentDiff {
 	t.Helper()
 	data := make([]byte, 0, n*4)
 	for i := 0; i < n; i++ {
@@ -425,52 +426,168 @@ func TestUnitsModifiedSince(t *testing.T) {
 	}
 }
 
-func TestApplyDiffErrors(t *testing.T) {
+// seedApplySeg returns a segment at version 2 holding int block 1
+// ("a": 7, 8, 9, 10) and mix block 2 ("m": two elements of int32,
+// string[8], pointer), the base the apply-error table and
+// FuzzApplyDiffAtomic start from.
+func seedApplySeg(t testing.TB) *Segment {
+	t.Helper()
 	s := NewSegment("h/s")
-	if _, _, err := s.ApplyDiff(nil); err == nil {
-		t.Error("nil diff accepted")
-	}
-	// Unknown descriptor.
-	bad := &wire.SegmentDiff{News: []wire.NewBlock{{Serial: 1, DescSerial: 99, Count: 1}}}
-	if _, _, err := s.ApplyDiff(bad); err == nil {
-		t.Error("unknown descriptor accepted")
-	}
-	if s.Version != 0 {
-		t.Errorf("failed diff bumped version to %d", s.Version)
-	}
-	// Run for unknown block.
-	bad = &wire.SegmentDiff{Blocks: []wire.BlockDiff{{Serial: 9, Runs: []wire.Run{{Start: 0, Count: 1, Data: []byte{0, 0, 0, 1}}}}}}
-	if _, _, err := s.ApplyDiff(bad); err == nil {
-		t.Error("run for unknown block accepted")
-	}
-	// Valid creation, then invalid run range.
-	if _, _, err := s.ApplyDiff(intsDiff(t, 1, 1, 4, "a")); err != nil {
+	if _, _, err := s.ApplyDiff(intsDiff(t, 1, 1, 4, "a", 7, 8, 9, 10)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.ApplyDiff(runDiff(1, 3, 1, 2, 3)); err == nil {
-		t.Error("run past block end accepted")
+	var data []byte
+	for i := 0; i < 2; i++ {
+		data = wire.AppendU32(data, uint32(i))
+		data = wire.AppendString(data, "hey")
+		data = wire.AppendString(data, "h/s#a#2")
 	}
-	// Duplicate serial.
-	if _, _, err := s.ApplyDiff(intsDiff(t, 1, 1, 4, "x")); err == nil {
-		t.Error("duplicate block serial accepted")
-	}
-	// Duplicate name.
-	if _, _, err := s.ApplyDiff(intsDiff(t, 1, 2, 4, "a")); err == nil {
-		t.Error("duplicate block name accepted")
-	}
-	// Zero count.
 	if _, _, err := s.ApplyDiff(&wire.SegmentDiff{
-		Descs: []wire.DescDef{{Serial: 1, Bytes: intDescBytes(t)}},
-		News:  []wire.NewBlock{{Serial: 3, DescSerial: 1, Count: 0}},
-	}); err == nil {
-		t.Error("zero-count block accepted")
+		Descs:  []wire.DescDef{{Serial: 1, Bytes: mixDescBytes(t)}},
+		News:   []wire.NewBlock{{Serial: 2, DescSerial: 1, Count: 2, Name: "m"}},
+		Blocks: []wire.BlockDiff{{Serial: 2, Runs: []wire.Run{{Start: 0, Count: 6, Data: data}}}},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	// Truncated run data.
-	if _, _, err := s.ApplyDiff(&wire.SegmentDiff{Blocks: []wire.BlockDiff{
-		{Serial: 1, Runs: []wire.Run{{Start: 0, Count: 2, Data: []byte{1}}}},
-	}}); err == nil {
-		t.Error("truncated run accepted")
+	return s
+}
+
+// badDiffs are diffs seedApplySeg's segment must refuse. The cases
+// after the first eight put a valid run (block 1, unit 0 := 42) or a
+// valid new descriptor ahead of the defect, where an apply that
+// mutates as it goes would already have written.
+func badDiffs(t testing.TB) []struct {
+	name string
+	d    *wire.SegmentDiff
+} {
+	good := wire.BlockDiff{Serial: 1, Runs: []wire.Run{{Start: 0, Count: 1, Data: wire.AppendU32(nil, 42)}}}
+	f64, err := types.Marshal(types.Float64())
+	if err != nil {
+		t.Fatal(err)
 	}
+	return []struct {
+		name string
+		d    *wire.SegmentDiff
+	}{
+		{"nil diff", nil},
+		{"unknown descriptor", &wire.SegmentDiff{News: []wire.NewBlock{{Serial: 9, DescSerial: 99, Count: 1}}}},
+		{"unknown block", &wire.SegmentDiff{Blocks: []wire.BlockDiff{{Serial: 9, Runs: []wire.Run{{Start: 0, Count: 1, Data: []byte{0, 0, 0, 1}}}}}}},
+		{"run past block end", runDiff(1, 3, 1, 2, 3)},
+		{"duplicate block serial", intsDiff(t, 1, 1, 4, "x")},
+		{"duplicate block name", intsDiff(t, 1, 3, 4, "a")},
+		{"zero count", &wire.SegmentDiff{
+			Descs: []wire.DescDef{{Serial: 1, Bytes: intDescBytes(t)}},
+			News:  []wire.NewBlock{{Serial: 3, DescSerial: 1, Count: 0}},
+		}},
+		{"truncated run", &wire.SegmentDiff{Blocks: []wire.BlockDiff{
+			{Serial: 1, Runs: []wire.Run{{Start: 0, Count: 2, Data: []byte{1}}}},
+		}}},
+		{"valid run, then unknown block", &wire.SegmentDiff{Blocks: []wire.BlockDiff{
+			good, {Serial: 9, Runs: []wire.Run{{Start: 0, Count: 1, Data: wire.AppendU32(nil, 1)}}},
+		}}},
+		{"valid run, then run past block end", &wire.SegmentDiff{Blocks: []wire.BlockDiff{
+			{Serial: 1, Runs: []wire.Run{good.Runs[0], {Start: 3, Count: 2, Data: wire.AppendU32(wire.AppendU32(nil, 1), 2)}}},
+		}}},
+		{"valid run, then truncated string", &wire.SegmentDiff{Blocks: []wire.BlockDiff{
+			good, {Serial: 2, Runs: []wire.Run{{Start: 1, Count: 1, Data: append(wire.AppendU32(nil, 20), "abc"...)}}},
+		}}},
+		{"valid run, then string at its capacity", &wire.SegmentDiff{Blocks: []wire.BlockDiff{
+			good, {Serial: 2, Runs: []wire.Run{{Start: 1, Count: 1, Data: wire.AppendString(nil, "12345678")}}},
+		}}},
+		{"valid descriptor, then undecodable descriptor", &wire.SegmentDiff{
+			Descs:  []wire.DescDef{{Serial: 5, Bytes: f64}, {Serial: 6, Bytes: []byte{0xff, 0xff, 0xff}}},
+			Blocks: []wire.BlockDiff{good},
+		}},
+		{"valid run, then run on a block freed by the same diff", &wire.SegmentDiff{
+			Freed: []uint32{2},
+			Blocks: []wire.BlockDiff{good, {Serial: 2, Runs: []wire.Run{
+				{Start: 0, Count: 1, Data: wire.AppendU32(nil, 1)},
+			}}},
+		}},
+		{"the same new block twice", &wire.SegmentDiff{
+			Descs: []wire.DescDef{{Serial: 1, Bytes: intDescBytes(t)}},
+			News:  []wire.NewBlock{{Serial: 3, DescSerial: 1, Count: 1}, {Serial: 3, DescSerial: 1, Count: 2}},
+		}},
+	}
+}
+
+// TestApplyDiffErrors requires every refused diff to leave the segment
+// exactly as it was: same encoding, same version.
+func TestApplyDiffErrors(t *testing.T) {
+	for _, tc := range badDiffs(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			s := seedApplySeg(t)
+			before := s.encode()
+			if _, _, err := s.ApplyDiff(tc.d); err == nil {
+				t.Fatal("accepted")
+			}
+			if s.Version != 2 {
+				t.Errorf("refused diff moved the version to %d", s.Version)
+			}
+			if !bytes.Equal(s.encode(), before) {
+				t.Error("refused diff changed the segment")
+			}
+		})
+	}
+}
+
+// FuzzApplyDiffAtomic decodes arbitrary bytes as a diff and applies
+// it to seedApplySeg's segment: the apply either succeeds, leaving an
+// image that decodes again, or refuses the diff and leaves the segment
+// byte-identical. It never panics.
+func FuzzApplyDiffAtomic(f *testing.F) {
+	for _, tc := range badDiffs(f) {
+		if tc.d != nil {
+			f.Add(tc.d.Marshal(nil))
+		}
+	}
+	f.Add(runDiff(1, 1, 5, 6).Marshal(nil))
+	f.Add(intsDiff(f, 4, 3, 4, "b", 1, 2).Marshal(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := wire.UnmarshalSegmentDiff(data)
+		if err != nil || !fuzzAffordable(d) {
+			return
+		}
+		s := seedApplySeg(t)
+		before := s.encode()
+		if _, _, err := s.ApplyDiff(d); err != nil {
+			if s.Version != 2 || !bytes.Equal(s.encode(), before) {
+				t.Fatalf("refused diff (%v) changed the segment", err)
+			}
+			return
+		}
+		if _, err := decodeSegment(s.encode()); err != nil {
+			t.Fatalf("accepted diff left an image that does not decode: %v", err)
+		}
+	})
+}
+
+// fuzzAffordable bounds what a fuzzed diff may make the segment
+// allocate — the descriptors it defines and the blocks it creates —
+// so the fuzzer explores decoding, not the machine's memory.
+func fuzzAffordable(d *wire.SegmentDiff) bool {
+	for _, dd := range d.Descs {
+		t, err := types.Unmarshal(dd.Bytes)
+		if err != nil {
+			continue
+		}
+		walk, err := types.WireWalk(t)
+		if err != nil {
+			continue
+		}
+		units := 0
+		for _, ws := range walk {
+			units += ws.Count
+		}
+		if units > 1<<10 {
+			return false
+		}
+	}
+	elems := 0
+	for _, nb := range d.News {
+		elems += int(nb.Count)
+	}
+	return elems <= 1<<10
 }
 
 func TestVarlenStorage(t *testing.T) {

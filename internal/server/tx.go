@@ -11,19 +11,22 @@ import (
 // session holds write locks on: either every segment advances to its
 // new version, or none does.
 //
-// Atomicity is achieved by staging: each diff is applied to a clone
-// of its segment (via the segment image codec); only when every part
-// succeeds are the clones swapped in and subscribers notified. The
-// clone cost is proportional to segment size, which is acceptable for
-// an operation whose purpose is crossing a consistency boundary, and
-// keeps the commit path trivially correct.
+// Atomicity comes from checking before committing: the handler takes
+// every part's segment lock in ascending name order (the global
+// ordering rule, DESIGN.md §8) and, holding all of them, first checks
+// every part (checkPart: lock held, segment resident, diff valid), and
+// only then commits every part in place (commitPart, the routine a
+// WriteUnlock takes too). A diff that passes checkDiff cannot fail to
+// apply, so a transaction either fails before any segment changed or
+// commits every part; nothing is dropped mid-commit, so no demotion or
+// migration can slip in between.
 //
-// Locking: the handler takes every part's segment lock in ascending
-// name order (the global ordering rule, DESIGN.md §8), snapshots the
-// wire images under the locks, then drops them for the expensive
-// decode+apply staging — the session's write locks keep the version
-// sequence frozen meanwhile. The locks are retaken (same order) to
-// swap the clones in.
+// Each part joins its segment's commit pipeline like a release, and the
+// reply waits for every part's flush. The parts journal into their own
+// per-segment files, so they are not one atomic cross-segment unit on
+// disk: a crash between them recovers some parts and not others. The
+// client does not resume a transaction; it resets the parts' cached
+// copies and refetches them on the next lock.
 
 func (sess *clientSession) handleTxCommit(m *protocol.TxCommit, sp *obs.Span) protocol.Message {
 	s := sess.srv
@@ -44,135 +47,44 @@ func (sess *clientSession) handleTxCommit(m *protocol.TxCommit, sp *obs.Span) pr
 			return errReply(protocol.CodeNoSegment, "%v", err)
 		}
 		states[i] = st
-	}
-
-	// A failed transaction is an abort: the session's write locks on
-	// the named segments are released, mirroring the client library,
-	// which releases its local locks when a commit fails.
-	// releaseWriter is a no-op on segments this session does not hold.
-	ordered := s.lockSegsOrdered(states)
-	abortLocked := func(reply *protocol.ErrorReply) protocol.Message {
-		for _, st := range states {
-			releaseWriter(st, sess)
-		}
-		unlockSegs(ordered)
-		return reply
-	}
-
-	// Snapshot phase (locks held): verify lock ownership and capture
-	// each part's wire image for out-of-lock staging.
-	type partSnap struct {
-		img      []byte   // encoded segment, nil when the part's diff is empty
-		base     *Segment // the segment the image was taken from
-		prevVer  uint32
-		cacheCap int
-	}
-	snaps := make([]partSnap, len(m.Parts))
-	for i, st := range states {
-		if st.writer != sess {
-			return abortLocked(errReply(protocol.CodeLockState, "write lock on %q not held", m.Parts[i].Seg))
-		}
-		// The held write locks fence eviction, so the parts are
-		// resident; this call is defensive and stamps the LRU clock.
-		if err := s.ensureResident(st); err != nil {
-			return abortLocked(errReply(protocol.CodeInternal, "%v", err))
-		}
-		snaps[i] = partSnap{base: st.seg, prevVer: st.seg.Version, cacheCap: st.seg.cacheCap}
-		if m.Parts[i].Diff != nil && !m.Parts[i].Diff.Empty() {
-			snaps[i].img = st.seg.encode()
-		}
-	}
-	unlockSegs(ordered)
-
-	// Stage (no segment locks): apply every diff to a clone decoded
-	// from the snapshot image. The write locks this session holds
-	// guarantee no other writer advances the segments meanwhile.
-	type staged struct {
-		clone    *Segment
-		version  uint32
-		modified int
-	}
-	asp := sp.Child("server.diff_apply")
-	if asp != nil {
-		asp.AttrInt("parts", int64(len(m.Parts)))
-		defer asp.End()
-	}
-	relockAbort := func(reply *protocol.ErrorReply) protocol.Message {
-		s.lockSegsOrdered(states)
-		return abortLocked(reply)
-	}
-	stage := make([]staged, len(m.Parts))
-	for i := range m.Parts {
-		if snaps[i].img == nil {
-			stage[i] = staged{clone: nil, version: snaps[i].prevVer}
-			continue
-		}
-		clone, err := decodeSegment(snaps[i].img)
-		if err != nil {
-			return relockAbort(errReply(protocol.CodeInternal, "staging %q: %v", m.Parts[i].Seg, err))
-		}
-		clone.SetDiffCacheCap(snaps[i].cacheCap)
 		// Every part's runs alias the one transaction frame; the part
-		// keeps a copy of its own bytes for the cache and the journal.
-		m.Parts[i].Diff = ownedCopy(m.Parts[i].Diff)
-		newVer, modified, err := clone.ApplyDiff(m.Parts[i].Diff)
-		if err != nil {
-			return relockAbort(errReply(protocol.CodeBadRequest, "transaction part %q: %v", m.Parts[i].Seg, err))
+		// keeps a copy of its own bytes for the cache and the journal,
+		// made before any segment lock is taken.
+		if d := m.Parts[i].Diff; d != nil && !d.Empty() {
+			m.Parts[i].Diff = ownedCopy(d)
 		}
-		stage[i] = staged{clone: clone, version: newVer, modified: modified}
 	}
 
-	// Commit: retake the locks (same order) and, in one critical
-	// section per part, swap the clone in, gather notifications, enqueue
-	// the part on its segment's commit pipeline and hand the write lock
-	// off (commit.go). A part therefore joins whatever batch its
-	// segment's flusher takes next — behind any release still in
-	// flight, never overlapping it — and the reply waits for every
-	// part's flush, preserving the journal- and replicate-before-
-	// acknowledge invariants of the single-segment release. The parts'
-	// journals are per-segment files, so they are not one atomic
-	// cross-segment unit; a crash between them recovers a
-	// commit the client was never acknowledged for, which its per-part
-	// Resume recovery already handles.
-	s.lockSegsOrdered(states)
+	ordered := s.lockSegsOrdered(states)
+	descs := make([]map[uint32]*descLayout, len(m.Parts))
 	for i, st := range states {
-		// The write lock froze the version sequence, but an epoch
-		// change may have demoted the segment (resetting its state and
-		// lock queue) while the locks were down. Committing a clone of
-		// pre-demotion state would clobber it — fence instead.
-		if st.seg != snaps[i].base || st.writer != sess {
-			return abortLocked(errReply(protocol.CodeNotOwner,
-				"transaction part %q fenced: segment reassigned during commit", m.Parts[i].Seg))
+		d, fail := sess.checkPart(st, &m.Parts[i])
+		if fail != nil {
+			// A failed transaction is an abort: the session's write
+			// locks on the named segments are released, mirroring the
+			// client library, which releases its local locks when a
+			// commit fails. releaseWriter is a no-op on segments this
+			// session does not hold.
+			for _, st := range states {
+				releaseWriter(st, sess)
+			}
+			unlockSegs(ordered)
+			return fail
 		}
+		descs[i] = d
 	}
 	reply := &protocol.TxReply{Versions: make([]uint32, len(m.Parts))}
 	var flushes []*pendingRelease
 	var leads []*segState
-	for i := range m.Parts {
-		st := states[i]
-		if wid := m.Parts[i].WriterID; wid != "" {
-			st.applied[wid] = appliedWrite{seq: m.Parts[i].Seq, version: stage[i].version}
+	for i, st := range states {
+		version, pr, lead := sess.commitPart(st, &m.Parts[i], descs[i], sp)
+		reply.Versions[i] = version
+		if pr != nil {
+			flushes = append(flushes, pr)
 		}
-		reply.Versions[i] = stage[i].version
-		if stage[i].clone == nil {
-			releaseWriter(st, sess)
-			continue
-		}
-		st.seg = stage[i].clone
-		if s.ins != nil {
-			s.ins.applyUnits.Add(uint64(stage[i].modified))
-		}
-		pr := &pendingRelease{
-			prevVer:       snaps[i].prevVer,
-			version:       stage[i].version,
-			diff:          m.Parts[i].Diff,
-			notifications: updateSubscribers(st, sess, stage[i].version, stage[i].modified),
-			sp:            sp,
-		}
-		if enqueueRelease(st, sess, pr) {
+		if lead {
 			leads = append(leads, st)
 		}
-		flushes = append(flushes, pr)
 	}
 	unlockSegs(ordered)
 	for _, st := range leads {

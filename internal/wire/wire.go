@@ -76,9 +76,9 @@ func AppendString(b []byte, s string) []byte {
 // ErrTruncated reports wire input that ended before a complete value.
 var ErrTruncated = errors.New("wire: truncated input")
 
-// maxWireSlice bounds single length-prefixed items to keep corrupt or
+// MaxItem bounds single length-prefixed items to keep corrupt or
 // hostile input from provoking huge allocations.
-const maxWireSlice = 1 << 28
+const MaxItem = 1 << 28
 
 // Reader decodes canonical values from a byte slice. It carries a
 // sticky error: after any failure, subsequent reads return zero
@@ -168,7 +168,7 @@ func (r *Reader) Take(n int) []byte {
 // Bytes reads a 32-bit length prefix and that many bytes (no copy).
 func (r *Reader) Bytes() []byte {
 	n := r.U32()
-	if r.err != nil || n > maxWireSlice {
+	if r.err != nil || n > MaxItem {
 		r.fail()
 		return nil
 	}
@@ -337,11 +337,18 @@ func UnmarshalSegmentDiff(b []byte) (*SegmentDiff, error) {
 	return d, nil
 }
 
+// fits reports whether n items of at least size encoded bytes each
+// could fit in what remains of r, so a corrupt count is refused
+// before it sizes an allocation.
+func (r *Reader) fits(n uint32, size int) bool {
+	return int(n) <= r.Remaining()/size
+}
+
 // ReadSegmentDiff decodes one segment diff from r.
 func ReadSegmentDiff(r *Reader) (*SegmentDiff, error) {
 	d := &SegmentDiff{Version: r.U32()}
 	nd := r.U32()
-	if r.Err() != nil || nd > 1<<20 {
+	if r.Err() != nil || nd > 1<<20 || !r.fits(nd, 8) {
 		return nil, fmt.Errorf("wire: bad descriptor count: %w", ErrTruncated)
 	}
 	d.Descs = make([]DescDef, nd)
@@ -349,7 +356,7 @@ func ReadSegmentDiff(r *Reader) (*SegmentDiff, error) {
 		d.Descs[i] = DescDef{Serial: r.U32(), Bytes: r.Bytes()}
 	}
 	nn := r.U32()
-	if r.Err() != nil || nn > 1<<24 {
+	if r.Err() != nil || nn > 1<<24 || !r.fits(nn, 16) {
 		return nil, fmt.Errorf("wire: bad new-block count: %w", ErrTruncated)
 	}
 	d.News = make([]NewBlock, nn)
@@ -357,7 +364,7 @@ func ReadSegmentDiff(r *Reader) (*SegmentDiff, error) {
 		d.News[i] = NewBlock{Serial: r.U32(), DescSerial: r.U32(), Count: r.U32(), Name: r.Str()}
 	}
 	nf := r.U32()
-	if r.Err() != nil || nf > 1<<24 {
+	if r.Err() != nil || nf > 1<<24 || !r.fits(nf, 4) {
 		return nil, fmt.Errorf("wire: bad freed-block count: %w", ErrTruncated)
 	}
 	d.Freed = make([]uint32, nf)
@@ -365,7 +372,7 @@ func ReadSegmentDiff(r *Reader) (*SegmentDiff, error) {
 		d.Freed[i] = r.U32()
 	}
 	nb := r.U32()
-	if r.Err() != nil || nb > 1<<24 {
+	if r.Err() != nil || nb > 1<<24 || !r.fits(nb, 12) {
 		return nil, fmt.Errorf("wire: bad block-diff count: %w", ErrTruncated)
 	}
 	d.Blocks = make([]BlockDiff, nb)
@@ -373,7 +380,7 @@ func ReadSegmentDiff(r *Reader) (*SegmentDiff, error) {
 		bd := BlockDiff{Serial: r.U32()}
 		declared := r.U32()
 		nr := r.U32()
-		if r.Err() != nil || nr > 1<<24 {
+		if r.Err() != nil || nr > 1<<24 || !r.fits(nr, 12) {
 			return nil, fmt.Errorf("wire: bad run count: %w", ErrTruncated)
 		}
 		bd.Runs = make([]Run, nr)
