@@ -4,16 +4,17 @@
 //
 //	iwproxy -addr :7788 -upstream origin:7777
 //
-// The proxy subscribes to each segment once upstream and serves
-// ReadLock/Subscribe/Notify to any number of downstream clients from
-// a local mirror; WriteLock/WriteUnlock/TxCommit/Resume are forwarded
+// The proxy follows each segment once upstream — the upstream pushes
+// it every committed diff — and serves ReadLock/Subscribe/Notify to
+// any number of downstream clients from a local mirror; WriteLock/WriteUnlock/TxCommit/Resume are forwarded
 // upstream untouched. Downstream clients speak the ordinary protocol
 // — pointing an existing client (or tools/loadgen) at a proxy is an
 // address change, nothing more. Proxies chain: -upstream may name
 // another proxy, forming a distribution tree.
 //
 // Staleness is bounded with -max-lag (versions): a read that finds the
-// mirror further behind blocks on a synchronous pull first. When the
+// mirror further behind waits for it to catch up with the upstream
+// first. When the
 // upstream is unreachable the proxy serves degraded stale reads
 // (counted in iw_proxy_reads_degraded_total) and reroutes via the
 // cluster ring when the upstream was clustered.
@@ -52,8 +53,8 @@ func run(args []string) error {
 	addr := fs.String("addr", ":7788", "downstream listen address")
 	upstream := fs.String("upstream", "", "upstream server or proxy address (required)")
 	advertise := fs.String("advertise", "", "address downstream clients reach this proxy at (default: the bound listen address)")
-	maxLag := fs.Uint("max-lag", 0, "staleness bound in versions: reads finding the mirror further behind block on a sync pull (0 = unbounded)")
-	syncEvery := fs.Duration("sync-every", proxy.DefaultSyncEvery, "maintenance cadence: upstream re-subscribe + catch-up probe per mirror")
+	maxLag := fs.Uint("max-lag", 0, "staleness bound in versions: reads finding the mirror further behind wait for it to catch up (0 = unbounded)")
+	syncEvery := fs.Duration("sync-every", proxy.DefaultSyncEvery, "maintenance cadence: each mirror re-subscribes upstream as a follower, catching up on anything missed")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = off)")
 	quiet := fs.Bool("quiet", false, "suppress diagnostics")
 	if err := fs.Parse(args); err != nil {

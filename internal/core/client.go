@@ -84,12 +84,11 @@ type Options struct {
 	// tracer disables span tracing entirely — no clock reads and no
 	// allocations on the hot paths.
 	Tracer *obs.Tracer
-	// OnNotify, when non-nil, receives every server-pushed Notify in
-	// addition to the client's own invalidation bookkeeping. It runs on
-	// the notify goroutine with no client lock held, so it may call back
-	// into the Client. The proxy tier uses it to trigger mirror pulls
-	// for segments it subscribed to with Forward rather than Open.
-	OnNotify func(seg string, version uint32)
+	// OnPush, when non-nil, receives every frame a server pushes,
+	// inline on the connection's read loop and before any later reply
+	// is delivered: it must not block or call the Client. The proxy
+	// tier applies its mirrors' records with it (DESIGN.md §11).
+	OnPush func(m protocol.Message)
 }
 
 // Client is one InterWeave client process.
@@ -559,19 +558,15 @@ type serverConn struct {
 
 // pushed handles a server-initiated frame on one of the client's
 // connections, on that connection's read loop: a Notify invalidates
-// its segment's cached copy (see Client.notified).
+// its segment's cached copy (see Client.notified), and every frame is
+// handed to Options.OnPush.
 func (c *Client) pushed(_ uint32, m protocol.Message) {
-	n, ok := m.(*protocol.Notify)
-	if !ok {
-		return
+	if n, ok := m.(*protocol.Notify); ok {
+		c.notifiedMu.Lock()
+		c.notified[n.Seg] = struct{}{}
+		c.notifiedMu.Unlock()
 	}
-	c.notifiedMu.Lock()
-	c.notified[n.Seg] = struct{}{}
-	c.notifiedMu.Unlock()
-	if fn := c.opts.OnNotify; fn != nil {
-		// On a goroutine of its own: the callback may call back into
-		// the client, whose mutex a caller waiting for a reply on this
-		// very connection may hold.
-		go fn(n.Seg, n.Version)
+	if fn := c.opts.OnPush; fn != nil {
+		fn(m)
 	}
 }

@@ -220,9 +220,10 @@ func (c *Client) Migrate(segName, target string) error {
 //
 // This is the proxy tier's upstream primitive (DESIGN.md §11): a proxy
 // relays downstream WriteLock/WriteUnlock/TxCommit frames verbatim and
-// pulls mirror diffs with ReadLock, without materialising core segment
-// state for them. Note the retry semantics are the same as a direct
-// client's: WriteUnlock and TxCommit get at most one send per call.
+// follows its mirrors with Subscribe, without materialising core
+// segment state for them. Note the retry semantics are the same as a
+// direct client's: WriteUnlock and TxCommit get at most one send per
+// call.
 func (c *Client) Forward(segName string, m protocol.Message) (protocol.Message, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"interweave/internal/coherence"
 	"interweave/internal/core"
 	"interweave/internal/protocol"
 	"interweave/internal/session"
@@ -91,20 +92,7 @@ func (p *Proxy) handleReadLock(sess *downstream, m *protocol.ReadLock) protocol.
 	if p.ins != nil {
 		p.ins.reads.Inc()
 	}
-	now := time.Now()
-	mir.mu.Lock()
-	stale := p.staleExceeded(mir, now) || policyNeedsSync(m.Policy, mir, now)
-	mir.mu.Unlock()
-	if stale {
-		// The proxy-wide staleness bound or the reader's own coherence
-		// policy rules out the mirror's copy: block this read on a
-		// synchronous pull. A failed pull degrades to a stale serve —
-		// availability over freshness, counted so operators see it.
-		if p.ins != nil {
-			p.ins.syncReads.Inc()
-		}
-		_ = p.syncMirror(mir)
-	}
+	p.freshen(mir, m.Policy)
 	mir.mu.Lock()
 	defer mir.mu.Unlock()
 	if mir.degraded && p.ins != nil {
@@ -124,6 +112,25 @@ func (p *Proxy) handleReadLock(sess *downstream, m *protocol.ReadLock) protocol.
 	return &protocol.LockReply{Fresh: d == nil, Diff: d}
 }
 
+// freshen waits for mir to follow when the staleness bound (MaxVersionLag,
+// MaxAge) or the reader's own policy rules out its copy; a failed
+// follow degrades to a stale serve: availability over freshness.
+func (p *Proxy) freshen(mir *mirror, policy coherence.Policy) {
+	now := time.Now()
+	mir.mu.Lock()
+	lag := mir.upstreamVer - min(mir.upstreamVer, mir.seg.Version)
+	stale := p.opts.MaxVersionLag > 0 && lag > p.opts.MaxVersionLag ||
+		p.opts.MaxAge > 0 && (mir.lastSync.IsZero() || now.Sub(mir.lastSync) > p.opts.MaxAge) ||
+		policyNeedsSync(policy, mir, now)
+	mir.mu.Unlock()
+	if stale {
+		if p.ins != nil {
+			p.ins.syncReads.Inc()
+		}
+		p.follow(mir)
+	}
+}
+
 func (p *Proxy) handleSubscribe(sess *downstream, m *protocol.Subscribe) protocol.Message {
 	mir, _, errRep := p.ensureMirror(m.Seg, false)
 	if errRep != nil {
@@ -132,19 +139,24 @@ func (p *Proxy) handleSubscribe(sess *downstream, m *protocol.Subscribe) protoco
 	if err := m.Policy.Validate(); err != nil {
 		return errReply(protocol.CodeBadRequest, "%v", err)
 	}
+	if sess.proxy { // a follower starts from what a reader would get
+		p.freshen(mir, m.Policy)
+	}
 	sess.touch(mir)
 	mir.mu.Lock()
 	if sess.Gone() {
 		mir.mu.Unlock()
 		return errReply(protocol.CodeNoSession, "session closed")
 	}
-	owed := mir.subs.Subscribe(mir.seg, sess, m.Policy, m.HaveVersion)
-	ver := mir.seg.Version
+	owed, err := mir.subs.Subscribe(mir.seg, sess, m.Policy, m.HaveVersion, sess.proxy)
 	mir.mu.Unlock()
-	if owed {
-		// Outside the mirror lock: shedding a slow consumer sweeps its
-		// mirrors.
-		sess.Notify(&protocol.Notify{Seg: m.Seg, Version: ver})
+	if err != nil {
+		return errReply(protocol.CodeInternal, "collecting catch-up diff: %v", err)
+	}
+	if owed != nil {
+		// Ahead of the Ack but outside the mirror lock: shedding a
+		// slow consumer sweeps its mirrors.
+		sess.Notify(owed)
 	}
 	return &protocol.Ack{}
 }
@@ -185,23 +197,18 @@ func (p *Proxy) forward(sess *downstream, msg protocol.Message) protocol.Message
 		}
 		return relayErr("forwarding", seg, err)
 	}
-	// A committed write tells us the upstream version directly: nudge
-	// the mirror so this proxy's own readers see the write without
-	// waiting for the Notify round trip.
+	// A committed write tells us the upstream version directly, so a
+	// reader whose policy cannot miss it waits for its record.
 	switch r := reply.(type) {
 	case *protocol.VersionReply:
-		if mir := p.mirrorOf(seg); mir != nil {
-			p.noteUpstreamVersion(mir, r.Version)
-		}
+		p.heard(seg, r.Version)
 	case *protocol.TxReply:
 		if tx, ok := msg.(*protocol.TxCommit); ok {
 			for i, part := range tx.Parts {
 				if i >= len(r.Versions) {
 					break
 				}
-				if mir := p.mirrorOf(part.Seg); mir != nil {
-					p.noteUpstreamVersion(mir, r.Versions[i])
-				}
+				p.heard(part.Seg, r.Versions[i])
 			}
 		}
 	}

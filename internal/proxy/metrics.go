@@ -9,7 +9,7 @@ import (
 )
 
 // Metric names (OBSERVABILITY.md). The fan-out ratio — how many
-// downstream notifications each upstream notification turned into —
+// downstream frames each upstream frame turned into —
 // is pm_downstream_notifies / pm_upstream_notifies; the flagship
 // scale property (primary fan-out grows with proxies, not readers) is
 // asserted from the origin's iw_server_notifications_total against
@@ -58,17 +58,17 @@ func newProxyInstruments(reg *obs.Registry) *proxyInstruments {
 		degradedReads: reg.Counter(pmDegradedReads,
 			"Reads served from a stale mirror while the upstream was unreachable."),
 		syncReads: reg.Counter(pmSyncReads,
-			"Reads that exceeded the staleness bound and blocked on a synchronous pull."),
+			"Reads that exceeded the staleness bound and waited for the mirror to follow its upstream."),
 		pulls: reg.Counter(pmPulls,
-			"Mirror pull round trips against the upstream."),
+			"Follow round trips (follower Subscribe) against the upstream: open, maintenance, held-back reads and catch-ups."),
 		pullErrors: reg.Counter(pmPullErrors,
-			"Mirror pulls that failed to reach the upstream."),
+			"Follow round trips that failed to reach the upstream."),
 		forwardedWrites: reg.Counter(pmForwardedWrites,
 			"Write-path requests (WriteLock/WriteUnlock/TxCommit/Resume) forwarded upstream."),
 		forwardErrors: reg.Counter(pmForwardErrors,
 			"Forwarded write-path requests that failed in transport (server-reported errors relay verbatim and are not counted)."),
 		upstreamNotifies: reg.Counter(pmUpstreamNotifies,
-			"Invalidation notifications received from the upstream (one per version heard, regardless of reader count)."),
+			"Frames the upstream pushed for a mirror: one record (or Notify) per upstream version, regardless of reader count."),
 		downstreamNotifies: reg.Counter(pmDownstreamNotifies,
 			"Invalidation notifications fanned out to downstream subscribers."),
 		sessionsOpened: reg.Counter(pmSessionsOpened,

@@ -1,26 +1,27 @@
 // Package proxy implements the read fan-out proxy tier (DESIGN.md
-// §11). A Proxy subscribes to each segment exactly once upstream — as
-// an ordinary relaxed-coherence client session, introduced with
-// ProxyHello so the upstream exempts it from MaxSessions admission —
-// and serves ReadLock/Subscribe/Notify to any number of downstream
-// clients from a local mirror, while forwarding the write path
-// (WriteLock/WriteUnlock/TxCommit/Resume) upstream untouched. The
-// primary's notification fan-out then scales with the number of
-// proxies, not the number of readers.
+// §11). A Proxy follows each segment exactly once upstream — its
+// Subscribe, sent on a session introduced with ProxyHello, registers
+// a follower, to which the upstream pushes every committed diff as a
+// Replicate record — and serves ReadLock/Subscribe/Notify to any
+// number of downstream clients from a local mirror, while forwarding
+// the write path (WriteLock/WriteUnlock/TxCommit/Resume) upstream
+// untouched. The primary's notification fan-out then scales with the
+// number of proxies, not the number of readers.
 //
 // Proxies chain: a proxy's upstream may itself be a proxy, forming a
-// distribution tree. The mirror is a server.Segment kept at upstream
-// version numbers (ApplyReplicatedDiff), so version arithmetic —
-// coherence policies, HaveVersion freshness, at-most-once records —
-// is identical at every level of the tree.
+// distribution tree; a proxy pushes the records it applies on to the
+// proxies following it. The mirror is a server.Segment kept at
+// upstream version numbers (ApplyReplicatedDiff), so version
+// arithmetic — coherence policies, HaveVersion freshness, at-most-once
+// records — is identical at every level of the tree.
 //
 // Staleness is bounded, not hidden: a downstream ReadLock that finds
-// the mirror more than MaxVersionLag versions or MaxAge behind blocks
-// on a synchronous pull before being served. When the upstream is
-// unreachable the proxy degrades gracefully — reads are served from
-// the stale mirror (counted as degraded), and the upstream client's
-// routing machinery reroutes via the cluster ring (RingGet) so a
-// failover upstream is found without restarting the proxy.
+// the mirror more than MaxVersionLag versions or MaxAge behind waits
+// for the mirror to follow its upstream before being served. When the
+// upstream is unreachable the proxy degrades gracefully — reads are
+// served from the stale mirror (counted as degraded), and the upstream
+// client's routing machinery reroutes via the cluster ring (RingGet)
+// so a failover upstream is found without restarting the proxy.
 package proxy
 
 import (
@@ -39,9 +40,9 @@ import (
 )
 
 // DefaultSyncEvery is the maintenance cadence: how often every mirror
-// re-subscribes upstream and probes for missed versions. It bounds
-// the staleness window left by a lost Notify or a reconnect that
-// silently dropped the upstream subscription.
+// re-subscribes upstream, catching up on anything it missed. It
+// bounds the staleness window left by a reconnect that silently
+// dropped the upstream subscription.
 const DefaultSyncEvery = time.Second
 
 // Options configures a Proxy.
@@ -57,12 +58,12 @@ type Options struct {
 	Name string
 	// MaxVersionLag is the staleness bound in versions: a downstream
 	// ReadLock finding the mirror further behind the last version
-	// heard from upstream blocks on a synchronous pull first. Zero
+	// heard from upstream waits for the mirror to follow first. Zero
 	// disables the version bound.
 	MaxVersionLag uint32
 	// MaxAge is the staleness bound in time: a downstream ReadLock
-	// finding the mirror unconfirmed for longer blocks on a
-	// synchronous pull first. Zero disables the age bound.
+	// finding the mirror unconfirmed for longer waits for the mirror
+	// to follow first. Zero disables the age bound.
 	MaxAge time.Duration
 	// SyncEvery is the maintenance cadence (DefaultSyncEvery if zero;
 	// negative disables the loop — tests drive Maintain manually).
@@ -100,7 +101,7 @@ type Proxy struct {
 	// through the proxy. Nil against a non-clustered upstream.
 	ms *protocol.Membership
 
-	// up is the single upstream client: one subscription session per
+	// up is the single upstream client: one follower session per
 	// upstream server, shared by every mirror. Created in Serve, once
 	// the advertised address is known (it rides in ProxyHello).
 	up *core.Client
@@ -115,19 +116,18 @@ type Proxy struct {
 type mirror struct {
 	name string
 
-	// syncMu serializes pulls: one puller per mirror, whether the pull
-	// was triggered by a Notify, the maintenance loop, or a stale
-	// read. Never held together with p.mu; held across upstream RPCs.
-	syncMu sync.Mutex
-
-	mu sync.Mutex // guards everything below
+	// mu guards everything below. It is never held across an upstream
+	// call, nor while taking p.mu.
+	mu sync.Mutex
 	// seg is the mirrored content; seg.Version is the upstream version
 	// it reflects (ApplyReplicatedDiff preserves the numbering).
 	seg *server.Segment
-	// upstreamVer is the newest version heard from upstream (Notify,
-	// pull, or forwarded-write reply); seg.Version lags it until the
-	// next pull lands.
+	// upstreamVer is the newest version heard from upstream (a record,
+	// a Notify, or a forwarded-write reply); seg.Version lags it until
+	// the records between arrive or a follow catches up.
 	upstreamVer uint32
+	// following is closed when the follow in flight ends; nil if none.
+	following chan struct{}
 	// lastSync is when the mirror last confirmed itself current with
 	// the upstream; the MaxAge staleness bound measures from here.
 	lastSync time.Time
@@ -202,19 +202,20 @@ func (p *Proxy) Serve(ln net.Listener) error {
 		ProxyAddr:  p.advertise,
 		Dial:       p.opts.Dial,
 		RPCTimeout: p.opts.RPCTimeout,
-		OnNotify:   p.onUpstreamNotify,
+		OnPush:     p.onPush,
 	})
 	if err != nil {
 		p.mu.Unlock()
 		return err
 	}
 	p.up = up
-	p.mu.Unlock()
-
+	// Every wg.Add happens under p.mu with closed checked, so none can
+	// race Close's Wait.
 	if p.opts.SyncEvery > 0 {
 		p.wg.Add(1)
 		go p.maintainLoop()
 	}
+	p.mu.Unlock()
 	// Join the fleet's gossip right away so observers see the proxy
 	// before its first maintenance tick.
 	p.gossipOnce()
@@ -237,8 +238,8 @@ func (p *Proxy) Serve(ln net.Listener) error {
 			return net.ErrClosed
 		}
 		p.conns[dc] = struct{}{}
-		p.mu.Unlock()
 		p.wg.Add(1)
+		p.mu.Unlock()
 		go func() {
 			defer p.wg.Done()
 			dc.Serve()
@@ -286,10 +287,10 @@ func (p *Proxy) Close() error {
 }
 
 // ensureMirror returns the mirror for a segment, creating it — which
-// opens the segment upstream, pulls it current, and subscribes — on
-// first use. The returned Message is a relayable error reply when the
-// upstream refused (e.g. CodeNoSegment with create=false). created
-// reports whether this call created the segment upstream.
+// opens the segment upstream and follows it — on first use. The
+// returned Message is a relayable error reply when the upstream
+// refused (e.g. CodeNoSegment with create=false). created reports
+// whether this call created the segment upstream.
 func (p *Proxy) ensureMirror(name string, create bool) (mir *mirror, created bool, errRep protocol.Message) {
 	p.mu.Lock()
 	if m, ok := p.mirrors[name]; ok {
@@ -322,13 +323,9 @@ func (p *Proxy) ensureMirror(name string, create bool) (mir *mirror, created boo
 	}
 	p.mirrors[name] = m
 	p.mu.Unlock()
-	// Pull the mirror current and subscribe for pushes. Best effort:
-	// a failure here leaves the mirror degraded at version 0, exactly
-	// like an upstream that died one RPC later.
-	_ = p.syncMirror(m)
-	if err := p.subscribeUpstream(m); err != nil {
-		p.setDegraded(m, err)
-	}
+	// Best effort: a failure here leaves the mirror degraded at version
+	// 0, exactly like an upstream that died one RPC later.
+	p.follow(m)
 	return m, or.Created, nil
 }
 
@@ -351,166 +348,150 @@ func (p *Proxy) mirrorOf(name string) *mirror {
 	return p.mirrors[name]
 }
 
-// subscribeUpstream (re-)registers the proxy's one upstream
-// subscription for a mirror, with the mirror's current version as the
-// baseline. Full coherence: the proxy must hear about every version,
-// because its downstream subscribers' policies are applied locally.
-// Idempotent; the maintenance loop re-issues it every tick so a
-// reconnect that silently dropped the server-side subscription heals
-// within one cycle.
-func (p *Proxy) subscribeUpstream(m *mirror) error {
+// follow (re-)subscribes m upstream as a follower from its version.
+// The upstream pushes the catch-up record ahead of the Ack, and onPush
+// runs before a later reply is delivered, so the Ack finds the mirror
+// holding what the upstream held. It is the proxy's one upstream sync
+// call, and single-flight: a caller finding one in flight waits.
+func (p *Proxy) follow(m *mirror) {
 	m.mu.Lock()
-	have := m.seg.Version
+	done := m.following
+	if done == nil {
+		m.following = make(chan struct{})
+	}
 	m.mu.Unlock()
-	p.aimUpstream(p.up, m.name)
-	_, err := p.up.Forward(m.name, &protocol.Subscribe{Seg: m.name, HaveVersion: have, Policy: coherence.Full()})
-	return err
+	if done != nil {
+		<-done
+		return
+	}
+	p.runFollow(m)
 }
 
-// onUpstreamNotify handles an upstream-pushed invalidation: record the
-// advertised version and pull asynchronously.
-func (p *Proxy) onUpstreamNotify(seg string, version uint32) {
-	m := p.mirrorOf(seg)
+// runFollow runs the follow whose slot the caller claimed, repeating
+// while the mirror moved or heard of a newer version meanwhile.
+func (p *Proxy) runFollow(m *mirror) {
+	for {
+		m.mu.Lock()
+		have, heard := m.seg.Version, m.upstreamVer
+		m.mu.Unlock()
+		p.aimUpstream(p.up, m.name)
+		_, err := p.up.Forward(m.name, &protocol.Subscribe{Seg: m.name, HaveVersion: have, Policy: coherence.Full()})
+		if p.ins != nil && err != nil {
+			p.ins.pullErrors.Inc()
+		} else if p.ins != nil {
+			p.ins.pulls.Inc()
+		}
+		m.mu.Lock()
+		if err == nil && m.seg.Version < m.upstreamVer && (m.seg.Version != have || m.upstreamVer != heard) {
+			m.mu.Unlock()
+			continue
+		}
+		was := m.degraded
+		if err == nil {
+			// The upstream sent all it holds: a version heard of past
+			// the mirror (a deposed owner's last Notify) is not coming.
+			m.upstreamVer, m.lastSync = m.seg.Version, time.Now()
+		}
+		m.degraded = err != nil
+		close(m.following)
+		m.following = nil
+		m.mu.Unlock()
+		if err != nil && !was {
+			p.logf("proxy: upstream of %q unreachable, serving stale: %v", m.name, err)
+		}
+		return
+	}
+}
+
+// onPush handles a frame the upstream pushed, inline on its read loop,
+// so records apply in order. A record continuing the mirror is applied
+// and what its subscribers are owed is sent on; one the mirror holds
+// is dropped. A gap, a record that does not apply, or a Notify (a
+// deposed owner's, a release not made durable) raises upstreamVer and
+// starts a catch-up.
+func (p *Proxy) onPush(msg protocol.Message) {
+	rec, _ := msg.(*protocol.Replicate)
+	if n, ok := msg.(*protocol.Notify); ok {
+		rec = &protocol.Replicate{Seg: n.Seg, Version: n.Version} // no diff to apply
+	}
+	var m *mirror
+	if rec != nil {
+		m = p.mirrorOf(rec.Seg)
+	}
 	if m == nil {
 		return
 	}
 	if p.ins != nil {
 		p.ins.upstreamNotifies.Inc()
 	}
-	p.noteUpstreamVersion(m, version)
-}
-
-// noteUpstreamVersion records that upstream reached at least version
-// and triggers an asynchronous pull if the mirror is behind.
-func (p *Proxy) noteUpstreamVersion(m *mirror, version uint32) {
 	m.mu.Lock()
-	if version > m.upstreamVer {
-		m.upstreamVer = version
-	}
-	behind := m.seg.Version < m.upstreamVer
-	m.mu.Unlock()
-	if !behind {
-		return
-	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.trySync(m)
-	}()
-}
-
-// trySync pulls the mirror current unless a pull is already running
-// (whoever holds syncMu will observe the bumped upstreamVer and catch
-// up before releasing it).
-func (p *Proxy) trySync(m *mirror) {
-	if !m.syncMu.TryLock() {
-		return
-	}
-	defer m.syncMu.Unlock()
-	p.syncLocked(m)
-}
-
-// syncMirror pulls the mirror current, waiting for any in-flight pull
-// first. Returns the first upstream error; the mirror keeps serving
-// (degraded) regardless.
-func (p *Proxy) syncMirror(m *mirror) error {
-	m.syncMu.Lock()
-	defer m.syncMu.Unlock()
-	return p.syncLocked(m)
-}
-
-// syncLocked drives ReadLock pulls until the mirror has caught up with
-// the newest version heard from upstream. Caller holds m.syncMu.
-func (p *Proxy) syncLocked(m *mirror) error {
-	for {
-		m.mu.Lock()
-		have := m.seg.Version
+	if rec.Diff != nil && rec.Version <= m.seg.Version {
 		m.mu.Unlock()
-		p.aimUpstream(p.up, m.name)
-		reply, err := p.up.Forward(m.name, &protocol.ReadLock{Seg: m.name, HaveVersion: have, Policy: coherence.Full()})
-		if err != nil {
-			if p.ins != nil {
-				p.ins.pullErrors.Inc()
-			}
-			p.setDegraded(m, err)
-			return err
-		}
-		lr, ok := reply.(*protocol.LockReply)
-		if !ok {
-			return fmt.Errorf("proxy: unexpected reply %T to mirror pull", reply)
-		}
-		if p.ins != nil {
-			p.ins.pulls.Inc()
-		}
-		now := time.Now()
-		m.mu.Lock()
-		if lr.Fresh || lr.Diff == nil {
-			m.lastSync = now
-			m.degraded = false
-			if m.upstreamVer < m.seg.Version {
-				m.upstreamVer = m.seg.Version
+		return
+	}
+	if rec.Diff != nil && rec.PrevVersion == m.seg.Version {
+		modified, err := m.seg.ApplyReplicatedDiff(rec.Diff, rec.Version)
+		if err == nil {
+			owed := m.subs.Advance(m.seg, nil, rec.PrevVersion, rec.Diff, modified)
+			if m.seg.Version >= m.upstreamVer {
+				m.upstreamVer, m.lastSync = m.seg.Version, time.Now()
 			}
 			m.mu.Unlock()
-			return nil
-		}
-		var owed []*downstream
-		if lr.Diff.Version > m.seg.Version {
-			modified, aerr := m.seg.ApplyReplicatedDiff(lr.Diff, lr.Diff.Version)
-			if aerr != nil {
-				m.mu.Unlock()
-				return fmt.Errorf("proxy: applying pulled diff to %q: %w", m.name, aerr)
-			}
-			// No downstream session is the writer of a pulled
-			// version: every subscriber the policy says to tell is told.
-			owed = m.subs.Advance(m.seg, nil, lr.Diff.Version, modified)
-		}
-		if m.upstreamVer < lr.Diff.Version {
-			m.upstreamVer = lr.Diff.Version
-		}
-		caughtUp := m.seg.Version >= m.upstreamVer
-		if caughtUp {
-			m.lastSync = now
-			m.degraded = false
-		}
-		m.mu.Unlock()
-		if len(owed) > 0 {
 			if p.ins != nil {
 				p.ins.downstreamNotifies.Add(uint64(len(owed)))
 			}
-			note := &protocol.Notify{Seg: m.name, Version: lr.Diff.Version}
-			for _, sess := range owed {
-				sess.Notify(note)
+			for _, o := range owed {
+				o.To.Notify(o.Msg)
 			}
+			return
 		}
-		if caughtUp {
-			return nil
-		}
+		p.logf("proxy: record %d→%d of %q does not apply: %v", rec.PrevVersion, rec.Version, rec.Seg, err)
 	}
+	m.upstreamVer = max(m.upstreamVer, rec.Version)
+	m.mu.Unlock()
+	p.catchUp(m)
 }
 
-// setDegraded marks a mirror's upstream unreachable.
-func (p *Proxy) setDegraded(m *mirror, err error) {
+// catchUp starts a follow of m on its own goroutine (onPush may not
+// call the upstream client) unless one is in flight or we are closing.
+func (p *Proxy) catchUp(m *mirror) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	m.mu.Lock()
-	was := m.degraded
-	m.degraded = true
-	m.mu.Unlock()
-	if !was {
-		p.logf("proxy: upstream of %q unreachable, serving stale: %v", m.name, err)
+	defer m.mu.Unlock()
+	if p.closed || m.following != nil {
+		return
+	}
+	m.following = make(chan struct{})
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		p.runFollow(m)
+	}()
+}
+
+// heard records that the upstream reached at least version of seg;
+// the record is on its way, and a read that cannot wait follows first.
+func (p *Proxy) heard(seg string, version uint32) {
+	if m := p.mirrorOf(seg); m != nil {
+		m.mu.Lock()
+		m.upstreamVer = max(m.upstreamVer, version)
+		m.mu.Unlock()
 	}
 }
 
 // policyNeedsSync reports whether serving the mirror's current copy
 // would violate the reader's own coherence policy, given what the
-// proxy knows about the upstream (the newest version heard via notify
-// or a forwarded commit). A mirror that is not known-behind satisfies
-// every model — the proxy's Full-coherence upstream subscription
-// keeps that knowledge one notify round trip fresh, the same latitude
-// the origin's adaptive protocol gives direct clients. When the
-// mirror is behind: Delta tolerates a known lag within its bound,
-// Temporal tolerates one within its window since the last confirmed
-// sync, and everything else (Full, and Diff conservatively — the
-// units modified upstream beyond the mirror are unknowable) must
-// block on a pull. Called with m.mu held.
+// proxy knows about the upstream (the newest version heard in a
+// pushed frame or a forwarded commit's reply). A mirror that is not
+// known-behind satisfies every model — the record stream keeps that
+// knowledge one push fresh, the same latitude the origin's adaptive
+// protocol gives direct clients. When the mirror is behind: Delta
+// tolerates a known lag within its bound, Temporal tolerates one
+// within its window since the last confirmed sync, and everything
+// else (Full, and Diff conservatively — the units modified upstream
+// beyond the mirror are unknowable) must wait for a follow. Called
+// with m.mu held.
 func policyNeedsSync(policy coherence.Policy, m *mirror, now time.Time) bool {
 	if m.upstreamVer <= m.seg.Version {
 		return false
@@ -525,23 +506,10 @@ func policyNeedsSync(policy coherence.Policy, m *mirror, now time.Time) bool {
 	}
 }
 
-// staleExceeded reports whether the mirror violates the configured
-// staleness bound. Called with m.mu held.
-func (p *Proxy) staleExceeded(m *mirror, now time.Time) bool {
-	if p.opts.MaxVersionLag > 0 && m.upstreamVer > m.seg.Version &&
-		m.upstreamVer-m.seg.Version > p.opts.MaxVersionLag {
-		return true
-	}
-	if p.opts.MaxAge > 0 && (m.lastSync.IsZero() || now.Sub(m.lastSync) > p.opts.MaxAge) {
-		return true
-	}
-	return false
-}
-
 // Maintain runs one maintenance pass: refresh the upstream ring view
-// and the gossip registration, then re-subscribe and probe every
-// mirror. Exported so tests (and -sync-every<0 deployments) can drive
-// it deterministically.
+// and the gossip registration, then follow every mirror. Exported so
+// tests (and -sync-every<0 deployments) can drive it
+// deterministically.
 func (p *Proxy) Maintain() {
 	p.gossipOnce()
 	// Best effort: a clustered upstream seeds the upstream client's
@@ -568,11 +536,7 @@ func (p *Proxy) Maintain() {
 	}
 	p.mu.Unlock()
 	for _, m := range mirrors {
-		if err := p.subscribeUpstream(m); err != nil {
-			p.setDegraded(m, err)
-			continue
-		}
-		p.trySync(m)
+		p.follow(m)
 	}
 }
 

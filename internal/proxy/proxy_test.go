@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -15,6 +16,7 @@ import (
 	"interweave/internal/obs"
 	"interweave/internal/protocol"
 	"interweave/internal/server"
+	"interweave/internal/session"
 	"interweave/internal/types"
 )
 
@@ -628,5 +630,255 @@ func TestProxySessionCloseDoesNotStallConnection(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("A's parked WriteLock was never answered after A closed")
+	}
+}
+
+// mirrorVersion reads a mirror's version, 0 when the proxy has none.
+func mirrorVersion(p *Proxy, seg string) uint32 {
+	m := p.mirrorOf(seg)
+	if m == nil {
+		return 0
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.seg.Version
+}
+
+// TestProxyFollowsWithoutPulls pins the follower mechanism: after a
+// mirror is opened, commits made directly at the origin reach it as
+// pushed records alone — no sync round trip at any level of the tree —
+// and the origin pushes exactly one frame per commit, however many
+// readers the leaf serves.
+func TestProxyFollowsWithoutPulls(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		levels  int
+		readers int
+	}{
+		{"one proxy", 1, 0},
+		{"two-level tree", 2, 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			origin, _ := startOriginServer(t, server.Options{Metrics: reg})
+			seg := origin + "/followed"
+			w := newTestClient(t, "writer")
+			hw, err := w.Open(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeVal(t, w, hw, 0) // v1
+
+			var proxies []*Proxy
+			upstream := origin
+			for i := 1; i <= tc.levels; i++ {
+				p, addr := startProxyOn(t, Options{Upstream: upstream, Name: fmt.Sprintf("p%d", i), SyncEvery: -1})
+				proxies = append(proxies, p)
+				upstream = addr
+			}
+			leaf := proxies[len(proxies)-1]
+			if _, _, errRep := leaf.ensureMirror(seg, false); errRep != nil {
+				t.Fatalf("open via the leaf: %v", errRep)
+			}
+			readers := make([]*core.Client, tc.readers)
+			handles := make([]*core.Segment, tc.readers)
+			for i := range readers {
+				readers[i] = newTestClient(t, fmt.Sprintf("leaf-reader-%d", i))
+				handles[i] = openVia(t, readers[i], seg, upstream)
+			}
+			pulls := make([]uint64, len(proxies))
+			for i, p := range proxies {
+				pulls[i] = p.ins.pulls.Value()
+			}
+			notes := reg.Snapshot().Counters["iw_server_notifications_total"]
+
+			for v := int32(1); v <= 50; v++ {
+				writeVal(t, w, hw, v)
+			}
+			for _, p := range proxies {
+				waitUntil(t, 5*time.Second, "mirror at v51", func() bool { return mirrorVersion(p, seg) == 51 })
+			}
+			for i, r := range readers {
+				if v, err := readVal(r, handles[i]); err != nil || v != 50 {
+					t.Fatalf("leaf reader %d read %d, %v; want 50", i, v, err)
+				}
+			}
+			for i, p := range proxies {
+				if got := p.ins.pulls.Value() - pulls[i]; got != 0 {
+					t.Errorf("p%d made %d upstream sync round trips for 50 commits, want 0", i+1, got)
+				}
+			}
+			if got := reg.Snapshot().Counters["iw_server_notifications_total"] - notes; got != 50 {
+				t.Errorf("origin pushed %v frames for 50 commits, want 50", got)
+			}
+		})
+	}
+}
+
+// TestProxyCloseUnderWrites closes proxies while commits on several
+// segments stream into their mirrors and maintenance runs: Close must
+// not race the goroutines the proxy starts (run it under -race).
+func TestProxyCloseUnderWrites(t *testing.T) {
+	const segments = 4
+	origin, _ := startOriginServer(t, server.Options{})
+	writers := make([]*core.Client, segments)
+	handles := make([]*core.Segment, segments)
+	for i := range writers {
+		writers[i] = newTestClient(t, fmt.Sprintf("writer-%d", i))
+		h, err := writers[i].Open(fmt.Sprintf("%s/storm-%d", origin, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeVal(t, writers[i], h, 0)
+		handles[i] = h
+	}
+	for round := 0; round < 20; round++ {
+		p, paddr := startProxyOn(t, Options{Upstream: origin})
+		r := newTestClient(t, fmt.Sprintf("reader-%d", round))
+		for _, h := range handles {
+			openVia(t, r, h.Name(), paddr)
+		}
+		stop, done := make(chan struct{}), make(chan error, segments)
+		for i := range writers {
+			go func(c *core.Client, h *core.Segment) {
+				for v := int32(1); ; v++ {
+					select {
+					case <-stop:
+						done <- nil
+						return
+					default:
+					}
+					if err := c.WLock(h); err != nil {
+						done <- err
+						return
+					}
+					b, _ := h.Mem().BlockByName("v")
+					_ = c.Heap().WriteI32(b.Addr, v)
+					if err := c.WUnlock(h); err != nil {
+						done <- err
+						return
+					}
+				}
+			}(writers[i], handles[i])
+		}
+		first := handles[0].Name()
+		start := mirrorVersion(p, first)
+		waitUntil(t, 5*time.Second, "commits reaching the mirror", func() bool { return mirrorVersion(p, first) >= start+5 })
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		for range writers {
+			if err := <-done; err != nil {
+				t.Fatalf("round %d: direct write: %v", round, err)
+			}
+		}
+	}
+}
+
+// TestProxyPushApplyRule feeds the push handler directly. The proxy's
+// own upstream subscription is dropped first, and a capturing follower
+// session at the origin records what the origin pushes, so each frame
+// reaches the mirror only when the test hands it over.
+func TestProxyPushApplyRule(t *testing.T) {
+	origin, _ := startOriginServer(t, server.Options{})
+	p, paddr := startProxyOn(t, Options{Upstream: origin, SyncEvery: -1})
+	seg := origin + "/rule"
+	w := newTestClient(t, "writer")
+	hw, err := w.Open(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeVal(t, w, hw, 1) // v1
+	r := newTestClient(t, "reader")
+	hr := openVia(t, r, seg, paddr)
+	if v, err := readVal(r, hr); err != nil || v != 1 {
+		t.Fatalf("first read = %d, %v; want 1", v, err)
+	}
+
+	conn, err := net.Dial("tcp", origin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := make(chan *protocol.Replicate, 8)
+	capture := session.NewDialed(conn, func(_ uint32, m protocol.Message) {
+		if rec, ok := m.(*protocol.Replicate); ok {
+			records <- rec
+		}
+	})
+	t.Cleanup(capture.Close)
+	for _, m := range []protocol.Message{
+		&protocol.ProxyHello{ProxyAddr: "capture", Name: "capture"},
+		&protocol.Subscribe{Seg: seg, HaveVersion: 1, Policy: coherence.Full()},
+	} {
+		if _, err := capture.Call(0, m, protocol.TraceContext{}, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.up.Forward(seg, &protocol.Unsubscribe{Seg: seg}); err != nil {
+		t.Fatal(err)
+	}
+	var recs []*protocol.Replicate
+	for v := int32(2); v <= 4; v++ {
+		writeVal(t, w, hw, v)
+		select {
+		case rec := <-records:
+			recs = append(recs, rec)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no record pushed for v%d", v)
+		}
+	}
+	m := p.mirrorOf(seg)
+	image := func() []byte {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		d, err := m.seg.CollectDiff(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Marshal(nil)
+	}
+	pulls := p.ins.pulls.Value()
+
+	// Contiguous: applied in place, no round trip.
+	p.onPush(recs[0])
+	if got := mirrorVersion(p, seg); got != 2 {
+		t.Fatalf("after the v2 record the mirror is at v%d", got)
+	}
+	// Duplicate: dropped, the image untouched.
+	before := image()
+	p.onPush(recs[0])
+	if got := mirrorVersion(p, seg); got != 2 || !bytes.Equal(image(), before) {
+		t.Fatalf("a duplicate record moved the mirror (v%d) or its image", got)
+	}
+	if got := p.ins.pulls.Value(); got != pulls {
+		t.Fatalf("applying and dropping records made %d sync round trips", got-pulls)
+	}
+
+	// Gap: the v4 record cannot apply on v2. It starts one follow, and
+	// the next Full read — which finds the mirror known-behind — waits
+	// for that one instead of starting another.
+	p.onPush(recs[2])
+	if v, err := readVal(r, hr); err != nil || v != 4 {
+		t.Fatalf("Full read after a gap = %d, %v; want 4", v, err)
+	}
+	if got := p.ins.pulls.Value() - pulls; got != 1 {
+		t.Fatalf("the gap and the read made %d follows, want 1", got)
+	}
+	if got := mirrorVersion(p, seg); got != 4 {
+		t.Fatalf("mirror at v%d after the catch-up, want v4", got)
+	}
+
+	// A deposed owner's Notify, at the version the mirror holds: the
+	// subscription it names is gone, so it is followed once.
+	pulls = p.ins.pulls.Value()
+	p.onPush(&protocol.Notify{Seg: seg, Version: 4})
+	waitUntil(t, 5*time.Second, "the catch-up after a Notify", func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.following == nil
+	})
+	if got := p.ins.pulls.Value() - pulls; got != 1 {
+		t.Fatalf("a Notify made %d follows, want 1", got)
 	}
 }

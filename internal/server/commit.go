@@ -54,12 +54,11 @@ type pendingRelease struct {
 	// serials remapped to the segment's): what a batch of one journals
 	// and replicates.
 	diff *wire.SegmentDiff
-	// notifications are the subscriber sends this release's
-	// subscription-table pass produced; the flusher runs them (the
-	// notified flag already dedups within a batch) under a
-	// "server.notify_fanout" child of sp, the request's span.
-	notifications []func()
-	sp            *obs.Span
+	// pushes are what this release's subscription-table pass found the
+	// subscribers owed (Subscriptions.Advance): the flusher sends them
+	// under a "server.notify_fanout" child of sp, the request's span.
+	pushes []Push[*clientSession]
+	sp     *obs.Span
 	// done is closed by the flusher once the covering flush finished;
 	// fail is valid after that, nil when the release is durable.
 	done chan struct{}
@@ -137,13 +136,7 @@ func (sess *clientSession) commitPart(st *segState, part *protocol.WriteUnlock, 
 		st.applied[part.WriterID] = appliedWrite{seq: part.Seq, version: version}
 	}
 	pr := &pendingRelease{prevVer: version - 1, version: version, diff: part.Diff, sp: sp, done: make(chan struct{})}
-	for _, target := range st.subs.Advance(st.seg, sess, version, modified) {
-		pr.notifications = append(pr.notifications, func() {
-			// Never blocks: a slow consumer is shed, not buffered
-			// (DESIGN.md §10).
-			target.Notify(&protocol.Notify{Seg: st.name, Version: version})
-		})
-	}
+	pr.pushes = st.subs.Advance(st.seg, sess, pr.prevVer, part.Diff, modified)
 	st.pending = append(st.pending, pr)
 	releaseWriter(st, sess)
 	lead := !st.flushing
@@ -288,7 +281,8 @@ func (s *Server) batchFrameLocked(st *segState, batch []*pendingRelease) (rep *p
 // a journal failure is CodeInternal, an epoch fence CodeNotOwner, any
 // other replication failure CodeNotReplicated. The diff stays applied
 // either way — the client was told the release failed and its retries
-// are deduped by (WriterID, Seq).
+// are deduped by (WriterID, Seq). Running after journal and
+// replication on the one flusher, the fan-out sends records in order.
 func (s *Server) completeBatch(st *segState, batch []*pendingRelease, jerr, replErr error) {
 	var fail *protocol.ErrorReply
 	switch {
@@ -311,18 +305,26 @@ func (s *Server) completeBatch(st *segState, batch []*pendingRelease, jerr, repl
 		s.flight.Record(ev)
 	}
 	for _, pr := range batch {
-		if len(pr.notifications) == 0 {
+		if len(pr.pushes) == 0 {
 			continue
 		}
 		if s.ins != nil {
-			s.ins.notifications.Add(uint64(len(pr.notifications)))
+			s.ins.notifications.Add(uint64(len(pr.pushes)))
 		}
 		nsp := pr.sp.Child("server.notify_fanout")
 		if nsp != nil {
-			nsp.AttrInt("subscribers", int64(len(pr.notifications)))
+			nsp.AttrInt("subscribers", int64(len(pr.pushes)))
 		}
-		for _, n := range pr.notifications {
-			n()
+		for _, push := range pr.pushes {
+			msg := push.Msg
+			if fail != nil {
+				// A fenced release may yet be renumbered: a follower is
+				// told only the version, and catches up.
+				msg = &protocol.Notify{Seg: st.name, Version: pr.version}
+			}
+			// Never blocks: a slow consumer is shed, not buffered
+			// (DESIGN.md §10).
+			push.To.Notify(msg)
 		}
 		nsp.End()
 	}

@@ -130,7 +130,7 @@ func newServerInstruments(reg *obs.Registry) *serverInstruments {
 		applyUnits: reg.Counter(smApplyUnits,
 			"Primitive units modified by applied write releases (subblock-rounded)."),
 		notifications: reg.Counter(smNotifications,
-			"Invalidation notifications pushed to subscribed clients."),
+			"Frames pushed to subscribers at release: Notify invalidations and the Replicate records pushed to proxy followers."),
 		compactPassSec: reg.Histogram(smCheckpointSeconds,
 			"Wall time of a full compaction pass (CompactJournal, Close) over every segment's journal.",
 			obs.DurationBuckets),

@@ -869,13 +869,15 @@ func (sess *clientSession) handleSubscribe(m *protocol.Subscribe) protocol.Messa
 			return errReply(protocol.CodeInternal, "%v", err)
 		}
 	}
-	owed := st.subs.Subscribe(st.seg, sess, m.Policy, m.HaveVersion)
-	ver := st.residentVersionLocked()
+	owed, err := st.subs.Subscribe(st.seg, sess, m.Policy, m.HaveVersion, sess.proxy.Load())
 	st.mu.Unlock()
-	if owed {
-		// Sent outside the segment lock, like every Notify: it never
-		// blocks, but shedding a slow consumer sweeps its segments.
-		sess.Notify(&protocol.Notify{Seg: st.name, Version: ver})
+	if err != nil {
+		return errReply(protocol.CodeInternal, "collecting catch-up diff: %v", err)
+	}
+	if owed != nil {
+		// Ahead of the Ack, outside the segment lock: it never blocks,
+		// but shedding a slow consumer sweeps its segments.
+		sess.Notify(owed)
 	}
 	return &protocol.Ack{}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"interweave/internal/obs"
@@ -42,9 +43,9 @@ type clientSession struct {
 	profile string
 
 	// proxy marks a session created by (or upgraded with) ProxyHello: a
-	// read fan-out proxy's upstream subscription, exempt from
-	// MaxSessions admission. Guarded by srv.mu.
-	proxy bool
+	// read fan-out proxy's upstream session, exempt from MaxSessions
+	// admission, whose subscriptions are followers. Set under srv.mu.
+	proxy atomic.Bool
 	// exempt marks a session excluded from MaxSessions admission:
 	// proxy sessions and sessions created by a cluster-plane RPC
 	// (a peer's or proxy's gossip round trip). Guarded by srv.mu.
@@ -118,8 +119,8 @@ func (s *Server) Admit(ts *session.Session, first protocol.Message) protocol.Mes
 // different first frame). Idempotent.
 func (s *Server) markProxySession(sess *clientSession) {
 	s.mu.Lock()
-	if !sess.proxy && !sess.Gone() {
-		sess.proxy = true
+	if !sess.proxy.Load() && !sess.Gone() {
+		sess.proxy.Store(true)
 		s.proxySessions++
 		if !sess.exempt {
 			sess.exempt = true
@@ -154,7 +155,7 @@ func (s *Server) Release(ts *session.Session, evictReason string) {
 	sess := ts.Data.(*clientSession)
 	s.mu.Lock()
 	delete(s.sessions, sess)
-	if sess.proxy {
+	if sess.proxy.Load() {
 		s.proxySessions--
 		if s.ins != nil {
 			s.ins.proxySessions.Set(int64(s.proxySessions))

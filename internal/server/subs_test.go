@@ -1,11 +1,13 @@
 package server
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"time"
 
 	"interweave/internal/coherence"
+	"interweave/internal/protocol"
 )
 
 // subsSeg returns a segment at version 1 holding one block of 100
@@ -22,16 +24,39 @@ func subsSeg(t *testing.T) *Segment {
 // write commits one release rewriting n units of the block and
 // advances the table the way its owner would: writer is the releasing
 // subscriber (server style) or "" (proxy style: the version came from
-// a pull). It returns the subscribers owed a Notify, sorted.
+// an upstream record). It returns the subscribers owed a Notify,
+// sorted.
 func write(t *testing.T, tab *Subscriptions[string], seg *Segment, writer string, n int) []string {
 	t.Helper()
-	ver, modified, err := seg.ApplyDiff(runDiff(1, 0, make([]uint32, n)...))
+	d := runDiff(1, 0, make([]uint32, n)...)
+	ver, modified, err := seg.ApplyDiff(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owed := tab.Advance(seg, writer, ver, modified)
+	var owed []string
+	for _, p := range tab.Advance(seg, writer, ver-1, d, modified) {
+		if n, ok := p.Msg.(*protocol.Notify); !ok || n.Seg != seg.Name || n.Version != ver {
+			t.Fatalf("%s owed %#v, want a Notify for v%d", p.To, p.Msg, ver)
+		}
+		owed = append(owed, p.To)
+	}
 	sort.Strings(owed)
 	return owed
+}
+
+// notified reports whether a Subscribe call owed a Notify at once; it
+// panics on anything else owed, which no test here expects.
+func notified(owed protocol.Message, err error) bool {
+	if err != nil {
+		panic(err)
+	}
+	switch owed.(type) {
+	case nil:
+		return false
+	case *protocol.Notify:
+		return true
+	}
+	panic(fmt.Sprintf("subscriber owed %T, want a Notify", owed))
 }
 
 func equal(a, b []string) bool {
@@ -68,7 +93,7 @@ func TestSubscriptionsFanout(t *testing.T) {
 			seg := subsSeg(t)
 			var tab Subscriptions[string]
 			for name, p := range policies {
-				if tab.Subscribe(seg, name, p, seg.Version) {
+				if notified(tab.Subscribe(seg, name, p, seg.Version, false)) {
 					t.Errorf("%s subscribing at the current version is owed a Notify", name)
 				}
 			}
@@ -170,7 +195,7 @@ func TestSubscribeAlreadyBehind(t *testing.T) {
 		{"delta", coherence.Delta(2), false},
 		{"diff", coherence.Diff(50), false},
 	} {
-		if got := tab.Subscribe(seg, c.name, c.policy, 1); got != c.owed {
+		if got := notified(tab.Subscribe(seg, c.name, c.policy, 1, false)); got != c.owed {
 			t.Errorf("%s subscribing one version behind: owed = %v, want %v", c.name, got, c.owed)
 		}
 	}
@@ -186,10 +211,44 @@ func TestSubscribeAlreadyBehind(t *testing.T) {
 	// Subscribing three versions behind is past Delta(2) at once; Diff
 	// is judged by the exact count (the releases overlap: 30-odd units
 	// differ from v1, not the 70 the per-release counter summed).
-	if !tab.Subscribe(seg, "late-delta", coherence.Delta(2), 1) {
+	if !notified(tab.Subscribe(seg, "late-delta", coherence.Delta(2), 1, false)) {
 		t.Error("delta subscriber three versions behind owed nothing at Subscribe")
 	}
-	if tab.Subscribe(seg, "late-diff", coherence.Diff(50), 1) || !tab.Subscribe(seg, "late-diff", coherence.Diff(20), 1) {
+	if notified(tab.Subscribe(seg, "late-diff", coherence.Diff(50), 1, false)) || !notified(tab.Subscribe(seg, "late-diff", coherence.Diff(20), 1, false)) {
 		t.Error("diff subscriber at Subscribe not judged by the units modified since its version")
+	}
+}
+
+// TestSubscriptionsFollower: a follower is owed every version as a
+// record carrying the release's own diff, whatever its policy and
+// whether or not it locked in between; and one subscribing behind is
+// owed one catch-up record from its version.
+func TestSubscriptionsFollower(t *testing.T) {
+	seg := subsSeg(t)
+	var tab Subscriptions[string]
+	if owed, err := tab.Subscribe(seg, "mirror", coherence.Delta(100), seg.Version, true); owed != nil || err != nil {
+		t.Fatalf("follower subscribing at the current version owed %#v, %v", owed, err)
+	}
+	notified(tab.Subscribe(seg, "reader", coherence.Full(), seg.Version, false))
+	for i := 0; i < 3; i++ {
+		d := runDiff(1, 0, make([]uint32, 1)...)
+		ver, modified, err := seg.ApplyDiff(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec *protocol.Replicate
+		for _, p := range tab.Advance(seg, "", ver-1, d, modified) {
+			if p.To == "mirror" {
+				rec, _ = p.Msg.(*protocol.Replicate)
+			}
+		}
+		if rec == nil || rec.Seg != seg.Name || rec.PrevVersion != ver-1 || rec.Version != ver || rec.Diff != d {
+			t.Fatalf("v%d: follower owed %#v, want the record of the release's own diff", ver, rec)
+		}
+	}
+	owed, err := tab.Subscribe(seg, "late", coherence.Full(), 2, true)
+	rec, ok := owed.(*protocol.Replicate)
+	if err != nil || !ok || rec.PrevVersion != 2 || rec.Version != seg.Version || rec.Diff == nil {
+		t.Fatalf("follower subscribing at v2 of v%d owed %#v, %v; want one catch-up record", seg.Version, owed, err)
 	}
 }

@@ -309,13 +309,14 @@ func (s *Session) send(id uint32, m protocol.Message) error {
 // queue — sheds the notification, and shedding evicts: a subscriber
 // that missed a Notify would trust stale data forever, so the session
 // is torn down and the client re-establishes it (re-validating by
-// version, exactly as after a reconnect).
+// version, exactly as after a reconnect). A Replicate record (one per
+// version, to a proxy follower) is held to the connection queue alone.
 func (s *Session) Notify(m protocol.Message) {
 	if s.Gone() {
 		return
 	}
 	c := s.conn
-	if int(s.queued.Load()) >= c.cfg.SessionQueue {
+	if _, rec := m.(*protocol.Replicate); !rec && int(s.queued.Load()) >= c.cfg.SessionQueue {
 		s.shed("session queue bound")
 		return
 	}
