@@ -52,12 +52,19 @@ func (c *Client) TxCommit(hs ...*Segment) error {
 		return errors.New("core: empty transaction")
 	}
 	first := hs[0].s
-	for _, h := range hs {
+	for i, h := range hs {
 		if !h.s.writer {
 			return fmt.Errorf("%w: write (TxCommit %q)", ErrNotLocked, h.s.name)
 		}
 		if h.s.conn != first.conn {
 			return fmt.Errorf("%w: %q vs %q", ErrTxServers, first.name, h.s.name)
+		}
+		// A segment collected twice would overwrite its first part's
+		// run data (segment.runBuf).
+		for _, prev := range hs[:i] {
+			if prev.s == h.s {
+				return fmt.Errorf("core: segment %q appears twice in transaction", h.s.name)
+			}
 		}
 	}
 	msg := &protocol.TxCommit{Parts: make([]protocol.WriteUnlock, len(hs))}

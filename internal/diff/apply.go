@@ -227,3 +227,11 @@ func applyRun(prof *arch.Profile, view []byte, b *mem.Block, run wire.Run, opts 
 	}
 	return nil
 }
+
+func countRuns(d *wire.SegmentDiff) int {
+	n := 0
+	for i := range d.Blocks {
+		n += len(d.Blocks[i].Runs)
+	}
+	return n
+}

@@ -80,6 +80,13 @@ type CollectOptions struct {
 	Freed []uint32
 	// Stats, when non-nil, accumulates phase timings.
 	Stats *Stats
+	// RunBuf, when non-nil, is the buffer the runs' wire data is
+	// translated into. Collection writes from its start and leaves in
+	// it the buffer it ended in, grown if the runs outgrew it, so the
+	// runs of the returned diff alias it: the caller must be done with
+	// the previous diff collected through it (DESIGN.md §10). Nil
+	// collects into fresh memory.
+	RunBuf *[]byte
 }
 
 // CollectSegment gathers the segment's local modifications into a
@@ -156,17 +163,12 @@ func collectWith(seg *mem.SegMem, opts CollectOptions, scan func(*collector) []i
 		b.Pending = false
 	}
 	if opts.Stats != nil {
-		opts.Stats.Runs += countRuns(d)
+		opts.Stats.Runs += len(c.runs)
+	}
+	if opts.RunBuf != nil {
+		*opts.RunBuf = c.buf
 	}
 	return d, nil
-}
-
-func countRuns(d *wire.SegmentDiff) int {
-	n := 0
-	for i := range d.Blocks {
-		n += len(d.Blocks[i].Runs)
-	}
-	return n
 }
 
 type interval struct {
@@ -180,11 +182,23 @@ type collector struct {
 	prof   *arch.Profile
 	opts   CollectOptions
 	out    *wire.SegmentDiff
-	diffs  map[uint32]int // block serial -> index in out.Blocks
 	splice int
 	// scanned counts the bytes wordDiff compared against twins.
 	scanned int
+	// buf is the chunk run data is translated into: runs are
+	// appended to it, and a run that does not fit starts a new chunk,
+	// so a run never spans two chunks and never moves once emitted.
+	buf []byte
+	// runs backs every BlockDiff's Runs; the last block's runs start
+	// at index first.
+	runs  []wire.Run
+	first int
 }
+
+// minRunChunk is the smallest chunk of run data a collection
+// allocates, so a diff of many small runs starts a few chunks, not
+// one per run.
+const minRunChunk = 4 << 10
 
 func newCollector(seg *mem.SegMem, opts CollectOptions) *collector {
 	c := &collector{
@@ -193,8 +207,10 @@ func newCollector(seg *mem.SegMem, opts CollectOptions) *collector {
 		prof:   seg.Heap().Profile(),
 		opts:   opts,
 		out:    &wire.SegmentDiff{Version: opts.Version, Freed: opts.Freed},
-		diffs:  make(map[uint32]int),
 		splice: opts.SpliceWords,
+	}
+	if opts.RunBuf != nil {
+		c.buf = (*opts.RunBuf)[:0]
 	}
 	if c.splice == 0 {
 		c.splice = DefaultSpliceWords
@@ -361,11 +377,12 @@ func (c *collector) emitRun(b *mem.Block, u0, u1 int) error {
 		return err
 	}
 	bd := c.blockDiff(b.Serial)
-	bd.Runs = append(bd.Runs, wire.Run{
+	c.runs = append(c.runs, wire.Run{
 		Start: uint32(u0),
 		Count: uint32(u1 - u0),
 		Data:  data,
 	})
+	bd.Runs = c.runs[c.first:len(c.runs):len(c.runs)]
 	if c.opts.Stats != nil {
 		c.opts.Stats.Units += u1 - u0
 		c.opts.Stats.Bytes += len(data)
@@ -373,12 +390,16 @@ func (c *collector) emitRun(b *mem.Block, u0, u1 int) error {
 	return nil
 }
 
+// blockDiff returns the entry for the block with the given serial:
+// the last one, or a new one. A block's runs are emitted one after
+// another — pending blocks first, then blocks in address order within
+// one subsegment at a time — so an earlier entry is never revisited.
 func (c *collector) blockDiff(serial uint32) *wire.BlockDiff {
-	if i, ok := c.diffs[serial]; ok {
-		return &c.out.Blocks[i]
+	if n := len(c.out.Blocks); n > 0 && c.out.Blocks[n-1].Serial == serial {
+		return &c.out.Blocks[n-1]
 	}
 	c.out.Blocks = append(c.out.Blocks, wire.BlockDiff{Serial: serial})
-	c.diffs[serial] = len(c.out.Blocks) - 1
+	c.first = len(c.runs)
 	return &c.out.Blocks[len(c.out.Blocks)-1]
 }
 
@@ -393,7 +414,7 @@ func (c *collector) fullBlockRun(b *mem.Block) error {
 }
 
 // translateUnits converts units [u0, u1) of b from local format to
-// canonical wire format.
+// canonical wire format, appending them to the collector's chunk.
 func (c *collector) translateUnits(b *mem.Block, u0, u1 int) ([]byte, error) {
 	view, err := c.heap.View(b.Addr, b.Size())
 	if err != nil {
@@ -401,7 +422,11 @@ func (c *collector) translateUnits(b *mem.Block, u0, u1 int) ([]byte, error) {
 	}
 	l := b.Layout
 	order := c.prof.Order
-	buf := make([]byte, 0, wireSizeBound(l, u0, u1))
+	if bound := wireSizeBound(l, u0, u1); cap(c.buf)-len(c.buf) < bound {
+		c.buf = make([]byte, 0, max(bound, 2*cap(c.buf), minRunChunk))
+	}
+	start, avail := len(c.buf), cap(c.buf)-len(c.buf)
+	buf := c.buf[start:]
 	err = forUnits(l, u0, u1, func(k types.Kind, strCap, absByte, n, stride int) error {
 		switch k {
 		case types.KindChar:
@@ -450,17 +475,25 @@ func (c *collector) translateUnits(b *mem.Block, u0, u1 int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buf, nil
+	if cap(buf) == avail {
+		c.buf = c.buf[:start+len(buf)]
+	} else {
+		// MIPs longer than mipSizeEstimate outgrew the chunk, and
+		// append moved this run alone to a larger buffer: that buffer
+		// is the chunk from here on.
+		c.buf = buf
+	}
+	return buf[:len(buf):len(buf)], nil
 }
 
 // mipSizeEstimate is the wire size wireSizeBound assumes for a
 // pointer: a length word and a MIP of typical length. Longer MIPs
-// only cost the run buffer a regrowth.
+// may move their run to a chunk of its own.
 const mipSizeEstimate = 4 + 44
 
 // wireSizeBound returns a capacity for the wire encoding of units
-// [u0, u1) of a block with layout l, so a run's buffer is allocated
-// once: exact for fixed-width kinds, the length word plus the cell
+// [u0, u1) of a block with layout l, the room a run needs in its
+// chunk: exact for fixed-width kinds, the length word plus the cell
 // capacity for strings, mipSizeEstimate for pointers. The whole
 // elements inside a long run are priced from one element's walk, so
 // the cost does not grow with the run.

@@ -3,6 +3,7 @@ package protocol
 import (
 	"encoding/binary"
 	"io"
+	"sync"
 
 	"interweave/internal/wire"
 )
@@ -83,15 +84,27 @@ func newSessionMessage(t MsgType) Message {
 // groups cannot drift apart silently.
 var _ [1]struct{} = [TypeSessionClose - TypePullReply]struct{}{}
 
+// framePool holds frame buffers between WriteFrameMux calls, so a
+// warm frame is encoded without allocating (DESIGN.md §10).
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledFrame is the largest frame buffer framePool keeps. 4 MiB
+// holds the whole-segment frame of the 1 MB segments the paper
+// measures — about 1 MB on the wire for records of the Fig. 4 mix —
+// with room for data that grows in translation. A larger frame, a
+// state transfer of a big segment, is rare; keeping its buffer would
+// pin that memory in the pool until two garbage collections clear it.
+const maxPooledFrame = 4 << 20
+
 // WriteFrameMux writes one framed message addressed to a logical
 // session. Session zero — the connection's implicit session — and a
 // zero trace context produce a frame byte-identical to WriteFrame's,
 // so a peer that never multiplexes emits the classic format.
 //
-// The message is encoded straight into the frame buffer behind a
-// reserved header, whose length field is patched afterwards; a diff
-// in the message grows that buffer once to its exact size, so a frame
-// costs one buffer and one Write, and the payload is never copied.
+// The message is encoded into a pooled buffer behind a reserved
+// header, whose length field is patched afterwards, and goes out in
+// one Write. The buffer returns to the pool when Write returns, so w
+// must not retain it, as io.Writer requires.
 func WriteFrameMux(w io.Writer, id uint32, m Message, tc TraceContext, sess uint32) error {
 	typ := byte(m.Type())
 	hdr := 9
@@ -103,8 +116,8 @@ func WriteFrameMux(w io.Writer, id uint32, m Message, tc TraceContext, sess uint
 		typ |= typeTraceFlag
 		hdr += traceCtxBytes
 	}
-	buf := make([]byte, 0, hdr+64)
-	buf = wire.AppendU32(buf, 0) // length, patched once the payload is in
+	bp := framePool.Get().(*[]byte)
+	buf := wire.AppendU32((*bp)[:0], 0) // length, patched once the payload is in
 	buf = wire.AppendU32(buf, id)
 	buf = wire.AppendU8(buf, typ)
 	if sess != 0 {
@@ -115,12 +128,18 @@ func WriteFrameMux(w io.Writer, id uint32, m Message, tc TraceContext, sess uint
 		buf = wire.AppendU64(buf, tc.SpanID)
 	}
 	buf = m.encode(buf)
+	var err error
 	if n := len(buf) - hdr; n > maxFrame {
-		return errFrameTooBig(n)
+		err = errFrameTooBig(n)
+	} else {
+		binary.BigEndian.PutUint32(buf, uint32(len(buf)-9))
+		if _, werr := w.Write(buf); werr != nil {
+			err = errWritingFrame(werr)
+		}
 	}
-	binary.BigEndian.PutUint32(buf, uint32(len(buf)-9))
-	if _, err := w.Write(buf); err != nil {
-		return errWritingFrame(err)
+	if cap(buf) <= maxPooledFrame {
+		*bp = buf[:0]
+		framePool.Put(bp)
 	}
-	return nil
+	return err
 }
