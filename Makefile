@@ -108,8 +108,9 @@ proxy-smoke:
 	echo "proxy-smoke: fan-out independent of reader count; degraded/recovered cleanly (proxy-smoke.json)"
 
 # Cold-segment eviction smoke (also run in CI, DESIGN.md §12): a
-# journal-mode server with a resident budget ~4x smaller than the
-# loadgen working set (32 hot segments) serves reads + writes + via-
+# journal-mode server with a resident budget ~6x smaller than the
+# loadgen working set (32 hot segments, ~95 KB of Segment.MemBytes
+# when none is evicted) serves reads + writes + via-
 # proxy reads with zero client-visible errors while the evictor drops
 # and reloads segments; tools/smokecheck gates on a clean report, positive
 # eviction/fault counters, and resident bytes <= budget + one segment.

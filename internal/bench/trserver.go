@@ -26,7 +26,7 @@ type TRServerRow struct {
 	ServerApply time.Duration
 	// ServerCollect is the server's cost to build the update for a
 	// lagging client (cache disabled, so the data is assembled from
-	// the wire-format cells).
+	// the wire-format block store).
 	ServerCollect time.Duration
 	// ClientCollect is the client's whole-block translation cost,
 	// for comparison.

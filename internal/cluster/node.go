@@ -584,9 +584,12 @@ func (n *Node) Close() {
 }
 
 // Call performs one synchronous RPC against a peer: dial, one frame
-// out, one frame in. Cluster control traffic is rare enough that
-// per-call connections keep the failure model trivial — any wedged
-// peer costs one DialTimeout, never a pooled connection.
+// out, one frame in. A connection per call keeps the failure model
+// trivial — any wedged peer costs one DialTimeout, never a pooled
+// connection — and suits the rare control traffic (probes, gossip,
+// pulls, migration). The replication fan-out is not rare: the server
+// calls every replica once per flushed batch, so each committed batch
+// pays one TCP dial and handshake per replica (DESIGN.md §7.3).
 func (n *Node) Call(addr string, req protocol.Message) (protocol.Message, error) {
 	reply, err := session.RoundTrip(n.opts.Dial, addr, req, n.opts.DialTimeout)
 	var e *protocol.ErrorReply

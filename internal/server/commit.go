@@ -118,12 +118,7 @@ func (sess *clientSession) commitPart(st *segState, part *protocol.WriteUnlock, 
 		start = time.Now()
 	}
 	asp := sp.Child("server.diff_apply")
-	modified, err := st.seg.applyChecked(part.Diff, descs, version)
-	if err != nil {
-		// checkDiff found every error the apply can meet; one here
-		// means the two disagree, and the segment is half-written.
-		panic(fmt.Sprintf("server: checked diff failed to apply to %q: %v", st.name, err))
-	}
+	modified := st.seg.applyChecked(part.Diff, descs, version)
 	if asp != nil {
 		asp.AttrInt("units", int64(modified))
 		asp.End()

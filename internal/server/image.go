@@ -360,12 +360,17 @@ func decodeSegmentReader(r *wire.Reader) (*Segment, error) {
 	if r.Err() != nil || nd > 1<<20 {
 		return nil, fmt.Errorf("bad descriptor count")
 	}
-	for i := uint32(0); i < nd; i++ {
+	for i, prev := uint32(0), uint32(0); i < nd; i++ {
 		serial := r.U32()
 		b := r.Bytes()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
+		// encode writes descriptors in serial order.
+		if i > 0 && serial <= prev {
+			return nil, fmt.Errorf("descriptor %d out of serial order", serial)
+		}
+		prev = serial
 		l, err := parseLayout(b)
 		if err != nil {
 			return nil, fmt.Errorf("descriptor %d: %w", serial, err)
@@ -373,7 +378,7 @@ func decodeSegmentReader(r *wire.Reader) (*Segment, error) {
 		s.addDesc(serial, b, l)
 	}
 	nf := r.U32()
-	if r.Err() != nil || nf > 1<<24 {
+	if r.Err() != nil || nf > 1<<24 || int(nf) > r.Remaining()/8 {
 		return nil, fmt.Errorf("bad freed-log count")
 	}
 	for i := uint32(0); i < nf; i++ {
@@ -394,17 +399,30 @@ func decodeSegmentReader(r *wire.Reader) (*Segment, error) {
 		if !ok {
 			return nil, fmt.Errorf("block %d references unknown descriptor %d", serial, desc)
 		}
+		_, dupSerial := s.blocks.Get(serial)
+		_, dupName := s.byName[name]
+		if dupSerial || (name != "" && dupName) {
+			return nil, fmt.Errorf("block %d repeats a serial or a name", serial)
+		}
 		if count <= 0 || count > maxBlockCount {
 			return nil, fmt.Errorf("block %d count %d out of range", serial, count)
+		}
+		// Its subblock versions and fixed-width units must be present
+		// before they are allocated.
+		units := l.units * count
+		if (units+SubblockUnits-1)/SubblockUnits*4+l.offset(units) > r.Remaining() {
+			return nil, fmt.Errorf("block %d data: %w", serial, wire.ErrTruncated)
 		}
 		b := newBlk(serial, name, desc, count, l)
 		b.createdVer, b.version = createdVer, version
 		for j := range b.subVer {
 			b.subVer[j] = r.U32()
 		}
-		if err := b.decodeUnits(r, 0, b.Units()); err != nil {
+		n, err := l.scan(r.Rest(), 0, units)
+		if err != nil {
 			return nil, fmt.Errorf("block %d data: %w", b.Serial, err)
 		}
+		b.store(r.Take(n), 0, units)
 		// Rebuild the version list with markers.
 		if b.version != lastMarker {
 			m := &listElem{marker: b.version}

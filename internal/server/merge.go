@@ -3,7 +3,6 @@ package server
 import (
 	"sort"
 
-	"interweave/internal/types"
 	"interweave/internal/wire"
 )
 
@@ -71,96 +70,58 @@ func (s *Segment) mergeCachedDiffs(sinceVer uint32) (*wire.SegmentDiff, bool) {
 		}
 	}
 
-	// Overlay run data per block, last version wins per unit.
-	type overlay struct {
-		serial uint32
-		units  map[int][]byte // unit -> exact wire encoding
+	// Each block's runs are the union of the window's runs on it, read
+	// from the live image, which holds the last writer's value of every
+	// unit the window wrote.
+	type window struct {
+		b     *Blk
+		spans [][2]int
 	}
-	var order []uint32
-	overlays := make(map[uint32]*overlay)
+	var order []*window
+	windows := make(map[uint32]*window)
 	for _, d := range diffs {
 		for i := range d.Blocks {
 			bd := &d.Blocks[i]
 			if freed[bd.Serial] {
 				continue
 			}
-			blk, ok := s.blocks.Get(bd.Serial)
-			if !ok {
-				// Unknown live block: a cached diff is inconsistent
-				// with the store; fall back to subblock collection.
-				return nil, false
-			}
-			ov := overlays[bd.Serial]
-			if ov == nil {
-				ov = &overlay{serial: bd.Serial, units: make(map[int][]byte)}
-				overlays[bd.Serial] = ov
-				order = append(order, bd.Serial)
+			w := windows[bd.Serial]
+			if w == nil {
+				b, ok := s.blocks.Get(bd.Serial)
+				if !ok {
+					// Unknown live block: a cached diff is inconsistent
+					// with the store; fall back to subblock collection.
+					return nil, false
+				}
+				w = &window{b: b}
+				windows[bd.Serial] = w
+				order = append(order, w)
 			}
 			for _, run := range bd.Runs {
-				if !splitRunUnits(blk, run, ov.units) {
-					return nil, false
+				if run.Count > 0 {
+					w.spans = append(w.spans, [2]int{int(run.Start), int(run.Start + run.Count)})
 				}
 			}
 		}
 	}
 
-	for _, serial := range order {
-		ov := overlays[serial]
-		units := make([]int, 0, len(ov.units))
-		for u := range ov.units {
-			units = append(units, u)
-		}
-		sort.Ints(units)
-		bd := wire.BlockDiff{Serial: serial}
-		i := 0
-		for i < len(units) {
-			j := i
-			var data []byte
-			for j < len(units) && units[j] == units[i]+(j-i) {
-				data = append(data, ov.units[units[j]]...)
-				j++
+	for _, w := range order {
+		sort.Slice(w.spans, func(i, j int) bool { return w.spans[i][0] < w.spans[j][0] })
+		bd := wire.BlockDiff{Serial: w.b.Serial}
+		for i := 0; i < len(w.spans); {
+			u0, u1 := w.spans[i][0], w.spans[i][1]
+			for i++; i < len(w.spans) && w.spans[i][0] <= u1; i++ {
+				u1 = max(u1, w.spans[i][1])
 			}
 			bd.Runs = append(bd.Runs, wire.Run{
-				Start: uint32(units[i]),
-				Count: uint32(j - i),
-				Data:  data,
+				Start: uint32(u0),
+				Count: uint32(u1 - u0),
+				Data:  w.b.appendUnits(make([]byte, 0, w.b.wireSizeHint(u0, u1)), u0, u1),
 			})
-			i = j
 		}
-		out.Blocks = append(out.Blocks, bd)
+		if len(bd.Runs) > 0 {
+			out.Blocks = append(out.Blocks, bd)
+		}
 	}
 	return out, true
-}
-
-// splitRunUnits decodes one run into per-unit wire encodings,
-// overwriting earlier versions' entries.
-func splitRunUnits(b *Blk, run wire.Run, units map[int][]byte) bool {
-	r := wire.NewReader(run.Data)
-	eu := b.elemUnits()
-	u0 := int(run.Start)
-	u1 := u0 + int(run.Count)
-	if u1 > b.Units() {
-		return false
-	}
-	for u := u0; u < u1; u++ {
-		var enc []byte
-		switch p := u % eu; b.kinds[p] {
-		case types.KindString, types.KindPointer:
-			start := r.Offset()
-			n := r.U32()
-			if r.Err() != nil || n > uint32(r.Remaining()) {
-				return false
-			}
-			r.Take(int(n))
-			// Re-read the whole length-prefixed region as one blob.
-			enc = run.Data[start:r.Offset()]
-		default:
-			enc = r.Take(b.wirePrefix[p+1] - b.wirePrefix[p])
-		}
-		if r.Err() != nil {
-			return false
-		}
-		units[u] = enc
-	}
-	return r.Err() == nil && r.Remaining() == 0
 }

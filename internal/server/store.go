@@ -5,11 +5,13 @@
 // journals segments to persistent storage (paper Section 3.2).
 //
 // To avoid an extra level of translation the server stores both data
-// and type descriptors in wire format: each primitive unit occupies a
-// fixed 8-byte cell holding its canonical value, while variable-size
-// items — strings and MIPs — are stored separately and referenced by
-// index, exactly the arrangement the paper describes for avoiding
-// data relocation.
+// and type descriptors in wire format: a block's data is its units'
+// wire encoding, except that each variable-size item — a string or a
+// MIP — is stored separately and its unit holds a fixed 4-byte slot
+// indexing it, the arrangement the paper describes for avoiding data
+// relocation. So a release copies the fixed-width spans of its runs
+// into place and a read copies them out; only strings and MIPs are
+// handled one by one.
 package server
 
 import (
@@ -45,10 +47,11 @@ type Blk struct {
 	// descLayout is the geometry of the block's descriptor, shared
 	// with every block of it.
 	*descLayout
-	// cells holds one 8-byte canonical cell per unit; for strings
-	// and MIPs the cell is a 1-based index into vars.
-	cells []uint64
-	vars  [][]byte
+	// data holds the block's units in wire format, each string or MIP
+	// unit a 4-byte slot: 0 for an empty item, else a 1-based index
+	// into vars.
+	data []byte
+	vars [][]byte
 	// varBytes is the summed capacity of vars — what they hold on to,
 	// which an in-place rewrite with a shorter item does not shrink —
 	// maintained by setVar so MemBytes never has to walk the slices.
@@ -63,103 +66,158 @@ type Blk struct {
 	elem *listElem
 }
 
-// descLayout is a registered descriptor's wire geometry: one element's
-// unit kinds and string capacities, the collapsed wire walk used for
-// bulk translation, and wirePrefix[i], the fixed wire size of units
-// [0,i) of one element, where a string or MIP counts as its 4-byte
-// length prefix; hasVarlen marks layouts that have such units.
+// descLayout is a registered descriptor's storage geometry:
+// wirePrefix[i] is the stored size of units [0,i) of one element,
+// where a string or MIP counts as its 4-byte slot (on the wire, its
+// length prefix), and slots lists the element's strings and MIPs in
+// unit order. Every other unit is fixed-width, stored as on the wire.
+// An element has units units and takes size bytes, and firstSlot[i]
+// indexes its first string or MIP at unit i or later.
 type descLayout struct {
-	kinds      []types.Kind
-	caps       []int
-	steps      []types.WireStep
-	wirePrefix []int
-	hasVarlen  bool
+	wirePrefix  []int
+	slots       []varSlot
+	firstSlot   []int
+	units, size int
 }
 
-// parseLayout decodes descriptor bytes into their wire geometry.
+// varSlot is a string or MIP unit of an element: its position in the
+// element, its slot's offset from the element's start, and the longest
+// item it holds — a string's capacity less its terminator,
+// wire.MaxItem for a MIP.
+type varSlot struct {
+	unit, off int
+	maxSize   int
+}
+
+// parseLayout decodes descriptor bytes into their storage geometry.
 func parseLayout(b []byte) (*descLayout, error) {
 	t, err := types.Unmarshal(b)
 	if err != nil {
 		return nil, err
 	}
-	walk, err := types.WireWalk(t)
+	l := &descLayout{wirePrefix: []int{0}}
+	err = types.WireWalk(t, func(k types.Kind, strCap, n int) {
+		sz, fixed := wire.FixedWireSize(k)
+		for i := 0; i < n; i++ {
+			u := len(l.wirePrefix) - 1
+			if !fixed {
+				sz = 4
+				vs := varSlot{unit: u, off: l.wirePrefix[u], maxSize: wire.MaxItem}
+				if strCap > 0 {
+					vs.maxSize = strCap - 1
+				}
+				l.slots = append(l.slots, vs)
+			}
+			l.wirePrefix = append(l.wirePrefix, l.wirePrefix[u]+sz)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	l := &descLayout{kinds: types.UnitKinds(walk), steps: walk}
-	l.caps = make([]int, 0, len(l.kinds))
-	for _, ws := range walk {
-		for i := 0; i < ws.Count; i++ {
-			l.caps = append(l.caps, ws.Cap)
-		}
+	l.units = len(l.wirePrefix) - 1
+	l.size = l.wirePrefix[l.units]
+	if len(l.slots) == 0 {
+		return l, nil
 	}
-	l.wirePrefix = make([]int, len(l.kinds)+1)
-	for i, k := range l.kinds {
-		sz, ok := wire.FixedWireSize(k)
-		if !ok {
-			if k != types.KindString && k != types.KindPointer {
-				return nil, fmt.Errorf("unit %d has invalid kind", i)
-			}
-			l.hasVarlen = true
-			sz = 4
+	l.firstSlot = make([]int, l.units+1)
+	for i, p := len(l.slots), l.units; p >= 0; p-- {
+		if i > 0 && l.slots[i-1].unit >= p {
+			i--
 		}
-		l.wirePrefix[i+1] = l.wirePrefix[i] + sz
+		l.firstSlot[p] = i
 	}
 	return l, nil
 }
 
-// prefixSize is the wire size of units [u0,u1), counting each string
-// or MIP as its length prefix alone.
-func (l *descLayout) prefixSize(u0, u1 int) int {
-	eu := len(l.kinds)
-	return (u1/eu-u0/eu)*l.wirePrefix[eu] - l.wirePrefix[u0%eu] + l.wirePrefix[u1%eu]
+// offset is where unit u's stored bytes start in a block's data.
+func (l *descLayout) offset(u int) int {
+	e := u / l.units
+	return e*l.size + l.wirePrefix[u-e*l.units]
 }
 
-// checkRun returns the error applyRun would return for run on a block
-// of this layout holding units units, without touching the block: the
-// run must lie in range and its bytes decode exactly — fixed-size units
-// by arithmetic, the length prefix of each string and MIP walked (one
-// item at most wire.MaxItem bytes, as wire.Reader.Bytes reads it), and
-// string capacities enforced.
+// walk visits units [u0,u1) in order as the spans of fixed-width units
+// between strings and MIPs and as those units themselves: fixed(o0, o1)
+// for each maximal span, which occupies bytes [o0,o1) of a block's
+// data, and slot(o, vs) for each string or MIP, whose slot is at byte
+// o. It stops at the first error slot returns and returns it. A layout
+// without strings or MIPs is one span.
+func (l *descLayout) walk(u0, u1 int, fixed func(o0, o1 int), slot func(o int, vs varSlot) error) error {
+	if len(l.slots) == 0 {
+		if u0 < u1 {
+			fixed(l.offset(u0), l.offset(u1))
+		}
+		return nil
+	}
+	eu, size, slots := l.units, l.size, l.slots
+	e := u0 / eu
+	base, baseOff := e*eu, e*size                  // the element being walked
+	at, atOff := u0, baseOff+l.wirePrefix[u0-base] // the first unit not yet visited
+	for i := l.firstSlot[u0-base]; base < u1; base, baseOff, i = base+eu, baseOff+size, 0 {
+		for ; i < len(slots); i++ {
+			vs := slots[i]
+			u := base + vs.unit
+			if u >= u1 {
+				break
+			}
+			o := baseOff + vs.off
+			if o > atOff {
+				fixed(atOff, o)
+			}
+			if err := slot(o, vs); err != nil {
+				return err
+			}
+			at, atOff = u+1, o+4
+		}
+	}
+	if at < u1 {
+		// u1 lies in the last element walked, or ends it.
+		fixed(atOff, baseOff-size+l.wirePrefix[u1-base+eu])
+	}
+	return nil
+}
+
+// scan returns how many leading bytes of data hold units [u0,u1) in
+// wire form, checking each string and MIP as wire.Reader.Bytes reads
+// it — its length prefix and at most wire.MaxItem bytes present — and
+// each string against its capacity.
+func (l *descLayout) scan(data []byte, u0, u1 int) (int, error) {
+	end := 0
+	err := l.walk(u0, u1, func(o0, o1 int) { end += o1 - o0 }, func(_ int, vs varSlot) error {
+		if end+4 > len(data) {
+			return wire.ErrTruncated
+		}
+		n := binary.BigEndian.Uint32(data[end:])
+		end += 4
+		if n > wire.MaxItem || int(n) > len(data)-end {
+			return wire.ErrTruncated
+		}
+		if int(n) > vs.maxSize {
+			return fmt.Errorf("string of %d bytes overflows capacity %d", n, vs.maxSize+1)
+		}
+		end += int(n)
+		return nil
+	})
+	if err == nil && end > len(data) {
+		err = wire.ErrTruncated
+	}
+	return end, err
+}
+
+// checkRun returns the error applying run to a block of this layout
+// holding units units would meet, without touching the block: the run
+// lies in range and its data is exactly its units' wire form (scan).
 func (l *descLayout) checkRun(run wire.Run, units int) error {
 	u0 := int(run.Start)
 	u1 := u0 + int(run.Count)
 	if u1 > units {
 		return fmt.Errorf("run [%d,%d) exceeds %d units", u0, u1, units)
 	}
-	if !l.hasVarlen {
-		if want := l.prefixSize(u0, u1); len(run.Data) != want {
-			return fmt.Errorf("run [%d,%d) carries %d bytes, its units take %d", u0, u1, len(run.Data), want)
-		}
-		return nil
+	n, err := l.scan(run.Data, u0, u1)
+	if err != nil {
+		return err
 	}
-	data := run.Data
-	eu := len(l.kinds)
-	off := 0 // end of unit u's fixed part, length prefix included
-	for u, p := u0, u0%eu; u < u1; u++ {
-		off += l.wirePrefix[p+1] - l.wirePrefix[p]
-		if k := l.kinds[p]; k == types.KindString || k == types.KindPointer {
-			if off > len(data) {
-				return wire.ErrTruncated
-			}
-			n := binary.BigEndian.Uint32(data[off-4:])
-			if n > wire.MaxItem || int(n) > len(data)-off {
-				return wire.ErrTruncated
-			}
-			if k == types.KindString && int(n) >= l.caps[p] {
-				return fmt.Errorf("string of %d bytes overflows capacity %d", n, l.caps[p])
-			}
-			off += int(n)
-		}
-		if p++; p == eu {
-			p = 0
-		}
-	}
-	if off > len(data) {
-		return wire.ErrTruncated
-	}
-	if off < len(data) {
-		return fmt.Errorf("%d trailing bytes in run", len(data)-off)
+	if n < len(run.Data) {
+		return fmt.Errorf("%d trailing bytes in run", len(run.Data)-n)
 	}
 	return nil
 }
@@ -171,20 +229,20 @@ const maxBlockCount = 1 << 28
 // newBlk allocates a block of count elements of layout l with zeroed
 // units and subblock versions.
 func newBlk(serial uint32, name string, desc uint32, count int, l *descLayout) *Blk {
-	units := len(l.kinds) * count
+	units := l.units * count
 	return &Blk{
 		Serial:     serial,
 		Name:       name,
 		DescSerial: desc,
 		Count:      count,
 		descLayout: l,
-		cells:      make([]uint64, units),
+		data:       make([]byte, l.offset(units)),
 		subVer:     make([]uint32, (units+SubblockUnits-1)/SubblockUnits),
 	}
 }
 
 // Units returns the block's total unit count.
-func (b *Blk) Units() int { return len(b.cells) }
+func (b *Blk) Units() int { return b.Count * b.units }
 
 // Version returns the segment version that last modified the block.
 func (b *Blk) Version() uint32 { return b.version }
@@ -202,9 +260,6 @@ func (s *Segment) DescSerials() []uint32 {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// elemUnits returns units per element.
-func (b *Blk) elemUnits() int { return len(b.kinds) }
 
 // freedEntry records one block free for lagging clients.
 type freedEntry struct {
@@ -389,8 +444,7 @@ func (s *Segment) applyDiffAt(d *wire.SegmentDiff, v uint32) (uint32, int, error
 	if err != nil {
 		return 0, 0, err
 	}
-	modified, err := s.applyChecked(d, descs, v)
-	return v, modified, err
+	return v, s.applyChecked(d, descs, v), nil
 }
 
 // checkDiff finds every error applying d to s can meet, touching
@@ -455,7 +509,7 @@ func (s *Segment) checkDiff(d *wire.SegmentDiff) (map[uint32]*descLayout, error)
 			}
 			names[nb.Name] = true
 		}
-		created[nb.Serial] = block{layout: l, units: len(l.kinds) * int(nb.Count)}
+		created[nb.Serial] = block{layout: l, units: l.units * int(nb.Count)}
 	}
 
 	var freed map[uint32]bool
@@ -488,9 +542,8 @@ func (s *Segment) checkDiff(d *wire.SegmentDiff) (map[uint32]*descLayout, error)
 // layouts checkDiff returned: it registers the descriptors new to the
 // segment and remaps the diff's descriptor serials in place, creates
 // and frees blocks, applies the runs, and caches the diff. It returns
-// the conservative count of units modified. Its errors are the checks
-// applyRun keeps, which checkDiff has already passed.
-func (s *Segment) applyChecked(d *wire.SegmentDiff, descs map[uint32]*descLayout, v uint32) (int, error) {
+// the conservative count of units modified.
+func (s *Segment) applyChecked(d *wire.SegmentDiff, descs map[uint32]*descLayout, v uint32) int {
 	descMap := make(map[uint32]uint32, len(d.Descs))
 	for i := range d.Descs {
 		dd := &d.Descs[i]
@@ -538,30 +591,24 @@ func (s *Segment) applyChecked(d *wire.SegmentDiff, descs map[uint32]*descLayout
 	modified := 0
 	var last *Blk
 	for i := range d.Blocks {
-		bd := &d.Blocks[i]
-		b := s.findBlock(bd.Serial, last)
-		if b == nil {
-			return 0, fmt.Errorf("server: diff for unknown block %d", bd.Serial)
-		}
+		b := s.findBlock(d.Blocks[i].Serial, last)
 		last = b
-		for _, run := range bd.Runs {
-			n, err := b.applyRun(run, v)
-			if err != nil {
-				return 0, fmt.Errorf("server: block %d: %w", bd.Serial, err)
-			}
-			modified += n
+		n := 0
+		for _, run := range d.Blocks[i].Runs {
+			n += b.applyRun(run, v)
 		}
-		if b.version != v {
+		if n > 0 && b.version != v {
 			b.version = v
 			s.unlink(b.elem)
 			s.pushBack(b.elem)
 		}
+		modified += n
 	}
 
 	s.Version = v
 	d.Version = v
 	s.cacheDiff(v, d)
-	return modified, nil
+	return modified
 }
 
 // findBlock locates a block by serial, predicting that diffs arrive
@@ -580,117 +627,43 @@ func (s *Segment) findBlock(serial uint32, last *Blk) *Blk {
 	return b
 }
 
-// forKindRuns yields maximal same-kind unit runs covering [u0, u1),
-// walking the block's collapsed wire steps so per-unit kind lookups
-// disappear from the translation loops.
-func (b *Blk) forKindRuns(u0, u1 int, fn func(k types.Kind, strCap, u, n int) error) error {
-	if u0 >= u1 {
-		return nil
-	}
-	if len(b.steps) == 1 {
-		st := b.steps[0]
-		return fn(st.Kind, st.Cap, u0, u1-u0)
-	}
-	eu := b.elemUnits()
-	p := u0 % eu
-	si, off := 0, 0
-	for p >= off+b.steps[si].Count {
-		off += b.steps[si].Count
-		si++
-	}
-	for u0 < u1 {
-		st := b.steps[si]
-		n := off + st.Count - p
-		if rem := u1 - u0; n > rem {
-			n = rem
-		}
-		if err := fn(st.Kind, st.Cap, u0, n); err != nil {
-			return err
-		}
-		u0 += n
-		p += n
-		if p >= eu {
-			p, si, off = 0, 0, 0
-		} else {
-			off += st.Count
-			si++
-		}
-	}
-	return nil
-}
-
-// applyRun decodes one wire run into the block's cells, stamping the
-// touched subblocks with version v. It returns the number of units
-// modified.
-func (b *Blk) applyRun(run wire.Run, v uint32) (int, error) {
+// applyRun stores one checked run, stamping the subblocks it touches
+// with version v, and returns the number of units it wrote. An empty
+// run writes nothing and stamps nothing.
+func (b *Blk) applyRun(run wire.Run, v uint32) int {
 	u0 := int(run.Start)
 	u1 := u0 + int(run.Count)
-	if u1 > b.Units() || u0 < 0 {
-		return 0, fmt.Errorf("run [%d,%d) exceeds %d units", u0, u1, b.Units())
+	if u0 == u1 {
+		return 0
 	}
-	r := wire.NewReader(run.Data)
-	if err := b.decodeUnits(r, u0, u1); err != nil {
-		return 0, err
-	}
-	if r.Remaining() != 0 {
-		return 0, fmt.Errorf("%d trailing bytes in run", r.Remaining())
-	}
+	b.store(run.Data, u0, u1)
 	for sb := u0 / SubblockUnits; sb <= (u1-1)/SubblockUnits; sb++ {
 		b.subVer[sb] = v
 	}
-	return u1 - u0, nil
+	return u1 - u0
 }
 
-// decodeUnits decodes units [u0, u1) from r into the block's cells in
-// place, the inverse of appendUnits, enforcing string capacities: a
-// run being applied, or a whole block of a segment image.
-func (b *Blk) decodeUnits(r *wire.Reader, u0, u1 int) error {
-	err := b.forKindRuns(u0, u1, func(k types.Kind, strCap, u, n int) error {
-		switch k {
-		case types.KindChar:
-			for i := u; i < u+n; i++ {
-				b.cells[i] = uint64(r.U8())
-			}
-		case types.KindInt16:
-			for i := u; i < u+n; i++ {
-				b.cells[i] = uint64(r.U16())
-			}
-		case types.KindInt32, types.KindFloat32:
-			for i := u; i < u+n; i++ {
-				b.cells[i] = uint64(r.U32())
-			}
-		case types.KindInt64, types.KindFloat64:
-			for i := u; i < u+n; i++ {
-				b.cells[i] = r.U64()
-			}
-		case types.KindString, types.KindPointer:
-			for i := u; i < u+n; i++ {
-				data := r.Bytes()
-				if r.Err() != nil {
-					return r.Err()
-				}
-				if k == types.KindString && len(data) >= strCap {
-					return fmt.Errorf("string of %d bytes overflows capacity %d", len(data), strCap)
-				}
-				b.setVar(i, data)
-			}
-		default:
-			return fmt.Errorf("unit %d has invalid kind", u)
-		}
+// store writes units [u0,u1) from data, their wire form as scan passed
+// it: the fixed-width spans are copied into place, the strings and
+// MIPs go to setVar.
+func (b *Blk) store(data []byte, u0, u1 int) {
+	_ = b.walk(u0, u1, func(o0, o1 int) {
+		data = data[copy(b.data[o0:o1], data):]
+	}, func(o int, _ varSlot) error {
+		n := 4 + int(binary.BigEndian.Uint32(data))
+		b.setVar(o, data[4:n])
+		data = data[n:]
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	return r.Err()
 }
 
-// setVar stores a copy of a variable-length item for unit u. A unit
-// that already has a slot is overwritten in place when the slot's
-// storage is large enough, so rewriting a string or MIP allocates
-// nothing; every reader of vars copies out of it and retains nothing.
-func (b *Blk) setVar(u int, data []byte) {
-	if idx := b.cells[u]; idx != 0 {
+// setVar stores a copy of a variable-length item in the slot at byte
+// o. A slot that already indexes an item is overwritten in place when
+// the item's storage is large enough, so rewriting a string or MIP
+// allocates nothing; every reader of vars copies out of it and retains
+// nothing.
+func (b *Blk) setVar(o int, data []byte) {
+	if idx := binary.BigEndian.Uint32(b.data[o:]); idx != 0 {
 		old := b.vars[idx-1]
 		if cap(old) >= len(data) {
 			b.vars[idx-1] = append(old[:0], data...)
@@ -701,12 +674,11 @@ func (b *Blk) setVar(u int, data []byte) {
 		return
 	}
 	if len(data) == 0 {
-		b.cells[u] = 0
 		return
 	}
 	b.vars = append(b.vars, exactCopy(data))
 	b.varBytes += len(data)
-	b.cells[u] = uint64(len(b.vars))
+	binary.BigEndian.PutUint32(b.data[o:], uint32(len(b.vars)))
 }
 
 // exactCopy returns a copy of data whose capacity is its length, so
@@ -717,63 +689,28 @@ func exactCopy(data []byte) []byte {
 	return cp
 }
 
-// getVar fetches the variable-length item for unit u.
-func (b *Blk) getVar(u int) []byte {
-	idx := b.cells[u]
-	if idx == 0 {
-		return nil
+// getVar fetches the variable-length item of the slot at byte o.
+func (b *Blk) getVar(o int) []byte {
+	if idx := binary.BigEndian.Uint32(b.data[o:]); idx != 0 {
+		return b.vars[idx-1]
 	}
-	return b.vars[idx-1]
+	return nil
 }
 
-// wireSizeEstimate returns a capacity estimate for encoding units
-// [u0, u1), so collection buffers are allocated once.
-func (b *Blk) wireSizeEstimate(u0, u1 int) int {
-	if u0 >= u1 {
-		return 0
-	}
-	total := b.prefixSize(u0, u1)
-	if b.hasVarlen {
-		eu := b.elemUnits()
-		for i := u0; i < u1; i++ {
-			switch b.kinds[i%eu] {
-			case types.KindString, types.KindPointer:
-				if cell := b.cells[i]; cell != 0 {
-					total += len(b.vars[cell-1])
-				}
-			}
-		}
-	}
-	return total
+// wireSizeHint estimates the wire size of units [u0,u1) for sizing a
+// collection buffer: exact for fixed-width units, with the block's
+// strings and MIPs taken as spread evenly over it.
+func (b *Blk) wireSizeHint(u0, u1 int) int {
+	return b.offset(u1) - b.offset(u0) + b.varBytes*(u1-u0)/b.Units()
 }
 
-// appendUnits encodes units [u0, u1) in canonical wire form — the
-// server-side diff collection, which is cheap because cells already
-// hold wire-format values.
+// appendUnits appends units [u0,u1) in wire form: the fixed-width
+// spans as stored, each string and MIP expanded from its slot.
 func (b *Blk) appendUnits(buf []byte, u0, u1 int) []byte {
-	_ = b.forKindRuns(u0, u1, func(k types.Kind, _, u, n int) error {
-		switch k {
-		case types.KindChar:
-			for i := u; i < u+n; i++ {
-				buf = wire.AppendU8(buf, byte(b.cells[i]))
-			}
-		case types.KindInt16:
-			for i := u; i < u+n; i++ {
-				buf = wire.AppendU16(buf, uint16(b.cells[i]))
-			}
-		case types.KindInt32, types.KindFloat32:
-			for i := u; i < u+n; i++ {
-				buf = wire.AppendU32(buf, uint32(b.cells[i]))
-			}
-		case types.KindInt64, types.KindFloat64:
-			for i := u; i < u+n; i++ {
-				buf = wire.AppendU64(buf, b.cells[i])
-			}
-		case types.KindString, types.KindPointer:
-			for i := u; i < u+n; i++ {
-				buf = wire.AppendBytes(buf, b.getVar(i))
-			}
-		}
+	_ = b.walk(u0, u1, func(o0, o1 int) {
+		buf = append(buf, b.data[o0:o1]...)
+	}, func(o int, _ varSlot) error {
+		buf = wire.AppendBytes(buf, b.getVar(o))
 		return nil
 	})
 	return buf
@@ -843,7 +780,7 @@ func (s *Segment) collectFull(sinceVer uint32) (*wire.SegmentDiff, error) {
 				Count:      uint32(b.Count),
 				Name:       b.Name,
 			})
-			full := make([]byte, 0, b.wireSizeEstimate(0, b.Units()))
+			full := make([]byte, 0, b.wireSizeHint(0, b.Units()))
 			d.Blocks = append(d.Blocks, wire.BlockDiff{
 				Serial: b.Serial,
 				Runs:   []wire.Run{{Start: 0, Count: uint32(b.Units()), Data: b.appendUnits(full, 0, b.Units())}},
@@ -867,7 +804,7 @@ func (s *Segment) collectFull(sinceVer uint32) (*wire.SegmentDiff, error) {
 			if u1 > units {
 				u1 = units
 			}
-			buf := make([]byte, 0, b.wireSizeEstimate(u0, u1))
+			buf := make([]byte, 0, b.wireSizeHint(u0, u1))
 			runs = append(runs, wire.Run{
 				Start: uint32(u0),
 				Count: uint32(u1 - u0),
@@ -977,13 +914,13 @@ func (s *Segment) trimDiffCache() {
 }
 
 // blkOverheadBytes approximates the fixed per-block footprint beyond
-// cells, subblock versions, and variable-length payloads: the Blk
+// stored data, subblock versions, and variable-length payloads: the Blk
 // struct itself, the descriptor-geometry slices, and the version-list
 // node. The eviction budget only needs to be proportional, not exact.
 const blkOverheadBytes = 256
 
 // MemBytes estimates the segment's resident heap footprint: block
-// cells, subblock version arrays, variable-length payloads, cached
+// data, subblock version arrays, variable-length payloads, cached
 // diffs, and descriptors. The cold-segment evictor compares the sum
 // across segments against Options.MaxResidentBytes. Callers hold the
 // segment's lock.
@@ -995,7 +932,7 @@ func (s *Segment) MemBytes() int64 {
 			n += 32 // marker node
 			continue
 		}
-		n += int64(len(b.cells))*8 + int64(len(b.subVer))*4 + int64(b.varBytes) + blkOverheadBytes
+		n += int64(len(b.data)) + int64(len(b.subVer))*4 + int64(b.varBytes) + blkOverheadBytes
 	}
 	n += s.cacheBytes
 	for _, d := range s.descs {

@@ -403,6 +403,33 @@ func TestMergedCachedDiffLastWriterWins(t *testing.T) {
 	}
 }
 
+// TestEmptyRunStampsNothing requires a run that changes no unit to
+// stamp no subblock: a reader at the version before it is sent no data.
+func TestEmptyRunStampsNothing(t *testing.T) {
+	s := NewSegment("h/s")
+	if _, _, err := s.ApplyDiff(intsDiff(t, 1, 1, 64, "a")); err != nil { // v1
+		t.Fatal(err)
+	}
+	if _, _, err := s.ApplyDiff(runDiff(1, 40, 7)); err != nil { // v2
+		t.Fatal(err)
+	}
+	if _, _, err := s.ApplyDiff(&wire.SegmentDiff{Blocks: []wire.BlockDiff{ // v3
+		{Serial: 1, Runs: []wire.Run{{Start: 5, Count: 0}}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.collectFull(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Blocks) != 0 {
+		t.Errorf("collectFull(2) after an empty run carries %+v, want no runs", d.Blocks)
+	}
+	if err := s.checkListSorted(); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestUnitsModifiedSince(t *testing.T) {
 	s := NewSegment("h/s")
 	s.SetDiffCacheCap(0)                                                   // exercise the subblock path, not cached forwarding
@@ -567,19 +594,7 @@ func FuzzApplyDiffAtomic(f *testing.F) {
 // so the fuzzer explores decoding, not the machine's memory.
 func fuzzAffordable(d *wire.SegmentDiff) bool {
 	for _, dd := range d.Descs {
-		t, err := types.Unmarshal(dd.Bytes)
-		if err != nil {
-			continue
-		}
-		walk, err := types.WireWalk(t)
-		if err != nil {
-			continue
-		}
-		units := 0
-		for _, ws := range walk {
-			units += ws.Count
-		}
-		if units > 1<<10 {
+		if !affordableDesc(dd.Bytes) {
 			return false
 		}
 	}
@@ -588,6 +603,14 @@ func fuzzAffordable(d *wire.SegmentDiff) bool {
 		elems += int(nb.Count)
 	}
 	return elems <= 1<<10
+}
+
+// affordableDesc reports whether descriptor bytes that decode describe
+// at most 1<<10 units per element; the server keeps a table entry per
+// unit of a registered descriptor.
+func affordableDesc(b []byte) bool {
+	t, err := types.Unmarshal(b)
+	return err != nil || t.PrimCount() <= 1<<10
 }
 
 func TestVarlenStorage(t *testing.T) {

@@ -259,6 +259,10 @@ func Unmarshal(b []byte) (*Type, error) {
 	return defs[0], nil
 }
 
+// maxPrimUnits bounds the primitive units of one decoded value, as
+// Unmarshal bounds an array's length.
+const maxPrimUnits = 1 << 28
+
 func computePrim(t *Type, state map[*Type]int) (int, error) {
 	if t.primCount != 0 {
 		return t.primCount, nil
@@ -290,6 +294,11 @@ func computePrim(t *Type, state map[*Type]int) (int, error) {
 			}
 			count += e
 		}
+	}
+	// Nested arrays multiply: bound each level so the count cannot
+	// overflow.
+	if count > maxPrimUnits {
+		return 0, fmt.Errorf("types: descriptor of more than %d primitive units", maxPrimUnits)
 	}
 	state[t] = stateDone
 	t.primCount = count

@@ -370,71 +370,34 @@ func (t *Type) displayName() string {
 	return "struct{...}"
 }
 
-// WireStep is one collapsed run of identical primitive units in a
-// type's machine-independent flattening. Servers use wire walks to
-// know the kind (and therefore the wire size) of every unit without
-// knowing any machine-specific layout.
-type WireStep struct {
-	Kind  Kind
-	Cap   int // string capacity (informational; wire strings are varlen)
-	Count int
-}
-
-// WireWalk flattens one value of t into collapsed runs of primitive
-// units, in declaration order. The walk is independent of any
-// architecture.
-func WireWalk(t *Type) ([]WireStep, error) {
+// WireWalk flattens one value of t into its primitive units in
+// declaration order — the wire order, which no machine profile
+// affects — calling fn once for each run of n consecutive units of
+// kind k; strCap is a string's capacity, 0 for other kinds. An array
+// of primitives is one run.
+func WireWalk(t *Type, fn func(k Kind, strCap, n int)) error {
 	if err := Validate(t); err != nil {
-		return nil, err
+		return err
 	}
-	var out []WireStep
-	appendWire(&out, t)
-	return out, nil
+	wireWalk(t, fn)
+	return nil
 }
 
-func appendWire(out *[]WireStep, t *Type) {
+func wireWalk(t *Type, fn func(k Kind, strCap, n int)) {
 	switch t.kind {
 	case KindStruct:
 		for _, f := range t.fields {
-			appendWire(out, f.Type)
+			wireWalk(f.Type, fn)
 		}
 	case KindArray:
 		if t.elem.kind.IsPrimitive() {
-			pushWire(out, WireStep{Kind: t.elem.kind, Cap: t.elem.cap, Count: t.len})
+			fn(t.elem.kind, t.elem.cap, t.len)
 			return
 		}
 		for i := 0; i < t.len; i++ {
-			appendWire(out, t.elem)
+			wireWalk(t.elem, fn)
 		}
 	default:
-		pushWire(out, WireStep{Kind: t.kind, Cap: t.cap, Count: 1})
+		fn(t.kind, t.cap, 1)
 	}
-}
-
-func pushWire(out *[]WireStep, s WireStep) {
-	if n := len(*out); n > 0 {
-		last := &(*out)[n-1]
-		if last.Kind == s.Kind && last.Cap == s.Cap {
-			last.Count += s.Count
-			return
-		}
-	}
-	*out = append(*out, s)
-}
-
-// UnitKinds expands a wire walk into one Kind per primitive unit of a
-// single element. The server indexes this array (modulo element prim
-// count) to find the kind of any unit in a block.
-func UnitKinds(walk []WireStep) []Kind {
-	n := 0
-	for _, s := range walk {
-		n += s.Count
-	}
-	out := make([]Kind, 0, n)
-	for _, s := range walk {
-		for i := 0; i < s.Count; i++ {
-			out = append(out, s.Kind)
-		}
-	}
-	return out
 }

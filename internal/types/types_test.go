@@ -2,6 +2,7 @@ package types
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -555,44 +556,55 @@ func TestEqual(t *testing.T) {
 	}
 }
 
+// wireRun is one WireWalk callback.
+type wireRun struct {
+	kind      Kind
+	strCap, n int
+}
+
+func wireRuns(t *testing.T, typ *Type) []wireRun {
+	t.Helper()
+	var out []wireRun
+	if err := WireWalk(typ, func(k Kind, strCap, n int) {
+		out = append(out, wireRun{k, strCap, n})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestWireWalk(t *testing.T) {
 	mix := mustStruct(t, "mix",
 		Field{"a", Int32()},
 		Field{"b", Int32()},
 		Field{"d", Float64()},
 		Field{"s", mustString(t, 8)},
+		Field{"p", mustPtr(t, Int32())},
 	)
-	w, err := WireWalk(mix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []WireStep{
-		{KindInt32, 0, 2},
+	w := wireRuns(t, mix)
+	want := []wireRun{
+		{KindInt32, 0, 1},
+		{KindInt32, 0, 1},
 		{KindFloat64, 0, 1},
 		{KindString, 8, 1},
+		{KindPointer, 0, 1},
 	}
-	if len(w) != len(want) {
+	if !slices.Equal(w, want) {
 		t.Fatalf("WireWalk = %v, want %v", w, want)
-	}
-	for i := range want {
-		if w[i] != want[i] {
-			t.Fatalf("WireWalk[%d] = %v, want %v", i, w[i], want[i])
-		}
-	}
-	kinds := UnitKinds(w)
-	if len(kinds) != 4 || kinds[0] != KindInt32 || kinds[2] != KindFloat64 || kinds[3] != KindString {
-		t.Errorf("UnitKinds = %v", kinds)
 	}
 }
 
 func TestWireWalkArrayCollapse(t *testing.T) {
 	a := mustArray(t, Int32(), 1000)
-	w, err := WireWalk(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w) != 1 || w[0].Count != 1000 {
+	if w := wireRuns(t, a); len(w) != 1 || w[0] != (wireRun{KindInt32, 0, 1000}) {
 		t.Errorf("WireWalk([1000]int32) = %v", w)
+	}
+	// An array of structs visits each element's fields in turn.
+	s := mustStruct(t, "s", Field{"i", Int32()}, Field{"c", Char()})
+	w := wireRuns(t, mustArray(t, s, 2))
+	want := []wireRun{{KindInt32, 0, 1}, {KindChar, 0, 1}, {KindInt32, 0, 1}, {KindChar, 0, 1}}
+	if !slices.Equal(w, want) {
+		t.Errorf("WireWalk([2]s) = %v, want %v", w, want)
 	}
 }
 
@@ -691,4 +703,25 @@ func randomType(t *testing.T, rng *rand.Rand, depth int) *Type {
 		fields[i] = Field{Name: "f" + strconv.Itoa(i), Type: randomType(t, rng, depth-1)}
 	}
 	return mustStruct(t, "r", fields...)
+}
+
+// TestUnmarshalBoundsUnits requires a descriptor whose nested arrays
+// multiply past maxPrimUnits units to be refused, not counted with an
+// overflowing product.
+func TestUnmarshalBoundsUnits(t *testing.T) {
+	inner := mustArray(t, Int32(), 1<<28)
+	b, err := Marshal(inner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Unmarshal(b); err != nil {
+		t.Fatalf("[1<<28]int32 refused: %v", err)
+	}
+	nested := mustArray(t, mustArray(t, inner, 1<<28), 1<<28)
+	if b, err = Marshal(nested); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Unmarshal(b); err == nil {
+		t.Error("descriptor of 2^84 units accepted")
+	}
 }

@@ -165,6 +165,14 @@ func (r *Reader) Take(n int) []byte {
 	return v
 }
 
+// Rest returns the unread bytes without consuming them (no copy).
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.b[r.off:]
+}
+
 // Bytes reads a 32-bit length prefix and that many bytes (no copy).
 func (r *Reader) Bytes() []byte {
 	n := r.U32()
