@@ -153,8 +153,10 @@ func applyRun(prof *arch.Profile, view []byte, b *mem.Block, run wire.Run, opts 
 	order := prof.Order
 	u0 := int(run.Start)
 	u1 := u0 + int(run.Count)
-	err := forUnits(b.Layout, u0, u1, func(k types.Kind, strCap, absByte, n, stride int) error {
-		switch k {
+	it := b.Layout.Units(u0, u1)
+	for it.Next() {
+		absByte, n, stride, strCap := it.Off, it.N, it.Step.ByteStride, it.Step.Cap
+		switch it.Step.Kind {
 		case types.KindChar:
 			for i := 0; i < n; i++ {
 				view[absByte+i*stride] = r.U8()
@@ -212,12 +214,8 @@ func applyRun(prof *arch.Profile, view []byte, b *mem.Block, run wire.Run, opts 
 				}
 			}
 		default:
-			return fmt.Errorf("diff: unexpected kind %v in walk", k)
+			return fmt.Errorf("diff: unexpected kind %v in walk", it.Step.Kind)
 		}
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("diff: run data for block %d: %w", b.Serial, err)

@@ -427,8 +427,10 @@ func (c *collector) translateUnits(b *mem.Block, u0, u1 int) ([]byte, error) {
 	}
 	start, avail := len(c.buf), cap(c.buf)-len(c.buf)
 	buf := c.buf[start:]
-	err = forUnits(l, u0, u1, func(k types.Kind, strCap, absByte, n, stride int) error {
-		switch k {
+	it := l.Units(u0, u1)
+	for it.Next() {
+		absByte, n, stride, strCap := it.Off, it.N, it.Step.ByteStride, it.Step.Cap
+		switch it.Step.Kind {
 		case types.KindChar:
 			for i := 0; i < n; i++ {
 				buf = append(buf, view[absByte+i*stride])
@@ -452,7 +454,7 @@ func (c *collector) translateUnits(b *mem.Block, u0, u1 int) ([]byte, error) {
 			}
 		case types.KindPointer:
 			if c.opts.Swizzle == nil {
-				return errors.New("diff: segment contains pointers but no swizzler was provided")
+				return nil, errors.New("diff: segment contains pointers but no swizzler was provided")
 			}
 			for i := 0; i < n; i++ {
 				var a mem.Addr
@@ -463,17 +465,13 @@ func (c *collector) translateUnits(b *mem.Block, u0, u1 int) ([]byte, error) {
 				}
 				mip, err := c.opts.Swizzle(a)
 				if err != nil {
-					return fmt.Errorf("diff: swizzling %#x in block %d: %w", uint64(a), b.Serial, err)
+					return nil, fmt.Errorf("diff: swizzling %#x in block %d: %w", uint64(a), b.Serial, err)
 				}
 				buf = wire.AppendString(buf, mip)
 			}
 		default:
-			return fmt.Errorf("diff: unexpected kind %v in walk", k)
+			return nil, fmt.Errorf("diff: unexpected kind %v in walk", it.Step.Kind)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	if cap(buf) == avail {
 		c.buf = c.buf[:start+len(buf)]
@@ -509,18 +507,18 @@ func wireSizeBound(l *types.Layout, u0, u1 int) int {
 // walkSizeBound is wireSizeBound by walking every step of the run.
 func walkSizeBound(l *types.Layout, u0, u1 int) int {
 	n := 0
-	_ = forUnits(l, u0, u1, func(k types.Kind, strCap, _, units, _ int) error {
-		switch k {
+	it := l.Units(u0, u1)
+	for it.Next() {
+		switch s := it.Step; s.Kind {
 		case types.KindString:
-			n += units * (4 + strCap)
+			n += it.N * (4 + s.Cap)
 		case types.KindPointer:
-			n += units * mipSizeEstimate
+			n += it.N * mipSizeEstimate
 		default:
-			sz, _ := wire.FixedWireSize(k)
-			n += units * sz
+			sz, _ := types.FixedWireSize(s.Kind)
+			n += it.N * sz
 		}
-		return nil
-	})
+	}
 	return n
 }
 
@@ -530,53 +528,4 @@ func cstr(cell []byte) []byte {
 		return cell[:i]
 	}
 	return cell
-}
-
-// forUnits iterates the units [u0, u1) of a block whose elements have
-// layout l, invoking fn once per maximal same-step sub-run with the
-// absolute byte offset of the first unit (relative to block start),
-// the unit count, and the byte stride.
-func forUnits(l *types.Layout, u0, u1 int, fn func(k types.Kind, strCap, absByte, n, stride int) error) error {
-	if u0 >= u1 {
-		return nil
-	}
-	pc := l.PrimCount
-	// Uniform blocks — n elements of a single primitive — are one
-	// arithmetic run; this is the common case for big arrays.
-	if pc == 1 && len(l.Walk) == 1 {
-		s := &l.Walk[0]
-		return fn(s.Kind, s.Cap, u0*l.Size+s.ByteOff, u1-u0, l.Size)
-	}
-	// Locate the first unit's step once; afterwards advance
-	// incrementally (next step, or wrap to the next element),
-	// avoiding a binary search per run.
-	e := u0 / pc
-	p := u0 % pc
-	si, ok := l.StepAtPrim(p)
-	if !ok {
-		return fmt.Errorf("diff: unit %d outside layout", u0)
-	}
-	for u0 < u1 {
-		s := &l.Walk[si]
-		within := p - s.PrimOff
-		n := s.Count - within
-		if rem := u1 - u0; n > rem {
-			n = rem
-		}
-		// Steps never cross an element boundary.
-		abs := e*l.Size + s.ByteOff + within*s.ByteStride
-		if err := fn(s.Kind, s.Cap, abs, n, s.ByteStride); err != nil {
-			return err
-		}
-		u0 += n
-		p += n
-		if p >= pc {
-			p = 0
-			e++
-			si = 0
-		} else if p >= s.PrimOff+s.Count {
-			si++
-		}
-	}
-	return nil
 }

@@ -404,12 +404,12 @@ func decodeSegmentReader(r *wire.Reader) (*Segment, error) {
 		if dupSerial || (name != "" && dupName) {
 			return nil, fmt.Errorf("block %d repeats a serial or a name", serial)
 		}
-		if count <= 0 || count > maxBlockCount {
+		if count <= 0 || count > maxBlockUnits/l.wire.PrimCount {
 			return nil, fmt.Errorf("block %d count %d out of range", serial, count)
 		}
 		// Its subblock versions and fixed-width units must be present
 		// before they are allocated.
-		units := l.units * count
+		units := l.wire.PrimCount * count
 		if (units+SubblockUnits-1)/SubblockUnits*4+l.offset(units) > r.Remaining() {
 			return nil, fmt.Errorf("block %d data: %w", serial, wire.ErrTruncated)
 		}

@@ -9,9 +9,11 @@
 // wire encoding, except that each variable-size item — a string or a
 // MIP — is stored separately and its unit holds a fixed 4-byte slot
 // indexing it, the arrangement the paper describes for avoiding data
-// relocation. So a release copies the fixed-width spans of its runs
-// into place and a read copies them out; only strings and MIPs are
-// handled one by one.
+// relocation. That arrangement is the descriptor's wire layout
+// (types.WireOf), flattened into steps by the clients' layout code and
+// walked by the same step iterator (types.Layout.Units). So a release
+// copies the fixed-width runs of its units into place and a read
+// copies them out; only strings and MIPs are handled one by one.
 package server
 
 import (
@@ -66,27 +68,13 @@ type Blk struct {
 	elem *listElem
 }
 
-// descLayout is a registered descriptor's storage geometry:
-// wirePrefix[i] is the stored size of units [0,i) of one element,
-// where a string or MIP counts as its 4-byte slot (on the wire, its
-// length prefix), and slots lists the element's strings and MIPs in
-// unit order. Every other unit is fixed-width, stored as on the wire.
-// An element has units units and takes size bytes, and firstSlot[i]
-// indexes its first string or MIP at unit i or later.
+// descLayout is a registered descriptor's storage geometry: the wire
+// layout of one element (types.WireOf), where each string or MIP unit
+// is a 4-byte slot and every other unit is stored as on the wire, and
+// whether any unit is a string or MIP.
 type descLayout struct {
-	wirePrefix  []int
-	slots       []varSlot
-	firstSlot   []int
-	units, size int
-}
-
-// varSlot is a string or MIP unit of an element: its position in the
-// element, its slot's offset from the element's start, and the longest
-// item it holds — a string's capacity less its terminator,
-// wire.MaxItem for a MIP.
-type varSlot struct {
-	unit, off int
-	maxSize   int
+	wire     *types.Layout
+	hasItems bool
 }
 
 // parseLayout decodes descriptor bytes into their storage geometry.
@@ -95,85 +83,42 @@ func parseLayout(b []byte) (*descLayout, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &descLayout{wirePrefix: []int{0}}
-	err = types.WireWalk(t, func(k types.Kind, strCap, n int) {
-		sz, fixed := wire.FixedWireSize(k)
-		for i := 0; i < n; i++ {
-			u := len(l.wirePrefix) - 1
-			if !fixed {
-				sz = 4
-				vs := varSlot{unit: u, off: l.wirePrefix[u], maxSize: wire.MaxItem}
-				if strCap > 0 {
-					vs.maxSize = strCap - 1
-				}
-				l.slots = append(l.slots, vs)
-			}
-			l.wirePrefix = append(l.wirePrefix, l.wirePrefix[u]+sz)
-		}
-	})
+	w, err := types.WireOf(t)
 	if err != nil {
 		return nil, err
 	}
-	l.units = len(l.wirePrefix) - 1
-	l.size = l.wirePrefix[l.units]
-	if len(l.slots) == 0 {
-		return l, nil
-	}
-	l.firstSlot = make([]int, l.units+1)
-	for i, p := len(l.slots), l.units; p >= 0; p-- {
-		if i > 0 && l.slots[i-1].unit >= p {
-			i--
-		}
-		l.firstSlot[p] = i
-	}
-	return l, nil
+	hasItems := slices.ContainsFunc(w.Walk, func(s types.Step) bool {
+		_, ok := item(&s)
+		return ok
+	})
+	return &descLayout{wire: w, hasItems: hasItems}, nil
 }
 
-// offset is where unit u's stored bytes start in a block's data.
-func (l *descLayout) offset(u int) int {
-	e := u / l.units
-	return e*l.size + l.wirePrefix[u-e*l.units]
+// offset is where unit u's stored bytes start in a block's data; u may
+// be the block's unit count.
+func (l *descLayout) offset(u int) int { return l.wire.Units(u, u).Off }
+
+// item reports whether a step's units are strings or MIPs, stored as
+// 4-byte slots, and the longest item one holds: a string's capacity
+// less its terminator, wire.MaxItem for a MIP.
+func item(s *types.Step) (maxSize int, ok bool) {
+	switch s.Kind {
+	case types.KindString:
+		return s.Cap - 1, true
+	case types.KindPointer:
+		return wire.MaxItem, true
+	}
+	return 0, false
 }
 
-// walk visits units [u0,u1) in order as the spans of fixed-width units
-// between strings and MIPs and as those units themselves: fixed(o0, o1)
-// for each maximal span, which occupies bytes [o0,o1) of a block's
-// data, and slot(o, vs) for each string or MIP, whose slot is at byte
-// o. It stops at the first error slot returns and returns it. A layout
-// without strings or MIPs is one span.
-func (l *descLayout) walk(u0, u1 int, fixed func(o0, o1 int), slot func(o int, vs varSlot) error) error {
-	if len(l.slots) == 0 {
-		if u0 < u1 {
-			fixed(l.offset(u0), l.offset(u1))
-		}
-		return nil
+// end is where the units walked by it end in a block's data, u1 being
+// the first unit past them. With strings or MIPs, the walk is done and
+// its last run ends there; without, it was not walked.
+func (l *descLayout) end(it *types.UnitIter, u1 int) int {
+	if l.hasItems {
+		return it.Off + it.N*it.Step.ByteStride
 	}
-	eu, size, slots := l.units, l.size, l.slots
-	e := u0 / eu
-	base, baseOff := e*eu, e*size                  // the element being walked
-	at, atOff := u0, baseOff+l.wirePrefix[u0-base] // the first unit not yet visited
-	for i := l.firstSlot[u0-base]; base < u1; base, baseOff, i = base+eu, baseOff+size, 0 {
-		for ; i < len(slots); i++ {
-			vs := slots[i]
-			u := base + vs.unit
-			if u >= u1 {
-				break
-			}
-			o := baseOff + vs.off
-			if o > atOff {
-				fixed(atOff, o)
-			}
-			if err := slot(o, vs); err != nil {
-				return err
-			}
-			at, atOff = u+1, o+4
-		}
-	}
-	if at < u1 {
-		// u1 lies in the last element walked, or ends it.
-		fixed(atOff, baseOff-size+l.wirePrefix[u1-base+eu])
-	}
-	return nil
+	return l.offset(u1)
 }
 
 // scan returns how many leading bytes of data hold units [u0,u1) in
@@ -181,26 +126,35 @@ func (l *descLayout) walk(u0, u1 int, fixed func(o0, o1 int), slot func(o int, v
 // it — its length prefix and at most wire.MaxItem bytes present — and
 // each string against its capacity.
 func (l *descLayout) scan(data []byte, u0, u1 int) (int, error) {
-	end := 0
-	err := l.walk(u0, u1, func(o0, o1 int) { end += o1 - o0 }, func(_ int, vs varSlot) error {
-		if end+4 > len(data) {
-			return wire.ErrTruncated
+	it := l.wire.Units(u0, u1)
+	at, end := it.Off, 0 // the first stored byte not yet counted; bytes of data counted
+	for l.hasItems && it.Next() {
+		maxSize, ok := item(it.Step)
+		if !ok {
+			continue // fixed-width: part of the next span
 		}
-		n := binary.BigEndian.Uint32(data[end:])
-		end += 4
-		if n > wire.MaxItem || int(n) > len(data)-end {
-			return wire.ErrTruncated
+		end += it.Off - at
+		for i := 0; i < it.N; i++ {
+			if end+4 > len(data) {
+				return end, wire.ErrTruncated
+			}
+			m := binary.BigEndian.Uint32(data[end:])
+			end += 4
+			if m > wire.MaxItem || int(m) > len(data)-end {
+				return end, wire.ErrTruncated
+			}
+			if int(m) > maxSize {
+				return end, fmt.Errorf("string of %d bytes overflows capacity %d", m, maxSize+1)
+			}
+			end += int(m)
 		}
-		if int(n) > vs.maxSize {
-			return fmt.Errorf("string of %d bytes overflows capacity %d", n, vs.maxSize+1)
-		}
-		end += int(n)
-		return nil
-	})
-	if err == nil && end > len(data) {
-		err = wire.ErrTruncated
+		at = it.Off + 4*it.N
 	}
-	return end, err
+	end += l.end(&it, u1) - at
+	if end > len(data) {
+		return end, wire.ErrTruncated
+	}
+	return end, nil
 }
 
 // checkRun returns the error applying run to a block of this layout
@@ -222,14 +176,14 @@ func (l *descLayout) checkRun(run wire.Run, units int) error {
 	return nil
 }
 
-// maxBlockCount bounds a block's element count, in a diff and in a
-// segment image alike.
-const maxBlockCount = 1 << 28
+// maxBlockUnits bounds a block's units, in a diff and in a segment
+// image alike, as types.Unmarshal bounds one element's.
+const maxBlockUnits = 1 << 28
 
 // newBlk allocates a block of count elements of layout l with zeroed
 // units and subblock versions.
 func newBlk(serial uint32, name string, desc uint32, count int, l *descLayout) *Blk {
-	units := l.units * count
+	units := l.wire.PrimCount * count
 	return &Blk{
 		Serial:     serial,
 		Name:       name,
@@ -242,7 +196,7 @@ func newBlk(serial uint32, name string, desc uint32, count int, l *descLayout) *
 }
 
 // Units returns the block's total unit count.
-func (b *Blk) Units() int { return b.Count * b.units }
+func (b *Blk) Units() int { return b.Count * b.wire.PrimCount }
 
 // Version returns the segment version that last modified the block.
 func (b *Blk) Version() uint32 { return b.version }
@@ -500,7 +454,7 @@ func (s *Segment) checkDiff(d *wire.SegmentDiff) (map[uint32]*descLayout, error)
 		if _, ok := s.blocks.Get(nb.Serial); ok || created[nb.Serial].layout != nil {
 			return nil, fmt.Errorf("server: new block %d already exists", nb.Serial)
 		}
-		if nb.Count == 0 || nb.Count > maxBlockCount {
+		if nb.Count == 0 || int(nb.Count) > maxBlockUnits/l.wire.PrimCount {
 			return nil, fmt.Errorf("server: new block %d count %d out of range", nb.Serial, nb.Count)
 		}
 		if nb.Name != "" {
@@ -509,7 +463,7 @@ func (s *Segment) checkDiff(d *wire.SegmentDiff) (map[uint32]*descLayout, error)
 			}
 			names[nb.Name] = true
 		}
-		created[nb.Serial] = block{layout: l, units: l.units * int(nb.Count)}
+		created[nb.Serial] = block{layout: l, units: l.wire.PrimCount * int(nb.Count)}
 	}
 
 	var freed map[uint32]bool
@@ -643,18 +597,26 @@ func (b *Blk) applyRun(run wire.Run, v uint32) int {
 	return u1 - u0
 }
 
-// store writes units [u0,u1) from data, their wire form as scan passed
-// it: the fixed-width spans are copied into place, the strings and
-// MIPs go to setVar.
+// store writes units [u0,u1) from data, exactly their wire form as
+// scan passed it: each span of fixed-width units between strings and
+// MIPs is copied into place in one piece, the strings and MIPs go to
+// setVar.
 func (b *Blk) store(data []byte, u0, u1 int) {
-	_ = b.walk(u0, u1, func(o0, o1 int) {
-		data = data[copy(b.data[o0:o1], data):]
-	}, func(o int, _ varSlot) error {
-		n := 4 + int(binary.BigEndian.Uint32(data))
-		b.setVar(o, data[4:n])
-		data = data[n:]
-		return nil
-	})
+	it := b.wire.Units(u0, u1)
+	at := it.Off // the first byte not yet stored
+	for b.hasItems && it.Next() {
+		if _, ok := item(it.Step); !ok {
+			continue
+		}
+		data = data[copy(b.data[at:it.Off], data):]
+		for i := 0; i < it.N; i++ {
+			m := 4 + int(binary.BigEndian.Uint32(data))
+			b.setVar(it.Off+4*i, data[4:m])
+			data = data[m:]
+		}
+		at = it.Off + 4*it.N
+	}
+	copy(b.data[at:], data)
 }
 
 // setVar stores a copy of a variable-length item in the slot at byte
@@ -698,22 +660,30 @@ func (b *Blk) getVar(o int) []byte {
 }
 
 // wireSizeHint estimates the wire size of units [u0,u1) for sizing a
-// collection buffer: exact for fixed-width units, with the block's
-// strings and MIPs taken as spread evenly over it.
+// collection buffer: the block's stored bytes, its slots and their
+// items alike, taken as spread evenly over its units, which is exact
+// for a whole block without strings or MIPs.
 func (b *Blk) wireSizeHint(u0, u1 int) int {
-	return b.offset(u1) - b.offset(u0) + b.varBytes*(u1-u0)/b.Units()
+	return (len(b.data) + b.varBytes) * (u1 - u0) / b.Units()
 }
 
-// appendUnits appends units [u0,u1) in wire form: the fixed-width
-// spans as stored, each string and MIP expanded from its slot.
+// appendUnits appends units [u0,u1) in wire form: each span of
+// fixed-width units between strings and MIPs as stored, in one piece,
+// each string and MIP expanded from its slot.
 func (b *Blk) appendUnits(buf []byte, u0, u1 int) []byte {
-	_ = b.walk(u0, u1, func(o0, o1 int) {
-		buf = append(buf, b.data[o0:o1]...)
-	}, func(o int, _ varSlot) error {
-		buf = wire.AppendBytes(buf, b.getVar(o))
-		return nil
-	})
-	return buf
+	it := b.wire.Units(u0, u1)
+	at := it.Off // the first byte not yet appended
+	for b.hasItems && it.Next() {
+		if _, ok := item(it.Step); !ok {
+			continue
+		}
+		buf = append(buf, b.data[at:it.Off]...)
+		for i := 0; i < it.N; i++ {
+			buf = wire.AppendBytes(buf, b.getVar(it.Off+4*i))
+		}
+		at = it.Off + 4*it.N
+	}
+	return append(buf, b.data[at:b.end(&it, u1)]...)
 }
 
 // CollectDiff builds a diff bringing a client at sinceVer up to the

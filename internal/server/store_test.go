@@ -492,6 +492,14 @@ func badDiffs(t testing.TB) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
+	a20, err := types.ArrayOf(types.Int32(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr20, err := types.Marshal(a20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []struct {
 		name string
 		d    *wire.SegmentDiff
@@ -534,6 +542,11 @@ func badDiffs(t testing.TB) []struct {
 		{"the same new block twice", &wire.SegmentDiff{
 			Descs: []wire.DescDef{{Serial: 1, Bytes: intDescBytes(t)}},
 			News:  []wire.NewBlock{{Serial: 3, DescSerial: 1, Count: 1}, {Serial: 3, DescSerial: 1, Count: 2}},
+		}},
+		{"valid run, then a new block of 2^40 units", &wire.SegmentDiff{
+			Descs:  []wire.DescDef{{Serial: 1, Bytes: arr20}},
+			News:   []wire.NewBlock{{Serial: 3, DescSerial: 1, Count: 1 << 20}},
+			Blocks: []wire.BlockDiff{good},
 		}},
 	}
 }
@@ -606,8 +619,8 @@ func fuzzAffordable(d *wire.SegmentDiff) bool {
 }
 
 // affordableDesc reports whether descriptor bytes that decode describe
-// at most 1<<10 units per element; the server keeps a table entry per
-// unit of a registered descriptor.
+// at most 1<<10 units per element; the wire walk of an irregular
+// descriptor can take a step per unit.
 func affordableDesc(b []byte) bool {
 	t, err := types.Unmarshal(b)
 	return err != nil || t.PrimCount() <= 1<<10

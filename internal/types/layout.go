@@ -3,6 +3,7 @@ package types
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -14,6 +15,8 @@ import (
 // exhausting memory. Blocks holding n elements of a type share one
 // walk, so ordinary workloads stay far below this.
 const maxWalkSteps = 1 << 21
+
+var errStepLimit = errors.New("types: type too irregular; walk exceeds step limit")
 
 // Step is one run of identical primitive units in a Layout's
 // flattened walk. A run covers Count units of the same Kind starting
@@ -49,10 +52,11 @@ type FieldLoc struct {
 // Layout is the instantiation of a Type for one machine profile. It
 // records the local size and alignment (with machine-specific
 // padding) and the flattened primitive walk that drives wire-format
-// translation, diffing, and pointer swizzling.
+// translation, diffing, and pointer swizzling. A layout from WireOf
+// has no profile: it is the wire form the server stores.
 type Layout struct {
 	Type *Type
-	Prof *arch.Profile
+	Prof *arch.Profile // nil for a wire layout
 	// Size is the local byte size of one value, including tail
 	// padding (a multiple of Align, as in C).
 	Size int
@@ -79,12 +83,21 @@ func OfUncollapsed(t *Type, p *arch.Profile) (*Layout, error) {
 	return of(t, p, false)
 }
 
+// WireOf computes the wire layout of t, the form the server stores:
+// every unit packed at its wire width (FixedWireSize), each string or
+// MIP a 4-byte slot standing for its length-prefixed item.
+func WireOf(t *Type) (*Layout, error) {
+	return of(t, nil, true)
+}
+
 func of(t *Type, p *arch.Profile, collapse bool) (*Layout, error) {
 	if err := Validate(t); err != nil {
 		return nil, err
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
+	if p != nil {
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	c := layoutCalc{prof: p, memo: make(map[*Type][2]int), noMerge: !collapse}
 	size, align := c.sizeAlign(t)
@@ -115,12 +128,36 @@ func (l *Layout) Field(name string) (FieldLoc, bool) {
 }
 
 type layoutCalc struct {
-	prof    *arch.Profile
+	prof    *arch.Profile // nil: the wire layout
 	memo    map[*Type][2]int
 	noMerge bool
 }
 
+// FixedWireSize returns the canonical encoded size of one unit of
+// kind k, and ok=false for variable-length kinds (strings and
+// pointers).
+func FixedWireSize(k Kind) (int, bool) {
+	switch k {
+	case KindChar:
+		return 1, true
+	case KindInt16:
+		return 2, true
+	case KindInt32, KindFloat32:
+		return 4, true
+	case KindInt64, KindFloat64:
+		return 8, true
+	default:
+		return 0, false
+	}
+}
+
 func (c *layoutCalc) primSizeAlign(t *Type) (int, int) {
+	if c.prof == nil {
+		if sz, ok := FixedWireSize(t.kind); ok {
+			return sz, 1
+		}
+		return 4, 1
+	}
 	switch t.kind {
 	case KindChar:
 		return 1, 1
@@ -182,9 +219,6 @@ func (c *layoutCalc) fieldLocs(t *Type) []FieldLoc {
 }
 
 func (c *layoutCalc) emit(walk *[]Step, t *Type, byteOff, primOff int) error {
-	if len(*walk) > maxWalkSteps {
-		return errors.New("types: type too irregular; walk exceeds step limit")
-	}
 	switch t.kind {
 	case KindStruct:
 		off, prim := byteOff, primOff
@@ -204,21 +238,43 @@ func (c *layoutCalc) emit(walk *[]Step, t *Type, byteOff, primOff int) error {
 			// the isomorphic optimization, which only concerns
 			// collapsing distinct consecutive field descriptors.
 			elSz, _ := c.primSizeAlign(t.elem)
-			c.push(walk, Step{
+			return c.push(walk, Step{
 				Kind: t.elem.kind, Cap: t.elem.cap,
 				ByteOff: byteOff, PrimOff: primOff,
 				Count: t.len, Size: elSz, ByteStride: es,
 			})
-			return nil
 		}
+		// Lay out one element, then repeat it.
+		var el []Step
+		if err := c.emit(&el, t.elem, 0, 0); err != nil {
+			return err
+		}
+		if s := el[0]; !c.noMerge && len(el) == 1 && s.Count*s.ByteStride == es {
+			// The element is one step that tiles it: so is the array.
+			s.ByteOff, s.PrimOff, s.Count = byteOff, primOff, s.Count*t.len
+			return c.push(walk, s)
+		}
+		// Of an element's steps only the first can merge into the step
+		// before it, so each element adds at least len(el)-1 steps: a
+		// walk bound to outgrow the limit is refused before it is built.
+		if len(*walk)+t.len*(len(el)-1) > maxWalkSteps+1 {
+			return errStepLimit
+		}
+		// Room for every step: growing by append would allocate ~5x.
+		*walk = slices.Grow(*walk, min(t.len*len(el), maxWalkSteps+1-len(*walk)))
+		pc := t.elem.primCount
 		for i := 0; i < t.len; i++ {
-			if err := c.emit(walk, t.elem, byteOff+i*es, primOff+i*t.elem.primCount); err != nil {
-				return err
+			for _, s := range el {
+				s.ByteOff += byteOff + i*es
+				s.PrimOff += primOff + i*pc
+				if err := c.push(walk, s); err != nil {
+					return err
+				}
 			}
 		}
 	default:
 		sz, _ := c.primSizeAlign(t)
-		c.push(walk, Step{
+		return c.push(walk, Step{
 			Kind: t.kind, Cap: t.cap,
 			ByteOff: byteOff, PrimOff: primOff,
 			Count: 1, Size: sz, ByteStride: sz,
@@ -228,13 +284,18 @@ func (c *layoutCalc) emit(walk *[]Step, t *Type, byteOff, primOff int) error {
 }
 
 // push appends a step, merging with the previous one unless the
-// isomorphic optimization is disabled.
-func (c *layoutCalc) push(walk *[]Step, s Step) {
+// isomorphic optimization is disabled. It refuses to add to a walk
+// already past the step limit.
+func (c *layoutCalc) push(walk *[]Step, s Step) error {
+	if len(*walk) > maxWalkSteps {
+		return errStepLimit
+	}
 	if c.noMerge {
 		*walk = append(*walk, s)
-		return
+	} else {
+		pushStep(walk, s)
 	}
-	pushStep(walk, s)
+	return nil
 }
 
 // pushStep appends s, merging it into the previous step when the two
@@ -397,6 +458,68 @@ func (l *Layout) PrimSpan(b0, b1 int) (p0, p1 int, ok bool) {
 		return 0, 0, false
 	}
 	return p0, p1, true
+}
+
+// UnitIter walks units [u0, u1) of a block whose elements have a
+// layout, one maximal run of units within one step at a time. After
+// Next returns true, Step is the run's step and the run is N units
+// starting Off bytes into the block, Step.ByteStride bytes apart.
+// Before the first Next, Off is where unit u0 starts, even when the
+// range is empty; once Next has reported false, Step, Off and N keep
+// the last run.
+type UnitIter struct {
+	Step   *Step
+	Off, N int
+
+	l      *Layout
+	left   int  // units after the current run
+	si     int  // the current run's step
+	base   int  // the byte offset of its element
+	primed bool // the current run is the first, not yet returned
+}
+
+// Units returns an iterator over units [u0, u1) of a block of elements
+// of layout l; u0 >= 0 and u1 is at most the block's unit count. It
+// finds the first unit's step with StepAtPrim, and each later step by
+// moving to the next one.
+func (l *Layout) Units(u0, u1 int) (it UnitIter) {
+	it.l, it.primed = l, true
+	n := max(u1-u0, 0)
+	s := &l.Walk[0]
+	if len(l.Walk) == 1 && s.Count*s.ByteStride == l.Size {
+		// One step tiling the element, as n elements of a primitive
+		// are: the whole range is one arithmetic run.
+		it.Step, it.Off, it.N = s, u0*s.ByteStride, n
+		return
+	}
+	e, p := u0/l.PrimCount, u0%l.PrimCount
+	it.si, _ = l.StepAtPrim(p)
+	s = &l.Walk[it.si]
+	it.base = e * l.Size
+	it.Step, it.Off = s, it.base+s.ByteOff+(p-s.PrimOff)*s.ByteStride
+	it.N = min(s.PrimOff+s.Count-p, n)
+	it.left = n - it.N
+	return
+}
+
+// Next advances to the next run, reporting false when none is left.
+func (it *UnitIter) Next() bool {
+	if it.primed {
+		it.primed = false
+		return it.N > 0
+	}
+	if it.left == 0 {
+		return false
+	}
+	// The current run ended its step; steps never cross an element
+	// boundary.
+	if it.si++; it.si == len(it.l.Walk) {
+		it.si, it.base = 0, it.base+it.l.Size
+	}
+	s := &it.l.Walk[it.si]
+	it.Step, it.Off, it.N = s, it.base+s.ByteOff, min(s.Count, it.left)
+	it.left -= it.N
+	return true
 }
 
 // Cache memoizes layouts per (type, profile). The zero value is ready

@@ -10,7 +10,9 @@
 //   - Layout: a per-architecture instantiation of a Type, carrying
 //     byte offsets, alignment padding, primitive offsets, and the
 //     flattened "primitive walk" used by diff translation, including
-//     the paper's isomorphic descriptor optimization.
+//     the paper's isomorphic descriptor optimization. A Type also has
+//     a wire layout (WireOf), the packed form the server stores, and
+//     both kinds are walked by one step iterator (Layout.Units).
 //   - A canonical binary encoding of descriptors, used to register
 //     types with servers and to reconstruct layouts on clients that
 //     receive previously unseen blocks.
@@ -368,36 +370,4 @@ func (t *Type) displayName() string {
 		return t.name
 	}
 	return "struct{...}"
-}
-
-// WireWalk flattens one value of t into its primitive units in
-// declaration order — the wire order, which no machine profile
-// affects — calling fn once for each run of n consecutive units of
-// kind k; strCap is a string's capacity, 0 for other kinds. An array
-// of primitives is one run.
-func WireWalk(t *Type, fn func(k Kind, strCap, n int)) error {
-	if err := Validate(t); err != nil {
-		return err
-	}
-	wireWalk(t, fn)
-	return nil
-}
-
-func wireWalk(t *Type, fn func(k Kind, strCap, n int)) {
-	switch t.kind {
-	case KindStruct:
-		for _, f := range t.fields {
-			wireWalk(f.Type, fn)
-		}
-	case KindArray:
-		if t.elem.kind.IsPrimitive() {
-			fn(t.elem.kind, t.elem.cap, t.len)
-			return
-		}
-		for i := 0; i < t.len; i++ {
-			wireWalk(t.elem, fn)
-		}
-	default:
-		fn(t.kind, t.cap, 1)
-	}
 }

@@ -556,19 +556,72 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-// wireRun is one WireWalk callback.
+func TestFixedWireSize(t *testing.T) {
+	tests := []struct {
+		k    Kind
+		size int
+		ok   bool
+	}{
+		{KindChar, 1, true},
+		{KindInt16, 2, true},
+		{KindInt32, 4, true},
+		{KindInt64, 8, true},
+		{KindFloat32, 4, true},
+		{KindFloat64, 8, true},
+		{KindString, 0, false},
+		{KindPointer, 0, false},
+		{KindStruct, 0, false},
+	}
+	for _, tt := range tests {
+		size, ok := FixedWireSize(tt.k)
+		if size != tt.size || ok != tt.ok {
+			t.Errorf("FixedWireSize(%v) = %d,%v; want %d,%v", tt.k, size, ok, tt.size, tt.ok)
+		}
+	}
+}
+
+// wireRun is a run of n consecutive units of one kind in wire order;
+// strCap is a string's capacity, 0 for other kinds.
 type wireRun struct {
 	kind      Kind
 	strCap, n int
 }
 
+// wireUnits expands runs into one run per unit.
+func wireUnits(runs []wireRun) []wireRun {
+	var out []wireRun
+	for _, r := range runs {
+		for i := 0; i < r.n; i++ {
+			out = append(out, wireRun{r.kind, r.strCap, 1})
+		}
+	}
+	return out
+}
+
+// wireRuns returns WireOf(typ)'s walk as runs, checking that it packs
+// every unit right after the one before at its wire width, a string or
+// MIP taking a 4-byte slot.
 func wireRuns(t *testing.T, typ *Type) []wireRun {
 	t.Helper()
-	var out []wireRun
-	if err := WireWalk(typ, func(k Kind, strCap, n int) {
-		out = append(out, wireRun{k, strCap, n})
-	}); err != nil {
+	l, err := WireOf(typ)
+	if err != nil {
 		t.Fatal(err)
+	}
+	var out []wireRun
+	off := 0
+	for _, s := range l.Walk {
+		want, ok := FixedWireSize(s.Kind)
+		if !ok {
+			want = 4
+		}
+		if s.ByteOff != off || s.Size != want || s.ByteStride != want {
+			t.Fatalf("WireOf(%v) step %+v: want offset %d, size and stride %d", typ, s, off, want)
+		}
+		off += s.Count * want
+		out = append(out, wireRun{s.Kind, s.Cap, s.Count})
+	}
+	if l.Size != off || l.Align != 1 || l.Prof != nil {
+		t.Fatalf("WireOf(%v): size %d align %d, want %d and 1", typ, l.Size, l.Align, off)
 	}
 	return out
 }
@@ -581,7 +634,7 @@ func TestWireWalk(t *testing.T) {
 		Field{"s", mustString(t, 8)},
 		Field{"p", mustPtr(t, Int32())},
 	)
-	w := wireRuns(t, mix)
+	w := wireUnits(wireRuns(t, mix))
 	want := []wireRun{
 		{KindInt32, 0, 1},
 		{KindInt32, 0, 1},
@@ -590,21 +643,21 @@ func TestWireWalk(t *testing.T) {
 		{KindPointer, 0, 1},
 	}
 	if !slices.Equal(w, want) {
-		t.Fatalf("WireWalk = %v, want %v", w, want)
+		t.Fatalf("WireOf walk = %v, want %v", w, want)
 	}
 }
 
 func TestWireWalkArrayCollapse(t *testing.T) {
 	a := mustArray(t, Int32(), 1000)
 	if w := wireRuns(t, a); len(w) != 1 || w[0] != (wireRun{KindInt32, 0, 1000}) {
-		t.Errorf("WireWalk([1000]int32) = %v", w)
+		t.Errorf("WireOf([1000]int32) walk = %v", w)
 	}
 	// An array of structs visits each element's fields in turn.
 	s := mustStruct(t, "s", Field{"i", Int32()}, Field{"c", Char()})
 	w := wireRuns(t, mustArray(t, s, 2))
 	want := []wireRun{{KindInt32, 0, 1}, {KindChar, 0, 1}, {KindInt32, 0, 1}, {KindChar, 0, 1}}
 	if !slices.Equal(w, want) {
-		t.Errorf("WireWalk([2]s) = %v, want %v", w, want)
+		t.Errorf("WireOf([2]s) walk = %v, want %v", w, want)
 	}
 }
 

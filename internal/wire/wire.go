@@ -22,27 +22,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"interweave/internal/types"
 )
-
-// FixedWireSize returns the canonical encoded size of one unit of
-// kind k, and ok=false for variable-length kinds (strings and
-// pointers).
-func FixedWireSize(k types.Kind) (int, bool) {
-	switch k {
-	case types.KindChar:
-		return 1, true
-	case types.KindInt16:
-		return 2, true
-	case types.KindInt32, types.KindFloat32:
-		return 4, true
-	case types.KindInt64, types.KindFloat64:
-		return 8, true
-	default:
-		return 0, false
-	}
-}
 
 // AppendU8 appends one byte.
 func AppendU8(b []byte, v byte) []byte { return append(b, v) }

@@ -5,33 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"interweave/internal/types"
 )
-
-func TestFixedWireSize(t *testing.T) {
-	tests := []struct {
-		k    types.Kind
-		size int
-		ok   bool
-	}{
-		{types.KindChar, 1, true},
-		{types.KindInt16, 2, true},
-		{types.KindInt32, 4, true},
-		{types.KindInt64, 8, true},
-		{types.KindFloat32, 4, true},
-		{types.KindFloat64, 8, true},
-		{types.KindString, 0, false},
-		{types.KindPointer, 0, false},
-		{types.KindStruct, 0, false},
-	}
-	for _, tt := range tests {
-		size, ok := FixedWireSize(tt.k)
-		if size != tt.size || ok != tt.ok {
-			t.Errorf("FixedWireSize(%v) = %d,%v; want %d,%v", tt.k, size, ok, tt.size, tt.ok)
-		}
-	}
-}
 
 func TestScalarRoundtrip(t *testing.T) {
 	var b []byte
