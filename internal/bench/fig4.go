@@ -120,39 +120,39 @@ func (c *fig4Case) filler() func(seed int) error {
 	base := c.block.Addr
 	long := strings.Repeat("x", 240)
 	return func(seed int) error {
-		for e := 0; e < c.block.Count; e++ {
-			for _, st := range l.Walk {
-				for i := 0; i < st.Count; i++ {
-					a := base + mem.Addr(e*l.Size+st.ByteOff+i*st.ByteStride)
-					u := e*l.PrimCount + st.PrimOff + i
-					var err error
-					switch st.Kind {
-					case types.KindChar:
-						err = h.WriteU8(a, byte(u+seed))
-					case types.KindInt16:
-						err = h.WriteI16(a, int16(u+seed))
-					case types.KindInt32:
-						err = h.WriteI32(a, int32(u*2+seed+1))
-					case types.KindInt64:
-						err = h.WriteI64(a, int64(u)*3+int64(seed)+1)
-					case types.KindFloat32:
-						err = h.WriteF32(a, float32(u)+float32(seed)+0.5)
-					case types.KindFloat64:
-						err = h.WriteF64(a, float64(u)*1.5+float64(seed)+0.25)
-					case types.KindString:
-						if st.Cap >= 64 {
-							err = h.WriteCString(a, st.Cap, fmt.Sprintf("%s-%d-%d", long, u, seed))
-						} else {
-							err = h.WriteCString(a, st.Cap, fmt.Sprintf("%c%c", 'a'+byte(seed%26), 'a'+byte(u%26)))
-						}
-					case types.KindPointer:
-						// Alternate targets so the cell changes.
-						t := (u + seed) % (c.spec.Count + 1)
-						err = h.WritePtr(a, c.targets.Addr+mem.Addr(4*t))
+		var it types.UnitIter
+		u := 0
+		for it.Seek(l, 0, c.block.Count*l.PrimCount); it.Next(); {
+			st := it.Step
+			for i := 0; i < it.N; i, u = i+1, u+1 {
+				a := base + mem.Addr(it.Off+i*st.ByteStride)
+				var err error
+				switch st.Kind {
+				case types.KindChar:
+					err = h.WriteU8(a, byte(u+seed))
+				case types.KindInt16:
+					err = h.WriteI16(a, int16(u+seed))
+				case types.KindInt32:
+					err = h.WriteI32(a, int32(u*2+seed+1))
+				case types.KindInt64:
+					err = h.WriteI64(a, int64(u)*3+int64(seed)+1)
+				case types.KindFloat32:
+					err = h.WriteF32(a, float32(u)+float32(seed)+0.5)
+				case types.KindFloat64:
+					err = h.WriteF64(a, float64(u)*1.5+float64(seed)+0.25)
+				case types.KindString:
+					if st.Cap >= 64 {
+						err = h.WriteCString(a, st.Cap, fmt.Sprintf("%s-%d-%d", long, u, seed))
+					} else {
+						err = h.WriteCString(a, st.Cap, fmt.Sprintf("%c%c", 'a'+byte(seed%26), 'a'+byte(u%26)))
 					}
-					if err != nil {
-						return err
-					}
+				case types.KindPointer:
+					// Alternate targets so the cell changes.
+					t := (u + seed) % (c.spec.Count + 1)
+					err = h.WritePtr(a, c.targets.Addr+mem.Addr(4*t))
+				}
+				if err != nil {
+					return err
 				}
 			}
 		}

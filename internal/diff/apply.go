@@ -153,8 +153,8 @@ func applyRun(prof *arch.Profile, view []byte, b *mem.Block, run wire.Run, opts 
 	order := prof.Order
 	u0 := int(run.Start)
 	u1 := u0 + int(run.Count)
-	it := b.Layout.Units(u0, u1)
-	for it.Next() {
+	var it types.UnitIter
+	for it.Seek(b.Layout, u0, u1); it.Next(); {
 		absByte, n, stride, strCap := it.Off, it.N, it.Step.ByteStride, it.Step.Cap
 		switch it.Step.Kind {
 		case types.KindChar:

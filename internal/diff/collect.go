@@ -427,8 +427,8 @@ func (c *collector) translateUnits(b *mem.Block, u0, u1 int) ([]byte, error) {
 	}
 	start, avail := len(c.buf), cap(c.buf)-len(c.buf)
 	buf := c.buf[start:]
-	it := l.Units(u0, u1)
-	for it.Next() {
+	var it types.UnitIter
+	for it.Seek(l, u0, u1); it.Next(); {
 		absByte, n, stride, strCap := it.Off, it.N, it.Step.ByteStride, it.Step.Cap
 		switch it.Step.Kind {
 		case types.KindChar:
@@ -507,8 +507,8 @@ func wireSizeBound(l *types.Layout, u0, u1 int) int {
 // walkSizeBound is wireSizeBound by walking every step of the run.
 func walkSizeBound(l *types.Layout, u0, u1 int) int {
 	n := 0
-	it := l.Units(u0, u1)
-	for it.Next() {
+	var it types.UnitIter
+	for it.Seek(l, u0, u1); it.Next(); {
 		switch s := it.Step; s.Kind {
 		case types.KindString:
 			n += it.N * (4 + s.Cap)

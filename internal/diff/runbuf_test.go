@@ -75,11 +75,14 @@ func fig4Mixes(t *testing.T) []fig4Mix {
 func fillUnits(t *testing.T, heap *mem.Heap, b, targets *mem.Block, every, seed int) {
 	t.Helper()
 	l := b.Layout
+	var it types.UnitIter
 	for e := 0; e < b.Count; e += every {
-		for _, s := range l.Walk {
-			for i := 0; i < s.Count; i++ {
-				a := b.Addr + mem.Addr(e*l.Size+s.ByteOff+i*s.ByteStride)
-				v := seed*7919 + e*31 + s.PrimOff + i
+		p := 0 // the unit within element e
+		for it.Seek(l, e*l.PrimCount, (e+1)*l.PrimCount); it.Next(); {
+			s := it.Step
+			for i := 0; i < it.N; i, p = i+1, p+1 {
+				a := b.Addr + mem.Addr(it.Off+i*s.ByteStride)
+				v := seed*7919 + e*31 + p
 				var err error
 				switch s.Kind {
 				case types.KindChar:
@@ -316,22 +319,20 @@ func checkPointers(t *testing.T, r *mixRig, dst *client) {
 		if !ok {
 			t.Fatalf("block %d missing at the reader", b.Serial)
 		}
-		for e := 0; e < b.Count; e++ {
-			for _, s := range b.Layout.Walk {
-				if s.Kind != types.KindPointer {
-					continue
-				}
-				ds, _ := db.Layout.StepAtPrim(s.PrimOff)
-				for i := 0; i < s.Count; i++ {
-					p, err := r.c.heap.ReadPtr(b.Addr + mem.Addr(e*b.Layout.Size+s.ByteOff+i*s.ByteStride))
-					mustOK(t, err)
-					st := &db.Layout.Walk[ds]
-					q, err := dst.heap.ReadPtr(db.Addr + mem.Addr(e*db.Layout.Size+st.ByteOff+i*st.ByteStride))
-					mustOK(t, err)
-					if p-r.targets.Addr != q-dt.Addr {
-						t.Fatalf("block %d element %d pointer %d: reader aims at target offset %d, writer at %d", b.Serial, e, i, q-dt.Addr, p-r.targets.Addr)
-					}
-				}
+		var it, dit types.UnitIter
+		for u := 0; u < b.PrimCount(); u++ {
+			it.Seek(b.Layout, u, u+1)
+			dit.Seek(db.Layout, u, u+1)
+			if it.Next(); it.Step.Kind != types.KindPointer {
+				continue
+			}
+			dit.Next()
+			p, err := r.c.heap.ReadPtr(b.Addr + mem.Addr(it.Off))
+			mustOK(t, err)
+			q, err := dst.heap.ReadPtr(db.Addr + mem.Addr(dit.Off))
+			mustOK(t, err)
+			if p-r.targets.Addr != q-dt.Addr {
+				t.Fatalf("block %d unit %d: reader aims at target offset %d, writer at %d", b.Serial, u, q-dt.Addr, p-r.targets.Addr)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -240,8 +241,10 @@ func TestDescLayoutEquivalence(t *testing.T) {
 }
 
 // TestDescriptorCost requires registering a descriptor through ApplyDiff
-// to cost in proportion to its walk's steps, not its units: the server
-// once built a table entry per unit of an element.
+// to cost in proportion to its bytes, not its units: the server once
+// built a table entry per unit of an element, and then a walk step per
+// element of an array of irregular structs. A type nested more than 64
+// struct and array levels is refused.
 func TestDescriptorCost(t *testing.T) {
 	must := func(typ *types.Type, err error) *types.Type {
 		t.Helper()
@@ -252,36 +255,112 @@ func TestDescriptorCost(t *testing.T) {
 	}
 	ii := must(types.StructOf("ii", types.Field{Name: "a", Type: types.Int32()}, types.Field{Name: "b", Type: types.Int32()}))
 	is := must(types.StructOf("is", types.Field{Name: "i", Type: types.Int32()}, types.Field{Name: "s", Type: must(types.StringOf(4))}))
+	dag := is // 20 levels, each holding the one below twice
+	for k := 1; k <= 20; k++ {
+		dag = must(types.StructOf("s"+strconv.Itoa(k), types.Field{Name: "a", Type: dag}, types.Field{Name: "b", Type: dag}))
+	}
 	for _, tc := range []struct {
+		name     string
 		typ      *types.Type
+		desc     []byte
 		maxAlloc uint64
-		refused  bool
 	}{
-		{must(types.ArrayOf(types.Int32(), 1<<22)), 64 << 10, false},
-		{must(types.ArrayOf(ii, 1<<27)), 64 << 10, false},
-		{must(types.ArrayOf(is, 1<<22)), 1 << 20, true},
+		{typ: must(types.ArrayOf(types.Int32(), 1<<22)), maxAlloc: 64 << 10},
+		{typ: must(types.ArrayOf(ii, 1<<27)), maxAlloc: 64 << 10},
+		{typ: must(types.ArrayOf(is, 1<<20)), maxAlloc: 64 << 10},
+		{typ: must(types.ArrayOf(is, 1<<21)), maxAlloc: 64 << 10},
+		{typ: must(types.ArrayOf(is, 1<<22)), maxAlloc: 64 << 10},
+		{name: "dag20", typ: dag, maxAlloc: 64 << 10},
+		{name: "chain64", desc: chainDesc(64), maxAlloc: 128 << 10},
+		{name: "chain65", desc: chainDesc(65), maxAlloc: 128 << 10},
 	} {
-		t.Run(tc.typ.String(), func(t *testing.T) {
+		if tc.typ != nil {
 			b, err := types.Marshal(tc.typ)
 			if err != nil {
 				t.Fatal(err)
 			}
+			tc.desc = b
+			if tc.name == "" {
+				tc.name = tc.typ.String()
+			}
+		}
+		t.Run(tc.name, func(t *testing.T) {
 			s := NewSegment("h/s")
-			d := &wire.SegmentDiff{Descs: []wire.DescDef{{Serial: 1, Bytes: b}}}
+			d := &wire.SegmentDiff{Descs: []wire.DescDef{{Serial: 1, Bytes: tc.desc}}}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, _, err = s.ApplyDiff(d)
+			_, _, err := s.ApplyDiff(d)
 			runtime.ReadMemStats(&after)
-			if tc.refused {
-				if err == nil || !strings.Contains(err.Error(), "step limit") {
-					t.Fatalf("ApplyDiff = %v, want the step-limit error", err)
+			if tc.name == "chain65" {
+				if err == nil || !strings.Contains(err.Error(), "64 struct and array levels") {
+					t.Fatalf("ApplyDiff = %v, want the nesting error", err)
 				}
 			} else if err != nil {
 				t.Fatal(err)
 			}
 			if n := after.TotalAlloc - before.TotalAlloc; n > tc.maxAlloc {
-				t.Errorf("registering %d descriptor bytes allocated %d bytes, want at most %d", len(b), n, tc.maxAlloc)
+				t.Errorf("registering %d descriptor bytes allocated %d bytes, want at most %d", len(tc.desc), n, tc.maxAlloc)
 			}
 		})
 	}
+}
+
+// chainDesc encodes a chain of levels nested structs, each a char and
+// the level below, the innermost a char and an int32: each level is a
+// repeat step in the one above. Marshal refuses to encode one nested
+// past the bound.
+func chainDesc(levels int) []byte {
+	b := binary.BigEndian.AppendUint32(nil, 0x49575459) // "IWTY"
+	b = binary.BigEndian.AppendUint32(b, uint32(levels+2))
+	char, i32 := uint32(levels), uint32(levels+1)
+	for k := 1; k <= levels; k++ {
+		below := uint32(k)
+		if k == levels {
+			below = i32
+		}
+		b = append(b, byte(types.KindStruct), 0, 0, 0, 2, 0, 1, 'c')
+		b = binary.BigEndian.AppendUint32(b, char)
+		b = append(b, 0, 1, 'x')
+		b = binary.BigEndian.AppendUint32(b, below)
+	}
+	return append(b, byte(types.KindChar), byte(types.KindInt32))
+}
+
+// TestDescriptorsLeaveLittleLive requires a diff defining four
+// descriptors of a million irregular elements each to leave well under
+// a megabyte live once registered.
+func TestDescriptorsLeaveLittleLive(t *testing.T) {
+	str4, err := types.StringOf(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &wire.SegmentDiff{}
+	for i := 1; i <= 4; i++ {
+		is, err := types.StructOf("is"+strconv.Itoa(i), types.Field{Name: "i", Type: types.Int32()}, types.Field{Name: "s", Type: str4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arr, err := types.ArrayOf(is, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := types.Marshal(arr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Descs = append(d.Descs, wire.DescDef{Serial: uint32(i), Bytes: b})
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewSegment("h/s")
+	if _, _, err := s.ApplyDiff(d); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := int64(after.HeapAlloc) - int64(before.HeapAlloc); n > 1<<20 {
+		t.Errorf("four descriptors left %d bytes live", n)
+	}
+	runtime.KeepAlive(s)
 }

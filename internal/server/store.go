@@ -10,10 +10,10 @@
 // MIP — is stored separately and its unit holds a fixed 4-byte slot
 // indexing it, the arrangement the paper describes for avoiding data
 // relocation. That arrangement is the descriptor's wire layout
-// (types.WireOf), flattened into steps by the clients' layout code and
-// walked by the same step iterator (types.Layout.Units). So a release
-// copies the fixed-width runs of its units into place and a read
-// copies them out; only strings and MIPs are handled one by one.
+// (types.WireOf), laid out by the clients' layout code and walked by
+// the same cursor (types.UnitIter). So a release copies the
+// fixed-width runs of its units into place and a read copies them out;
+// only strings and MIPs are handled one by one.
 package server
 
 import (
@@ -87,16 +87,16 @@ func parseLayout(b []byte) (*descLayout, error) {
 	if err != nil {
 		return nil, err
 	}
-	hasItems := slices.ContainsFunc(w.Walk, func(s types.Step) bool {
-		_, ok := item(&s)
-		return ok
-	})
-	return &descLayout{wire: w, hasItems: hasItems}, nil
+	return &descLayout{wire: w, hasItems: w.VarLen}, nil
 }
 
 // offset is where unit u's stored bytes start in a block's data; u may
 // be the block's unit count.
-func (l *descLayout) offset(u int) int { return l.wire.Units(u, u).Off }
+func (l *descLayout) offset(u int) int {
+	var it types.UnitIter
+	it.Seek(l.wire, u, u)
+	return it.Off
+}
 
 // item reports whether a step's units are strings or MIPs, stored as
 // 4-byte slots, and the longest item one holds: a string's capacity
@@ -126,7 +126,8 @@ func (l *descLayout) end(it *types.UnitIter, u1 int) int {
 // it — its length prefix and at most wire.MaxItem bytes present — and
 // each string against its capacity.
 func (l *descLayout) scan(data []byte, u0, u1 int) (int, error) {
-	it := l.wire.Units(u0, u1)
+	var it types.UnitIter
+	it.Seek(l.wire, u0, u1)
 	at, end := it.Off, 0 // the first stored byte not yet counted; bytes of data counted
 	for l.hasItems && it.Next() {
 		maxSize, ok := item(it.Step)
@@ -602,7 +603,8 @@ func (b *Blk) applyRun(run wire.Run, v uint32) int {
 // MIPs is copied into place in one piece, the strings and MIPs go to
 // setVar.
 func (b *Blk) store(data []byte, u0, u1 int) {
-	it := b.wire.Units(u0, u1)
+	var it types.UnitIter
+	it.Seek(b.wire, u0, u1)
 	at := it.Off // the first byte not yet stored
 	for b.hasItems && it.Next() {
 		if _, ok := item(it.Step); !ok {
@@ -671,7 +673,8 @@ func (b *Blk) wireSizeHint(u0, u1 int) int {
 // fixed-width units between strings and MIPs as stored, in one piece,
 // each string and MIP expanded from its slot.
 func (b *Blk) appendUnits(buf []byte, u0, u1 int) []byte {
-	it := b.wire.Units(u0, u1)
+	var it types.UnitIter
+	it.Seek(b.wire, u0, u1)
 	at := it.Off // the first byte not yet appended
 	for b.hasItems && it.Next() {
 		if _, ok := item(it.Step); !ok {

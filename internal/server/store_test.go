@@ -585,10 +585,13 @@ func FuzzApplyDiffAtomic(f *testing.F) {
 	f.Add(intsDiff(f, 4, 3, 4, "b", 1, 2).Marshal(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := wire.UnmarshalSegmentDiff(data)
-		if err != nil || !fuzzAffordable(d) {
+		if err != nil {
 			return
 		}
 		s := seedApplySeg(t)
+		if !fuzzAffordable(s, d) {
+			return
+		}
 		before := s.encode()
 		if _, _, err := s.ApplyDiff(d); err != nil {
 			if s.Version != 2 || !bytes.Equal(s.encode(), before) {
@@ -602,28 +605,28 @@ func FuzzApplyDiffAtomic(f *testing.F) {
 	})
 }
 
-// fuzzAffordable bounds what a fuzzed diff may make the segment
-// allocate — the descriptors it defines and the blocks it creates —
-// so the fuzzer explores decoding, not the machine's memory.
-func fuzzAffordable(d *wire.SegmentDiff) bool {
+// fuzzAffordable bounds the units of the blocks a fuzzed diff creates
+// on s — what applying it allocates — so the fuzzer explores decoding,
+// not the machine's memory. A descriptor costs in proportion to its
+// bytes, so any may be defined.
+func fuzzAffordable(s *Segment, d *wire.SegmentDiff) bool {
+	perElem := make(map[uint32]int)
+	for serial, l := range s.layouts {
+		perElem[serial] = l.wire.PrimCount
+	}
 	for _, dd := range d.Descs {
-		if !affordableDesc(dd.Bytes) {
-			return false
+		if t, err := types.Unmarshal(dd.Bytes); err == nil {
+			perElem[dd.Serial] = t.PrimCount()
 		}
 	}
-	elems := 0
+	units := 0
 	for _, nb := range d.News {
-		elems += int(nb.Count)
+		if int(nb.Count) > 1<<20/max(perElem[nb.DescSerial], 1) {
+			return false
+		}
+		units += int(nb.Count) * perElem[nb.DescSerial]
 	}
-	return elems <= 1<<10
-}
-
-// affordableDesc reports whether descriptor bytes that decode describe
-// at most 1<<10 units per element; the wire walk of an irregular
-// descriptor can take a step per unit.
-func affordableDesc(b []byte) bool {
-	t, err := types.Unmarshal(b)
-	return err != nil || t.PrimCount() <= 1<<10
+	return units <= 1<<20
 }
 
 func TestVarlenStorage(t *testing.T) {

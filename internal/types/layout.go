@@ -1,31 +1,30 @@
 package types
 
 import (
-	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"sort"
 	"sync"
 
 	"interweave/internal/arch"
 )
 
-// maxWalkSteps bounds the flattened walk of a single type to keep
-// pathological declarations (huge arrays of non-uniform structs) from
-// exhausting memory. Blocks holding n elements of a type share one
-// walk, so ordinary workloads stay far below this.
-const maxWalkSteps = 1 << 21
-
-var errStepLimit = errors.New("types: type too irregular; walk exceeds step limit")
-
-// Step is one run of identical primitive units in a Layout's
-// flattened walk. A run covers Count units of the same Kind starting
-// at ByteOff/PrimOff, each Size bytes long, spaced ByteStride bytes
-// apart (ByteStride > Size when alignment padding separates units).
+// Step is one entry of a Layout's walk: a run of primitive units or a
+// repeat of a composite value.
 //
-// Runs are the product of the paper's "isomorphic type descriptors"
+// A run covers Count units of the same Kind starting at
+// ByteOff/PrimOff, each Size bytes long, spaced ByteStride bytes apart
+// (ByteStride > Size when alignment padding separates units). Runs are
+// the product of the paper's "isomorphic type descriptors"
 // optimization: a struct of ten consecutive integers yields a single
 // ten-element step rather than ten descriptors.
+//
+// A repeat step (Elem != nil) covers Count values of the layout Elem,
+// ByteStride bytes apart, the first at ByteOff/PrimOff; Size is how far
+// one value's units extend (Elem.Size less tail padding). An array or
+// a struct field whose type is not one run tiling it is a repeat step,
+// so a walk holds at most a step per field, however many units they
+// stand for.
 type Step struct {
 	Kind       Kind
 	Cap        int // string capacity in bytes
@@ -34,6 +33,7 @@ type Step struct {
 	Count      int
 	Size       int // local size in bytes of one unit
 	ByteStride int // byte distance between consecutive units
+	Elem       *Layout
 }
 
 // end returns the byte offset just past the last unit's extent.
@@ -51,9 +51,9 @@ type FieldLoc struct {
 
 // Layout is the instantiation of a Type for one machine profile. It
 // records the local size and alignment (with machine-specific
-// padding) and the flattened primitive walk that drives wire-format
-// translation, diffing, and pointer swizzling. A layout from WireOf
-// has no profile: it is the wire form the server stores.
+// padding) and the primitive walk that drives wire-format translation,
+// diffing, and pointer swizzling. A layout from WireOf has no profile:
+// it is the wire form the server stores.
 type Layout struct {
 	Type *Type
 	Prof *arch.Profile // nil for a wire layout
@@ -64,11 +64,15 @@ type Layout struct {
 	Align int
 	// PrimCount is the number of primitive units per value.
 	PrimCount int
-	// Walk is the flattened primitive walk of one value, sorted by
-	// both ByteOff and PrimOff (the orders coincide).
+	// Walk is the walk of one value, sorted by both ByteOff and
+	// PrimOff (the orders coincide). Its repeat steps share the
+	// layout of each composite type, laid out once.
 	Walk []Step
 	// Fields locates the top-level fields when Type is a struct.
 	Fields []FieldLoc
+	// VarLen reports whether some unit is a string or pointer, whose
+	// wire form varies in length.
+	VarLen bool
 }
 
 // Of computes the layout of t under profile p.
@@ -76,9 +80,10 @@ func Of(t *Type, p *arch.Profile) (*Layout, error) {
 	return of(t, p, true)
 }
 
-// OfUncollapsed computes a layout whose walk keeps one step per
-// primitive unit — the isomorphic descriptor optimization disabled —
-// for the ablation benchmarks. Production code uses Of.
+// OfUncollapsed computes a layout whose walk never merges units of
+// neighbouring fields or elements into one step — the isomorphic
+// descriptor optimization disabled — for the ablation benchmarks.
+// Production code uses Of.
 func OfUncollapsed(t *Type, p *arch.Profile) (*Layout, error) {
 	return of(t, p, false)
 }
@@ -99,22 +104,8 @@ func of(t *Type, p *arch.Profile, collapse bool) (*Layout, error) {
 			return nil, err
 		}
 	}
-	c := layoutCalc{prof: p, memo: make(map[*Type][2]int), noMerge: !collapse}
-	size, align := c.sizeAlign(t)
-	l := &Layout{
-		Type:      t,
-		Prof:      p,
-		Size:      size,
-		Align:     align,
-		PrimCount: t.primCount,
-	}
-	if err := c.emit(&l.Walk, t, 0, 0); err != nil {
-		return nil, err
-	}
-	if t.kind == KindStruct {
-		l.Fields = c.fieldLocs(t)
-	}
-	return l, nil
+	c := layoutCalc{prof: p, layouts: make(map[*Type]*Layout), noMerge: !collapse}
+	return c.layout(t), nil
 }
 
 // Field returns the location of the named top-level struct field.
@@ -129,7 +120,7 @@ func (l *Layout) Field(name string) (FieldLoc, bool) {
 
 type layoutCalc struct {
 	prof    *arch.Profile // nil: the wire layout
-	memo    map[*Type][2]int
+	layouts map[*Type]*Layout
 	noMerge bool
 }
 
@@ -178,129 +169,68 @@ func (c *layoutCalc) primSizeAlign(t *Type) (int, int) {
 	}
 }
 
-func (c *layoutCalc) sizeAlign(t *Type) (int, int) {
-	if t.kind.IsPrimitive() {
-		return c.primSizeAlign(t)
+// layout returns the layout of t, computing it on the first request:
+// every type reached is laid out once however many paths reach it.
+func (c *layoutCalc) layout(t *Type) *Layout {
+	if l, ok := c.layouts[t]; ok {
+		return l
 	}
-	if sa, ok := c.memo[t]; ok {
-		return sa[0], sa[1]
-	}
-	var size, align int
+	l := &Layout{Type: t, Prof: c.prof, PrimCount: t.primCount, Align: 1}
 	switch t.kind {
 	case KindStruct:
-		align = 1
+		prim := 0
 		for _, f := range t.fields {
-			fs, fa := c.sizeAlign(f.Type)
-			size = alignUp(size, fa) + fs
-			if fa > align {
-				align = fa
-			}
-		}
-		size = alignUp(size, align)
-	case KindArray:
-		es, ea := c.sizeAlign(t.elem)
-		size, align = es*t.len, ea
-	}
-	c.memo[t] = [2]int{size, align}
-	return size, align
-}
-
-func (c *layoutCalc) fieldLocs(t *Type) []FieldLoc {
-	out := make([]FieldLoc, 0, len(t.fields))
-	off, prim := 0, 0
-	for _, f := range t.fields {
-		fs, fa := c.sizeAlign(f.Type)
-		off = alignUp(off, fa)
-		out = append(out, FieldLoc{Name: f.Name, Type: f.Type, ByteOff: off, PrimOff: prim})
-		off += fs
-		prim += f.Type.primCount
-	}
-	return out
-}
-
-func (c *layoutCalc) emit(walk *[]Step, t *Type, byteOff, primOff int) error {
-	switch t.kind {
-	case KindStruct:
-		off, prim := byteOff, primOff
-		for _, f := range t.fields {
-			fs, fa := c.sizeAlign(f.Type)
-			off = alignUp(off, fa)
-			if err := c.emit(walk, f.Type, off, prim); err != nil {
-				return err
-			}
-			off += fs
+			at, size := c.place(l, f.Type, l.Size, prim, 1)
+			l.Fields = append(l.Fields, FieldLoc{Name: f.Name, Type: f.Type, ByteOff: at, PrimOff: prim})
+			l.Size = at + size
 			prim += f.Type.primCount
 		}
+		l.Size = alignUp(l.Size, l.Align)
 	case KindArray:
-		es, _ := c.sizeAlign(t.elem)
-		if t.elem.kind.IsPrimitive() {
-			// An array of primitives is one descriptor even without
-			// the isomorphic optimization, which only concerns
-			// collapsing distinct consecutive field descriptors.
-			elSz, _ := c.primSizeAlign(t.elem)
-			return c.push(walk, Step{
-				Kind: t.elem.kind, Cap: t.elem.cap,
-				ByteOff: byteOff, PrimOff: primOff,
-				Count: t.len, Size: elSz, ByteStride: es,
-			})
-		}
-		// Lay out one element, then repeat it.
-		var el []Step
-		if err := c.emit(&el, t.elem, 0, 0); err != nil {
-			return err
-		}
-		if s := el[0]; !c.noMerge && len(el) == 1 && s.Count*s.ByteStride == es {
-			// The element is one step that tiles it: so is the array.
-			s.ByteOff, s.PrimOff, s.Count = byteOff, primOff, s.Count*t.len
-			return c.push(walk, s)
-		}
-		// Of an element's steps only the first can merge into the step
-		// before it, so each element adds at least len(el)-1 steps: a
-		// walk bound to outgrow the limit is refused before it is built.
-		if len(*walk)+t.len*(len(el)-1) > maxWalkSteps+1 {
-			return errStepLimit
-		}
-		// Room for every step: growing by append would allocate ~5x.
-		*walk = slices.Grow(*walk, min(t.len*len(el), maxWalkSteps+1-len(*walk)))
-		pc := t.elem.primCount
-		for i := 0; i < t.len; i++ {
-			for _, s := range el {
-				s.ByteOff += byteOff + i*es
-				s.PrimOff += primOff + i*pc
-				if err := c.push(walk, s); err != nil {
-					return err
-				}
-			}
-		}
+		_, size := c.place(l, t.elem, 0, 0, t.len)
+		l.Size = size * t.len
 	default:
-		sz, _ := c.primSizeAlign(t)
-		return c.push(walk, Step{
-			Kind: t.kind, Cap: t.cap,
-			ByteOff: byteOff, PrimOff: primOff,
-			Count: 1, Size: sz, ByteStride: sz,
-		})
+		_, l.Size = c.place(l, t, 0, 0, 1)
 	}
-	return nil
+	c.layouts[t] = l
+	return l
 }
 
-// push appends a step, merging with the previous one unless the
-// isomorphic optimization is disabled. It refuses to add to a walk
-// already past the step limit.
-func (c *layoutCalc) push(walk *[]Step, s Step) error {
-	if len(*walk) > maxWalkSteps {
-		return errStepLimit
-	}
-	if c.noMerge {
-		*walk = append(*walk, s)
+// place appends n consecutive values of t to l's walk, from the first
+// offset at or after off aligned for t and from unit prim, and returns
+// that offset and t's size. A value that is one run tiling it joins
+// the walk as that run; any other composite value is a repeat step.
+func (c *layoutCalc) place(l *Layout, t *Type, off, prim, n int) (at, size int) {
+	var s Step
+	align := 1
+	if t.kind.IsPrimitive() {
+		size, align = c.primSizeAlign(t)
+		s = Step{Kind: t.kind, Cap: t.cap, Count: 1, Size: size, ByteStride: size}
+		l.VarLen = l.VarLen || t.kind == KindString || t.kind == KindPointer
 	} else {
-		pushStep(walk, s)
+		el := c.layout(t)
+		size, align = el.Size, el.Align
+		l.VarLen = l.VarLen || el.VarLen
+		if w := el.Walk; !c.noMerge && len(w) == 1 && w[0].Count*w[0].ByteStride == size {
+			s = w[0]
+		} else {
+			s = Step{Count: 1, Size: w[len(w)-1].end(), ByteStride: size, Elem: el}
+		}
 	}
-	return nil
+	at = alignUp(off, align)
+	s.ByteOff, s.PrimOff, s.Count = at, prim, s.Count*n // a value's first unit is at 0
+	if c.noMerge {
+		l.Walk = append(l.Walk, s)
+	} else {
+		pushStep(&l.Walk, s)
+	}
+	l.Align = max(l.Align, align)
+	return at, size
 }
 
 // pushStep appends s, merging it into the previous step when the two
-// form one arithmetic progression of identical units (the isomorphic
-// descriptor optimization).
+// form one arithmetic progression of identical units or values (the
+// isomorphic descriptor optimization).
 func pushStep(walk *[]Step, s Step) {
 	n := len(*walk)
 	if n == 0 {
@@ -308,7 +238,7 @@ func pushStep(walk *[]Step, s Step) {
 		return
 	}
 	p := &(*walk)[n-1]
-	if p.Kind != s.Kind || p.Cap != s.Cap || p.Size != s.Size {
+	if p.Kind != s.Kind || p.Cap != s.Cap || p.Size != s.Size || p.Elem != s.Elem {
 		*walk = append(*walk, s)
 		return
 	}
@@ -347,34 +277,34 @@ func alignUp(v, a int) int {
 	return (v + a - 1) / a * a
 }
 
-// StepAtPrim returns the index of the walk step containing the given
-// primitive offset (within one element).
-func (l *Layout) StepAtPrim(prim int) (int, bool) {
-	if prim < 0 || prim >= l.PrimCount {
-		return 0, false
-	}
-	i := sort.Search(len(l.Walk), func(i int) bool {
+// stepAt returns the index of the walk step holding primitive offset
+// prim of one value, 0 <= prim < PrimCount.
+func (l *Layout) stepAt(prim int) int {
+	return sort.Search(len(l.Walk), func(i int) bool {
 		return l.Walk[i].PrimOff > prim
 	}) - 1
-	if i < 0 {
-		return 0, false
+}
+
+// StepAtPrim returns the run holding the given primitive offset of one
+// value: a step of l's walk, or of a repeat step's element layout.
+func (l *Layout) StepAtPrim(prim int) (*Step, bool) {
+	if prim < 0 || prim >= l.PrimCount {
+		return nil, false
 	}
-	s := &l.Walk[i]
-	if prim >= s.PrimOff+s.Count {
-		return 0, false
-	}
-	return i, true
+	var it UnitIter
+	it.Seek(l, prim, prim+1)
+	return it.Step, true
 }
 
 // PrimToByte maps a primitive offset (within one element) to the
 // local byte offset of that unit.
 func (l *Layout) PrimToByte(prim int) (int, error) {
-	i, ok := l.StepAtPrim(prim)
-	if !ok {
+	if prim < 0 || prim >= l.PrimCount {
 		return 0, fmt.Errorf("types: primitive offset %d out of range [0,%d)", prim, l.PrimCount)
 	}
-	s := &l.Walk[i]
-	return s.ByteOff + (prim-s.PrimOff)*s.ByteStride, nil
+	var it UnitIter
+	it.Seek(l, prim, prim)
+	return it.Off, nil
 }
 
 // ByteToPrim maps a local byte offset (within one element) to the
@@ -385,121 +315,154 @@ func (l *Layout) ByteToPrim(byteOff int) (int, error) {
 	if byteOff < 0 || byteOff >= l.Size {
 		return 0, fmt.Errorf("types: byte offset %d out of range [0,%d)", byteOff, l.Size)
 	}
-	i := sort.Search(len(l.Walk), func(i int) bool {
-		return l.Walk[i].ByteOff > byteOff
-	}) - 1
-	if i < 0 {
-		return 0, fmt.Errorf("types: byte offset %d precedes first unit", byteOff)
-	}
-	s := &l.Walk[i]
-	j := (byteOff - s.ByteOff) / s.ByteStride
-	if j >= s.Count {
-		j = s.Count - 1
-	}
-	start := s.ByteOff + j*s.ByteStride
-	if byteOff < start || byteOff >= start+s.Size {
+	p, ok := l.byteToPrim(byteOff)
+	if !ok {
 		return 0, fmt.Errorf("types: byte offset %d falls in alignment padding", byteOff)
 	}
-	return s.PrimOff + j, nil
+	return p, nil
+}
+
+// byteToPrim is ByteToPrim for 0 <= b < l.Size, descending into the
+// repeat step that holds b.
+func (l *Layout) byteToPrim(b int) (int, bool) {
+	i := sort.Search(len(l.Walk), func(i int) bool {
+		return l.Walk[i].ByteOff > b
+	}) - 1
+	s := &l.Walk[i] // the first unit is at byte 0
+	j := min((b-s.ByteOff)/s.ByteStride, s.Count-1)
+	if b -= s.ByteOff + j*s.ByteStride; b >= s.Size {
+		return 0, false
+	}
+	if s.Elem == nil {
+		return s.PrimOff + j, true
+	}
+	p, ok := s.Elem.byteToPrim(b)
+	return s.PrimOff + j*s.Elem.PrimCount + p, ok
 }
 
 // PrimSpan returns the half-open range [p0, p1) of primitive offsets
 // (within one element) whose byte extents intersect the byte range
 // [b0, b1). ok is false when the byte range covers only padding.
 func (l *Layout) PrimSpan(b0, b1 int) (p0, p1 int, ok bool) {
-	if b0 < 0 {
-		b0 = 0
-	}
-	if b1 > l.Size {
-		b1 = l.Size
-	}
-	if b0 >= b1 || len(l.Walk) == 0 {
+	b0, b1 = max(b0, 0), min(b1, l.Size)
+	if b0 >= b1 {
 		return 0, 0, false
 	}
-	// First unit whose extent end exceeds b0.
+	p0, start, ok := l.firstEnding(b0)
+	if !ok || start >= b1 {
+		return 0, 0, false
+	}
+	return p0, l.lastStarting(b1) + 1, true
+}
+
+// firstEnding returns the first unit of one value whose extent ends
+// after byte b: its primitive offset and its first byte.
+func (l *Layout) firstEnding(b int) (p, start int, ok bool) {
 	i := sort.Search(len(l.Walk), func(i int) bool {
-		return l.Walk[i].end() > b0
+		return l.Walk[i].end() > b
 	})
 	if i == len(l.Walk) {
 		return 0, 0, false
 	}
 	s := &l.Walk[i]
-	var j int
-	if b0 > s.ByteOff {
-		j = (b0 - s.ByteOff) / s.ByteStride
-		if b0 >= s.ByteOff+j*s.ByteStride+s.Size {
-			j++ // b0 sits in the gap after unit j
+	j := 0
+	if b > s.ByteOff {
+		j = (b - s.ByteOff) / s.ByteStride
+		if b >= s.ByteOff+j*s.ByteStride+s.Size {
+			j++ // b sits in the gap after unit j
 		}
 	}
-	if j >= s.Count {
-		i++
-		if i == len(l.Walk) {
-			return 0, 0, false
-		}
-		s = &l.Walk[i]
-		j = 0
+	start = s.ByteOff + j*s.ByteStride
+	if s.Elem == nil {
+		return s.PrimOff + j, start, true
 	}
-	if s.ByteOff+j*s.ByteStride >= b1 {
-		return 0, 0, false
-	}
-	p0 = s.PrimOff + j
+	p, at, _ := s.Elem.firstEnding(b - start)
+	return s.PrimOff + j*s.Elem.PrimCount + p, start + at, true
+}
 
-	// Last unit whose start precedes b1.
-	i = sort.Search(len(l.Walk), func(i int) bool {
-		return l.Walk[i].ByteOff >= b1
+// lastStarting returns the primitive offset of the last unit of one
+// value that starts before byte b > 0.
+func (l *Layout) lastStarting(b int) int {
+	i := sort.Search(len(l.Walk), func(i int) bool {
+		return l.Walk[i].ByteOff >= b
 	}) - 1
-	s = &l.Walk[i]
-	j = (b1 - 1 - s.ByteOff) / s.ByteStride
-	if j >= s.Count {
-		j = s.Count - 1
+	s := &l.Walk[i]
+	j := min((b-1-s.ByteOff)/s.ByteStride, s.Count-1)
+	if s.Elem == nil {
+		return s.PrimOff + j
 	}
-	p1 = s.PrimOff + j + 1
-	if p1 <= p0 {
-		return 0, 0, false
-	}
-	return p0, p1, true
+	return s.PrimOff + j*s.Elem.PrimCount + s.Elem.lastStarting(b-s.ByteOff-j*s.ByteStride)
 }
 
 // UnitIter walks units [u0, u1) of a block whose elements have a
-// layout, one maximal run of units within one step at a time. After
-// Next returns true, Step is the run's step and the run is N units
-// starting Off bytes into the block, Step.ByteStride bytes apart.
-// Before the first Next, Off is where unit u0 starts, even when the
-// range is empty; once Next has reported false, Step, Off and N keep
-// the last run.
+// layout, one maximal run of units within one step at a time; the
+// caller owns it and positions it with Seek. After Next returns true,
+// Step is the run's step and the run is N units starting Off bytes
+// into the block, Step.ByteStride bytes apart. Before the first Next,
+// Off is where unit u0 starts, even when the range is empty; once Next
+// has reported false, Step, Off and N keep the last run.
+//
+// The cursor moves from step to step of one walk in place. Where that
+// walk ends or a repeat step begins, it descends again from the block's
+// element to the next unit, through at most the type's nesting depth of
+// repeat steps.
 type UnitIter struct {
 	Step   *Step
 	Off, N int
 
-	l      *Layout
-	left   int  // units after the current run
-	si     int  // the current run's step
-	base   int  // the byte offset of its element
-	primed bool // the current run is the first, not yet returned
+	top    *Layout // the block's element layout
+	in     *Layout // the layout whose walk holds Step
+	si     int     // Step's index in in.Walk
+	base   int     // the byte offset of in's current value
+	stride int     // the byte distance to in's next value
+	reps   int     // values of in after the current one
+	end    int     // the unit after the range
+	left   int     // units after the current run
+	primed bool    // the current run is the first, not yet returned
 }
 
-// Units returns an iterator over units [u0, u1) of a block of elements
-// of layout l; u0 >= 0 and u1 is at most the block's unit count. It
-// finds the first unit's step with StepAtPrim, and each later step by
-// moving to the next one.
-func (l *Layout) Units(u0, u1 int) (it UnitIter) {
-	it.l, it.primed = l, true
-	n := max(u1-u0, 0)
-	s := &l.Walk[0]
-	if len(l.Walk) == 1 && s.Count*s.ByteStride == l.Size {
-		// One step tiling the element, as n elements of a primitive
+// Seek positions the cursor on units [u0, u1) of a block of elements
+// of layout l; u0 >= 0 and u1 is at most the block's unit count.
+func (it *UnitIter) Seek(l *Layout, u0, u1 int) {
+	it.top, it.primed, it.end, it.left = l, true, u1, max(u1-u0, 0)
+	if s := &l.Walk[0]; len(l.Walk) == 1 && s.Elem == nil && s.Count*s.ByteStride == l.Size {
+		// One run tiling the element, as n elements of a primitive
 		// are: the whole range is one arithmetic run.
-		it.Step, it.Off, it.N = s, u0*s.ByteStride, n
+		it.Step, it.Off, it.N, it.left = s, u0*s.ByteStride, it.left, 0
 		return
 	}
-	e, p := u0/l.PrimCount, u0%l.PrimCount
-	it.si, _ = l.StepAtPrim(p)
-	s = &l.Walk[it.si]
-	it.base = e * l.Size
-	it.Step, it.Off = s, it.base+s.ByteOff+(p-s.PrimOff)*s.ByteStride
-	it.N = min(s.PrimOff+s.Count-p, n)
-	it.left = n - it.N
+	it.descend(u0)
+}
+
+// Units returns a cursor seeked to units [u0, u1) of a block of
+// elements of layout l. A loop run per diff run keeps its own cursor
+// and seeks it instead of copying one out.
+func (l *Layout) Units(u0, u1 int) (it UnitIter) {
+	it.Seek(l, u0, u1)
 	return
+}
+
+// descend makes the run starting at unit u the current one, finding it
+// from the block's element down through repeat steps.
+func (it *UnitIter) descend(u int) {
+	l := it.top
+	p := u % l.PrimCount
+	base, stride, reps := u/l.PrimCount*l.Size, l.Size, math.MaxInt
+	for {
+		si := l.stepAt(p)
+		s := &l.Walk[si]
+		k := p - s.PrimOff
+		if s.Elem == nil {
+			it.in, it.si, it.base, it.stride, it.reps = l, si, base, stride, reps
+			it.Step, it.Off, it.N = s, base+s.ByteOff+k*s.ByteStride, min(s.Count-k, it.left)
+			it.left -= it.N
+			return
+		}
+		j := k / s.Elem.PrimCount
+		base += s.ByteOff + j*s.ByteStride
+		stride, reps = s.ByteStride, s.Count-1-j
+		p, l = k-j*s.Elem.PrimCount, s.Elem
+	}
 }
 
 // Next advances to the next run, reporting false when none is left.
@@ -511,12 +474,15 @@ func (it *UnitIter) Next() bool {
 	if it.left == 0 {
 		return false
 	}
-	// The current run ended its step; steps never cross an element
-	// boundary.
-	if it.si++; it.si == len(it.l.Walk) {
-		it.si, it.base = 0, it.base+it.l.Size
+	// The current run ended its step.
+	if it.si++; it.si == len(it.in.Walk) {
+		it.si, it.base, it.reps = 0, it.base+it.stride, it.reps-1
 	}
-	s := &it.l.Walk[it.si]
+	s := &it.in.Walk[it.si]
+	if s.Elem != nil || it.reps < 0 {
+		it.descend(it.end - it.left)
+		return true
+	}
 	it.Step, it.Off, it.N = s, it.base+s.ByteOff, min(s.Count, it.left)
 	it.left -= it.N
 	return true

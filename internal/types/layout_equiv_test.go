@@ -1,26 +1,28 @@
 package types
 
 import (
-	"errors"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
 	"interweave/internal/arch"
 )
 
-// refOf is the layout computation as it stood before arrays of structs
-// were laid out one element at a time: emit recurses into every
-// element, and the step limit is checked on entry to each call. The
-// equivalence tests hold Of and OfUncollapsed to it.
+// refOf is the layout computation as it stood before composite values
+// became repeat steps: a flat walk, emit recursing into every element
+// and every field. The equivalence tests hold Of and OfUncollapsed to
+// it.
 func refOf(t *Type, p *arch.Profile, collapse bool) (*Layout, error) {
 	if err := Validate(t); err != nil {
 		return nil, err
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
+	if p != nil {
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
 	}
-	c := layoutCalc{prof: p, memo: make(map[*Type][2]int), noMerge: !collapse}
+	c := refCalc{layoutCalc: layoutCalc{prof: p, noMerge: !collapse}, memo: make(map[*Type][2]int)}
 	size, align := c.sizeAlign(t)
 	l := &Layout{
 		Type:      t,
@@ -29,28 +31,60 @@ func refOf(t *Type, p *arch.Profile, collapse bool) (*Layout, error) {
 		Align:     align,
 		PrimCount: t.primCount,
 	}
-	if err := c.refEmit(&l.Walk, t, 0, 0); err != nil {
-		return nil, err
-	}
+	c.refEmit(&l.Walk, t, 0, 0)
 	if t.kind == KindStruct {
-		l.Fields = c.fieldLocs(t)
+		off, prim := 0, 0
+		for _, f := range t.fields {
+			fs, fa := c.sizeAlign(f.Type)
+			off = alignUp(off, fa)
+			l.Fields = append(l.Fields, FieldLoc{Name: f.Name, Type: f.Type, ByteOff: off, PrimOff: prim})
+			off += fs
+			prim += f.Type.primCount
+		}
 	}
 	return l, nil
 }
 
-func (c *layoutCalc) refEmit(walk *[]Step, t *Type, byteOff, primOff int) error {
-	if len(*walk) > maxWalkSteps {
-		return errors.New("types: type too irregular; walk exceeds step limit")
+type refCalc struct {
+	layoutCalc
+	memo map[*Type][2]int
+}
+
+func (c *refCalc) sizeAlign(t *Type) (int, int) {
+	if t.kind.IsPrimitive() {
+		return c.primSizeAlign(t)
 	}
+	if sa, ok := c.memo[t]; ok {
+		return sa[0], sa[1]
+	}
+	var size, align int
+	switch t.kind {
+	case KindStruct:
+		align = 1
+		for _, f := range t.fields {
+			fs, fa := c.sizeAlign(f.Type)
+			size = alignUp(size, fa) + fs
+			if fa > align {
+				align = fa
+			}
+		}
+		size = alignUp(size, align)
+	case KindArray:
+		es, ea := c.sizeAlign(t.elem)
+		size, align = es*t.len, ea
+	}
+	c.memo[t] = [2]int{size, align}
+	return size, align
+}
+
+func (c *refCalc) refEmit(walk *[]Step, t *Type, byteOff, primOff int) {
 	switch t.kind {
 	case KindStruct:
 		off, prim := byteOff, primOff
 		for _, f := range t.fields {
 			fs, fa := c.sizeAlign(f.Type)
 			off = alignUp(off, fa)
-			if err := c.refEmit(walk, f.Type, off, prim); err != nil {
-				return err
-			}
+			c.refEmit(walk, f.Type, off, prim)
 			off += fs
 			prim += f.Type.primCount
 		}
@@ -63,12 +97,10 @@ func (c *layoutCalc) refEmit(walk *[]Step, t *Type, byteOff, primOff int) error 
 				ByteOff: byteOff, PrimOff: primOff,
 				Count: t.len, Size: elSz, ByteStride: es,
 			})
-			return nil
+			return
 		}
 		for i := 0; i < t.len; i++ {
-			if err := c.refEmit(walk, t.elem, byteOff+i*es, primOff+i*t.elem.primCount); err != nil {
-				return err
-			}
+			c.refEmit(walk, t.elem, byteOff+i*es, primOff+i*t.elem.primCount)
 		}
 	default:
 		sz, _ := c.primSizeAlign(t)
@@ -78,10 +110,9 @@ func (c *layoutCalc) refEmit(walk *[]Step, t *Type, byteOff, primOff int) error 
 			Count: 1, Size: sz, ByteStride: sz,
 		})
 	}
-	return nil
 }
 
-func (c *layoutCalc) refPush(walk *[]Step, s Step) {
+func (c *refCalc) refPush(walk *[]Step, s Step) {
 	if c.noMerge {
 		*walk = append(*walk, s)
 		return
@@ -89,8 +120,8 @@ func (c *layoutCalc) refPush(walk *[]Step, s Step) {
 	pushStep(walk, s)
 }
 
-// refForUnits is the step iterator as the diff package had it, the
-// reference for Layout.Units.
+// refForUnits is the step iterator as the diff package had it, over a
+// flat walk: the reference for UnitIter.
 func refForUnits(l *Layout, u0, u1 int, fn func(k Kind, strCap, absByte, n, stride int)) {
 	if u0 >= u1 {
 		return
@@ -103,7 +134,7 @@ func refForUnits(l *Layout, u0, u1 int, fn func(k Kind, strCap, absByte, n, stri
 	}
 	e := u0 / pc
 	p := u0 % pc
-	si, _ := l.StepAtPrim(p)
+	si := l.stepAt(p)
 	for u0 < u1 {
 		s := &l.Walk[si]
 		within := p - s.PrimOff
@@ -124,6 +155,27 @@ func refForUnits(l *Layout, u0, u1 int, fn func(k Kind, strCap, absByte, n, stri
 	}
 }
 
+// flatWalk expands l's repeat steps through the cursor into the flat
+// walk of one value, merging runs as refOf's walk does when merge is
+// set.
+func flatWalk(l *Layout, merge bool) []Step {
+	var out []Step
+	var it UnitIter
+	u := 0
+	for it.Seek(l, 0, l.PrimCount); it.Next(); u += it.N {
+		s := Step{Kind: it.Step.Kind, Cap: it.Step.Cap, ByteOff: it.Off, PrimOff: u, Count: it.N, Size: it.Step.Size, ByteStride: it.Step.ByteStride}
+		if it.N == 1 {
+			s.ByteStride = s.Size // as refOf pushes a lone unit
+		}
+		if merge {
+			pushStep(&out, s)
+		} else {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // unitAt is where a walk puts one unit of a block.
 type unitAt struct {
 	kind     Kind
@@ -132,7 +184,8 @@ type unitAt struct {
 
 // equivTypes returns the types the equivalence tests compare on: the
 // nine Figure 4 mixes, arrays of them, a list node, nested arrays of
-// padded structs, and TestRandomTypesLayoutInvariants' random types.
+// padded structs, types that lay out with repeat steps, and
+// TestRandomTypesLayoutInvariants' random types.
 func equivTypes(t *testing.T) []*Type {
 	t.Helper()
 	repeat := func(name string, elem *Type, n int) *Type {
@@ -168,6 +221,16 @@ func equivTypes(t *testing.T) []*Type {
 		mustArray(t, ii, 1000),
 		mustArray(t, mustStruct(t, "nest", Field{"x", mustArray(t, ii, 3)}, Field{"s", str4}), 40),
 	)
+	// Repeat steps: a nested multi-step struct, an array of arrays of
+	// irregular structs, one type in two fields, and a type at the
+	// nesting bound.
+	is := mustStruct(t, "is", Field{"i", Int32()}, Field{"s", str4})
+	out = append(out,
+		mustStruct(t, "outer", Field{"c", Char()}, Field{"in", mustStruct(t, "inner", Field{"d", Float64()}, Field{"x", ic})}, Field{"j", Int16()}),
+		mustArray(t, mustArray(t, is, 6), 4),
+		mustStruct(t, "twice", Field{"a", is}, Field{"b", is}, Field{"c", Int32()}),
+		nested(t, maxNesting),
+	)
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
 		out = append(out, randomType(t, rng, 3))
@@ -175,15 +238,16 @@ func equivTypes(t *testing.T) []*Type {
 	return out
 }
 
-// TestLayoutEquivalence holds Of and OfUncollapsed to the per-element
+// TestLayoutEquivalence holds Of and OfUncollapsed to the flat
 // reference: the same types accepted, the same size, alignment and
 // fields, every unit at the same kind, capacity and byte offset, the
-// same PrimSpan and ByteToPrim answers, no more steps, and Units
-// placing every unit of a short block where the reference iterator
-// does.
+// same PrimSpan and ByteToPrim answers, no more steps once repeat steps
+// are expanded, and the cursor placing every unit of a short block
+// where the reference iterator does. The Figure 4 mixes and arrays of
+// them, the first 18 types, keep the reference walk step for step.
 func TestLayoutEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, typ := range equivTypes(t) {
+	for i, typ := range equivTypes(t) {
 		for _, p := range arch.Profiles() {
 			for _, collapse := range []bool{true, false} {
 				got, err := of(typ, p, collapse)
@@ -194,13 +258,25 @@ func TestLayoutEquivalence(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				checkLayoutEquiv(t, rng, got, want)
+				checkLayoutEquiv(t, rng, got, want, !collapse)
+				if i >= 18 {
+					continue
+				}
+				// The Figure 4 mixes and arrays of them keep the walk
+				// step for step: a mix in its own walk, an array of
+				// one once expanded.
+				if w := flatWalk(got, collapse); !slices.Equal(w, want.Walk) {
+					t.Fatalf("%v/%v collapse=%v: walk %+v, reference %+v", typ, p, collapse, w, want.Walk)
+				}
+				if typ.kind != KindArray && !slices.Equal(got.Walk, want.Walk) {
+					t.Fatalf("%v/%v collapse=%v: walk %+v, reference %+v", typ, p, collapse, got.Walk, want.Walk)
+				}
 			}
 		}
 	}
 }
 
-func checkLayoutEquiv(t *testing.T, rng *rand.Rand, got, want *Layout) {
+func checkLayoutEquiv(t *testing.T, rng *rand.Rand, got, want *Layout, noMerge bool) {
 	t.Helper()
 	name := got.Type.String() + "/" + got.Prof.Name
 	if got.Size != want.Size || got.Align != want.Align || got.PrimCount != want.PrimCount || len(got.Fields) != len(want.Fields) {
@@ -211,12 +287,12 @@ func checkLayoutEquiv(t *testing.T, rng *rand.Rand, got, want *Layout) {
 			t.Fatalf("%s: field %+v, reference %+v", name, got.Fields[i], want.Fields[i])
 		}
 	}
-	if len(got.Walk) > len(want.Walk) {
-		t.Fatalf("%s: %d steps, reference %d", name, len(got.Walk), len(want.Walk))
+	if n := len(flatWalk(got, !noMerge)); n > len(want.Walk) {
+		t.Fatalf("%s: %d steps expanded, reference %d", name, n, len(want.Walk))
 	}
 	checkWalkInvariants(t, got)
 	for u := 0; u < got.PrimCount; u++ {
-		if g, w := unitOf(got, u), unitOf(want, u); g != w {
+		if g, w := unitOf(got, u), refUnitOf(want, u); g != w {
 			t.Fatalf("%s unit %d: %+v, reference %+v", name, u, g, w)
 		}
 	}
@@ -252,8 +328,8 @@ func checkLayoutEquiv(t *testing.T, rng *rand.Rand, got, want *Layout) {
 		u0 := rng.Intn(units)
 		u1 := u0 + 1 + rng.Intn(units-u0)
 		var g, w []unitAt
-		it := got.Units(u0, u1)
-		for it.Next() {
+		var it UnitIter
+		for it.Seek(got, u0, u1); it.Next(); {
 			for j := 0; j < it.N; j++ {
 				g = append(g, unitAt{it.Step.Kind, it.Step.Cap, it.Off + j*it.Step.ByteStride})
 			}
@@ -274,19 +350,25 @@ func checkLayoutEquiv(t *testing.T, rng *rand.Rand, got, want *Layout) {
 	}
 }
 
-// unitOf returns the kind, capacity and byte offset l gives unit u.
+// unitOf returns the kind, capacity and byte offset the cursor gives
+// unit u of l.
 func unitOf(l *Layout, u int) unitAt {
-	i, ok := l.StepAtPrim(u)
-	if !ok {
-		return unitAt{}
-	}
-	off, _ := l.PrimToByte(u)
-	return unitAt{l.Walk[i].Kind, l.Walk[i].Cap, off}
+	var it UnitIter
+	it.Seek(l, u, u+1)
+	it.Next()
+	return unitAt{it.Step.Kind, it.Step.Cap, it.Off}
+}
+
+// refUnitOf is unitOf on refOf's flat walk.
+func refUnitOf(l *Layout, u int) unitAt {
+	s := &l.Walk[l.stepAt(u)]
+	return unitAt{s.Kind, s.Cap, s.ByteOff + (u-s.PrimOff)*s.ByteStride}
 }
 
 // TestArrayOfTilingStructIsOneStep checks the arithmetic repeat: an
 // array whose element is one step tiling it is one step however long,
-// laid out without a walk per element.
+// laid out without a walk per element; without merging, the element
+// keeps its own steps and the array is one repeat step of it.
 func TestArrayOfTilingStructIsOneStep(t *testing.T) {
 	ii := mustStruct(t, "ii", Field{"a", Int32()}, Field{"b", Int32()})
 	typ := mustArray(t, ii, 1<<27)
@@ -296,25 +378,46 @@ func TestArrayOfTilingStructIsOneStep(t *testing.T) {
 			t.Fatalf("walk %+v, want [%+v]", l.Walk, want)
 		}
 	}
-	// Without merging each element stays its own steps, as before.
-	if _, err := OfUncollapsed(typ, arch.X86()); err == nil {
-		t.Fatal("OfUncollapsed accepted 2^28 steps")
+	l, err := OfUncollapsed(typ, arch.X86())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := l.Walk[0]; len(l.Walk) != 1 || s.Elem == nil || s.Elem.Type != ii || len(s.Elem.Walk) != 2 || s.Count != 1<<27 || s.ByteStride != 8 {
+		t.Fatalf("uncollapsed walk %+v, want one repeat step of ii's two", l.Walk)
 	}
 }
 
-// TestStepLimitRefusedEarly requires an array of a two-step element
-// too long for the step limit to be refused before its walk is built.
-func TestStepLimitRefusedEarly(t *testing.T) {
+// TestIrregularArrayLaidOutOnce requires an array of a two-step element
+// to cost a bounded number of allocations, however long: its element is
+// laid out once and the array is one repeat step of it.
+func TestIrregularArrayLaidOutOnce(t *testing.T) {
 	is := mustStruct(t, "is", Field{"i", Int32()}, Field{"s", mustString(t, 4)})
-	typ := mustArray(t, is, 1<<22)
-	allocs := testing.AllocsPerRun(1, func() {
-		if _, err := WireOf(typ); !errors.Is(err, errStepLimit) {
-			t.Fatalf("WireOf = %v, want the step limit", err)
+	for _, n := range []int{1 << 10, 1 << 22, 1 << 28} {
+		typ := mustArray(t, is, n)
+		allocs := testing.AllocsPerRun(1, func() {
+			l, err := WireOf(typ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(l.Walk) != 1 || l.Walk[0].Count != n {
+				t.Fatalf("walk %+v, want one repeat step of %d", l.Walk, n)
+			}
+		})
+		if allocs > 20 {
+			t.Errorf("[%d]is: %v allocations", n, allocs)
 		}
-	})
-	if allocs > 100 {
-		t.Errorf("%v allocations before refusing", allocs)
 	}
+}
+
+// nested returns a chain of irregular structs nesting levels struct
+// levels deep, each a repeat step inside the one above.
+func nested(t *testing.T, levels int) *Type {
+	t.Helper()
+	typ := mustStruct(t, "s0", Field{"i", Int32()}, Field{"s", mustString(t, 4)})
+	for k := 1; k < levels; k++ {
+		typ = mustStruct(t, "s"+strconv.Itoa(k), Field{"c", Char()}, Field{"x", typ})
+	}
+	return typ
 }
 
 func mustOf(t *testing.T, typ *Type, p *arch.Profile) *Layout {

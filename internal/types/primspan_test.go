@@ -20,7 +20,7 @@ func primSpanRef(l *Layout, b0, b1 int) (int, int, bool) {
 		return 0, 0, false
 	}
 	first, last := -1, -1
-	for _, s := range l.Walk {
+	for _, s := range flatWalk(l, true) {
 		for i := 0; i < s.Count; i++ {
 			start := s.ByteOff + i*s.ByteStride
 			end := start + s.Size

@@ -9,10 +9,13 @@
 //     capacity strings, pointers, structs, arrays).
 //   - Layout: a per-architecture instantiation of a Type, carrying
 //     byte offsets, alignment padding, primitive offsets, and the
-//     flattened "primitive walk" used by diff translation, including
-//     the paper's isomorphic descriptor optimization. A Type also has
-//     a wire layout (WireOf), the packed form the server stores, and
-//     both kinds are walked by one step iterator (Layout.Units).
+//     "primitive walk" used by diff translation, including the
+//     paper's isomorphic descriptor optimization. Each composite type
+//     is laid out once per call, and an array or field of a type that
+//     is not one run is a repeat step of that type's layout, so a
+//     layout grows with its descriptor, not its units. A Type also
+//     has a wire layout (WireOf), the packed form the server stores,
+//     and both kinds are walked by one cursor (UnitIter).
 //   - A canonical binary encoding of descriptors, used to register
 //     types with servers and to reconstruct layouts on clients that
 //     receive previously unseen blocks.
@@ -257,23 +260,62 @@ func (t *Type) PrimCount() int { return t.primCount }
 func (t *Type) Complete() bool { return t != nil && t.complete }
 
 // Validate checks the whole type graph rooted at t: completeness of
-// every reachable type and absence of infinite-size cycles (a struct
-// or array may only contain itself through a pointer).
+// every reachable type, and nesting of at most maxNesting struct and
+// array levels, which also refuses infinite-size cycles (a struct or
+// array may only contain itself through a pointer).
 func Validate(t *Type) error {
 	done := make(map[*Type]bool)
 	if err := validateComplete(t, done); err != nil {
 		return err
 	}
-	// Finite-size check: cycles along struct-field and array-element
-	// edges are illegal; pointer edges break cycles by design.
+	// Pointer edges break cycles by design. One map serves every root,
+	// so each type is measured once.
+	levels := make(map[*Type]int)
 	for u := range done {
-		if u.kind == KindStruct || u.kind == KindArray {
-			if err := finiteSize(u, make(map[*Type]int)); err != nil {
-				return err
-			}
+		if _, err := nesting(u, 0, levels); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// maxNesting bounds how many struct and array levels a type nests: C99
+// (5.2.4.1) guarantees 63 levels of nested struct definitions. Walking
+// a layout descends through at most this many repeat steps.
+const maxNesting = 64
+
+var errNesting = fmt.Errorf("types: type nests more than %d struct and array levels", maxNesting)
+
+// nesting returns how many struct and array levels t nests, 0 for any
+// other kind, given depth levels above it, and refuses a type nested
+// past maxNesting. levels holds the types already measured.
+func nesting(t *Type, depth int, levels map[*Type]int) (int, error) {
+	if t.kind != KindStruct && t.kind != KindArray {
+		return 0, nil
+	}
+	n, ok := levels[t]
+	if !ok {
+		if depth == maxNesting {
+			return 0, errNesting
+		}
+		below := t.fields
+		if t.kind == KindArray {
+			below = []Field{{Type: t.elem}}
+		}
+		for _, f := range below {
+			m, err := nesting(f.Type, depth+1, levels)
+			if err != nil {
+				return 0, err
+			}
+			n = max(n, m)
+		}
+		n++
+		levels[t] = n
+	}
+	if depth+n > maxNesting {
+		return 0, errNesting
+	}
+	return n, nil
 }
 
 // Node states for cycle detection along non-pointer (size-contributing)
@@ -312,34 +354,6 @@ func validateComplete(t *Type, done map[*Type]bool) error {
 			return fmt.Errorf("pointer target: %w", err)
 		}
 	}
-	return nil
-}
-
-// finiteSize rejects cycles that do not pass through a pointer.
-func finiteSize(t *Type, state map[*Type]int) error {
-	if t.kind != KindStruct && t.kind != KindArray {
-		return nil
-	}
-	switch state[t] {
-	case stateDone:
-		return nil
-	case stateVisiting:
-		return fmt.Errorf("types: type %q contains itself without a pointer indirection", t.name)
-	}
-	state[t] = stateVisiting
-	switch t.kind {
-	case KindStruct:
-		for _, f := range t.fields {
-			if err := finiteSize(f.Type, state); err != nil {
-				return err
-			}
-		}
-	case KindArray:
-		if err := finiteSize(t.elem, state); err != nil {
-			return err
-		}
-	}
-	state[t] = stateDone
 	return nil
 }
 

@@ -281,10 +281,10 @@ func TestCollapseWithPaddingStride(t *testing.T) {
 	if l.Size != 64 {
 		t.Fatalf("size = %d, want 64", l.Size)
 	}
-	if len(l.Walk) != 8 {
+	if w := flatWalk(l, true); len(w) != 8 {
 		// int64@0, int32@8, int64@16, ... — alternating kinds cannot
-		// merge, so 8 steps.
-		t.Fatalf("walk = %d steps, want 8", len(l.Walk))
+		// merge, so 8 runs.
+		t.Fatalf("walk = %d runs, want 8", len(w))
 	}
 }
 
@@ -319,6 +319,14 @@ func checkWalkInvariants(t *testing.T, l *Layout) {
 	prim := 0
 	prevEnd := 0
 	for i, s := range l.Walk {
+		units := 1
+		if s.Elem != nil {
+			checkWalkInvariants(t, s.Elem)
+			units = s.Elem.PrimCount
+			if e := s.Elem.Walk[len(s.Elem.Walk)-1].end(); s.Size != e || s.ByteStride < s.Elem.Size {
+				t.Fatalf("%v/%v step %d: repeat %+v of a value of %d bytes, units to %d", l.Type, l.Prof, i, s, s.Elem.Size, e)
+			}
+		}
 		if s.PrimOff != prim {
 			t.Fatalf("%v/%v step %d: PrimOff %d, want %d", l.Type, l.Prof, i, s.PrimOff, prim)
 		}
@@ -328,7 +336,7 @@ func checkWalkInvariants(t *testing.T, l *Layout) {
 		if s.Count < 1 || s.Size < 1 || s.ByteStride < s.Size {
 			t.Fatalf("%v/%v step %d malformed: %+v", l.Type, l.Prof, i, s)
 		}
-		prim += s.Count
+		prim += s.Count * units
 		prevEnd = s.end()
 	}
 	if prim != l.PrimCount {
@@ -432,8 +440,17 @@ func TestStepAtPrim(t *testing.T) {
 	if _, ok := l.StepAtPrim(10); ok {
 		t.Error("StepAtPrim(len) ok")
 	}
-	if i, ok := l.StepAtPrim(5); !ok || i != 0 {
-		t.Errorf("StepAtPrim(5) = %d,%v", i, ok)
+	if s, ok := l.StepAtPrim(5); !ok || s != &l.Walk[0] {
+		t.Errorf("StepAtPrim(5) = %+v,%v", s, ok)
+	}
+	// Through a repeat step: the run of the element's layout.
+	is := mustStruct(t, "is", Field{"i", Int32()}, Field{"s", mustString(t, 4)})
+	l, err = Of(mustArray(t, is, 10), arch.X86())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, ok := l.StepAtPrim(13); !ok || s != &l.Walk[0].Elem.Walk[1] {
+		t.Errorf("StepAtPrim(13) = %+v,%v", s, ok)
 	}
 }
 
@@ -609,7 +626,7 @@ func wireRuns(t *testing.T, typ *Type) []wireRun {
 	}
 	var out []wireRun
 	off := 0
-	for _, s := range l.Walk {
+	for _, s := range flatWalk(l, true) {
 		want, ok := FixedWireSize(s.Kind)
 		if !ok {
 			want = 4
@@ -776,5 +793,64 @@ func TestUnmarshalBoundsUnits(t *testing.T) {
 	}
 	if _, err := Unmarshal(b); err == nil {
 		t.Error("descriptor of 2^84 units accepted")
+	}
+}
+
+// TestNestingBound requires a type nested maxNesting struct or array
+// levels deep to be accepted, in memory and decoded, and one a level
+// deeper to be refused.
+func TestNestingBound(t *testing.T) {
+	arrays := Int32()
+	for k := 0; k < maxNesting; k++ {
+		arrays = mustArray(t, arrays, 1)
+	}
+	for _, tc := range []struct {
+		typ, deeper *Type
+	}{
+		{nested(t, maxNesting), nested(t, maxNesting+1)},
+		{arrays, mustArray(t, arrays, 2)},
+	} {
+		if err := Validate(tc.typ); err != nil {
+			t.Fatalf("%d levels refused: %v", maxNesting, err)
+		}
+		b, err := Marshal(tc.typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Unmarshal(b); err != nil {
+			t.Fatalf("decoding %d levels: %v", maxNesting, err)
+		}
+		if err := Validate(tc.deeper); err == nil {
+			t.Fatalf("%d levels accepted", maxNesting+1)
+		}
+		if _, err := WireOf(tc.deeper); err == nil {
+			t.Fatalf("WireOf of %d levels accepted", maxNesting+1)
+		}
+	}
+}
+
+// TestValidateOnceEachType requires Validate to measure each type of
+// a wide DAG once: its allocations do not grow with a map per type.
+func TestValidateOnceEachType(t *testing.T) {
+	level := []*Type{Int32(), Float64()}
+	for k := 0; k < 60; k++ {
+		next := make([]*Type, 16)
+		for i := range next {
+			next[i] = mustStruct(t, "w", Field{"a", level[i%len(level)]}, Field{"b", level[(i+1)%len(level)]})
+		}
+		level = next
+	}
+	fs := make([]Field, len(level))
+	for i, typ := range level {
+		fs[i] = Field{Name: "f" + strconv.Itoa(i), Type: typ}
+	}
+	root := mustStruct(t, "root", fs...)
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := Validate(root); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 100 {
+		t.Errorf("Validate of %d types: %v allocations", 16*60+1, allocs)
 	}
 }
