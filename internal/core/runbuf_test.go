@@ -164,7 +164,7 @@ func TestReleaseReusesRunBuffer(t *testing.T) {
 	}
 	a := newRecSeg(t, w, r, addr+"/a", (1<<20)/l.Size)
 	a.verify(t, r, "1 MB create")
-	grown := cap(a.w.s.runBuf)
+	grown := a.w.s.runBuf.Cap()
 	if grown == 0 {
 		t.Fatal("the release kept no run buffer")
 	}
@@ -192,7 +192,7 @@ func TestReleaseReusesRunBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.verify(t, r, "1 MB rewrite")
-	if got := cap(a.w.s.runBuf); got != grown {
+	if got := a.w.s.runBuf.Cap(); got != grown {
 		t.Errorf("rewriting 1 MB moved the run buffer from %d to %d bytes of capacity", grown, got)
 	}
 

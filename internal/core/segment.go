@@ -81,10 +81,10 @@ type segment struct {
 	// LastCollect reports the most recent diff collection, for
 	// statistics and the benchmark harness.
 	lastCollect diff.Stats
-	// runBuf holds the run data of the last collected diff and is
-	// reused by the next collection, when that diff's release — resends
-	// included — is over (DESIGN.md §10).
-	runBuf []byte
+	// runBuf holds the run data and run headers of the last collected
+	// diff and is reused by the next collection, when that diff's
+	// release — resends included — is over (DESIGN.md §10).
+	runBuf diff.RunBuf
 }
 
 // Segment is an opaque handle to an open segment, the IW_handle_t of
@@ -150,7 +150,7 @@ func (c *Client) Evict(h *Segment) error {
 		return err
 	}
 	delete(c.segs, s.name)
-	s.runBuf = nil
+	s.runBuf = diff.RunBuf{}
 	return nil
 }
 
@@ -820,7 +820,7 @@ func (c *Client) resetSegCache(s *segment) {
 	s.freed = nil
 	s.noDiff = false
 	s.hotReleases = 0
-	s.runBuf = nil
+	s.runBuf = diff.RunBuf{}
 }
 
 // updateNoDiff adjusts the no-diff mode after a release: a client

@@ -60,7 +60,7 @@ func (c *Client) TxCommit(hs ...*Segment) error {
 			return fmt.Errorf("%w: %q vs %q", ErrTxServers, first.name, h.s.name)
 		}
 		// A segment collected twice would overwrite its first part's
-		// run data (segment.runBuf).
+		// runs (segment.runBuf).
 		for _, prev := range hs[:i] {
 			if prev.s == h.s {
 				return fmt.Errorf("core: segment %q appears twice in transaction", h.s.name)

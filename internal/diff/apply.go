@@ -1,6 +1,7 @@
 package diff
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -22,11 +23,9 @@ type ApplyOptions struct {
 	// benchmarks); the serial-number tree is searched for every
 	// block diff instead.
 	NoPredict bool
-	// Stats, when non-nil, accumulates timings and prediction
-	// counters.
+	// Stats, when non-nil, accumulates timings, runs, units and
+	// bytes; the prediction counters are in ApplyResult.
 	Stats *Stats
-	// PredictHits/Misses are reported through Stats via Runs/Units;
-	// the explicit counters live on the return of ApplySegment.
 }
 
 // ApplyResult reports what an application changed.
@@ -150,7 +149,7 @@ func predictBlock(seg *mem.SegMem, last *mem.Block, serial uint32, noPredict boo
 // applyRun decodes one wire run into the block's local bytes.
 func applyRun(prof *arch.Profile, view []byte, b *mem.Block, run wire.Run, opts ApplyOptions) error {
 	r := wire.NewReader(run.Data)
-	order := prof.Order
+	swap := !prof.BigEndian()
 	u0 := int(run.Start)
 	u1 := u0 + int(run.Count)
 	var it types.UnitIter
@@ -163,15 +162,15 @@ func applyRun(prof *arch.Profile, view []byte, b *mem.Block, run wire.Run, opts 
 			}
 		case types.KindInt16:
 			for i := 0; i < n; i++ {
-				order.PutUint16(view[absByte+i*stride:], r.U16())
+				binary.BigEndian.PutUint16(view[absByte+i*stride:], swap16(r.U16(), swap))
 			}
 		case types.KindInt32, types.KindFloat32:
 			for i := 0; i < n; i++ {
-				order.PutUint32(view[absByte+i*stride:], r.U32())
+				binary.BigEndian.PutUint32(view[absByte+i*stride:], swap32(r.U32(), swap))
 			}
 		case types.KindInt64, types.KindFloat64:
 			for i := 0; i < n; i++ {
-				order.PutUint64(view[absByte+i*stride:], r.U64())
+				binary.BigEndian.PutUint64(view[absByte+i*stride:], swap64(r.U64(), swap))
 			}
 		case types.KindString:
 			for i := 0; i < n; i++ {
@@ -208,9 +207,9 @@ func applyRun(prof *arch.Profile, view []byte, b *mem.Block, run wire.Run, opts 
 					if a > 0xFFFFFFFF {
 						return fmt.Errorf("diff: pointer %#x exceeds 32-bit word", uint64(a))
 					}
-					order.PutUint32(view[absByte+i*stride:], uint32(a))
+					binary.BigEndian.PutUint32(view[absByte+i*stride:], swap32(uint32(a), swap))
 				} else {
-					order.PutUint64(view[absByte+i*stride:], uint64(a))
+					binary.BigEndian.PutUint64(view[absByte+i*stride:], swap64(uint64(a), swap))
 				}
 			}
 		default:

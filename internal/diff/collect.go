@@ -6,9 +6,11 @@
 // "diff collection". It scans the pagemaps of the segment's
 // subsegments, compares the store-hinted chunks of each modified page
 // against its twin word by word, splices nearly-adjacent runs, maps the
-// changed byte ranges onto blocks through the address-sorted metadata
-// trees, and translates each run into wire format through the blocks'
-// type descriptors. "Diff application" is the inverse: wire-format
+// changed byte ranges onto blocks by following the blocks in address
+// order from the one the last range ended in (the address-sorted
+// metadata trees are searched only where a range starts outside it),
+// and translates each run into wire format through the blocks' type
+// descriptors. "Diff application" is the inverse: wire-format
 // runs are located in blocks (with last-block prediction) and decoded
 // into local format, swizzling MIPs back into machine addresses.
 package diff
@@ -80,14 +82,27 @@ type CollectOptions struct {
 	Freed []uint32
 	// Stats, when non-nil, accumulates phase timings.
 	Stats *Stats
-	// RunBuf, when non-nil, is the buffer the runs' wire data is
-	// translated into. Collection writes from its start and leaves in
-	// it the buffer it ended in, grown if the runs outgrew it, so the
-	// runs of the returned diff alias it: the caller must be done with
-	// the previous diff collected through it (DESIGN.md §10). Nil
+	// RunBuf, when non-nil, is the memory collection reuses: the
+	// runs' wire data is translated into its buffer, their headers
+	// into its run slice. Collection writes both from their start and
+	// leaves in it what it ended in, grown if the diff outgrew it, so
+	// the runs of the returned diff alias it: the caller must be done
+	// with the previous diff collected through it (DESIGN.md §10). Nil
 	// collects into fresh memory.
-	RunBuf *[]byte
+	RunBuf *RunBuf
 }
+
+// RunBuf is the memory one collection leaves to the next through
+// CollectOptions.RunBuf: the chunk of run data it ended in, the run
+// headers and the scan's intervals. The zero value is empty.
+type RunBuf struct {
+	data []byte
+	runs []wire.Run
+	ivs  []interval
+}
+
+// Cap returns how many bytes of run data the buffer has room for.
+func (rb *RunBuf) Cap() int { return cap(rb.data) }
 
 // CollectSegment gathers the segment's local modifications into a
 // wire-format diff. Newly created (pending) blocks travel whole with
@@ -96,12 +111,13 @@ type CollectOptions struct {
 // cleared. Twins are left in place; the caller drops them after the
 // diff is accepted.
 func CollectSegment(seg *mem.SegMem, opts CollectOptions) (*wire.SegmentDiff, error) {
-	return collectWith(seg, opts, (*collector).wordDiff)
+	return collectWith(seg, opts, (*collector).wordDiff, (*collector).translateInterval)
 }
 
-// collectWith is CollectSegment with the twin comparison as a
-// parameter, so tests can hold the hinted scan to the page scan.
-func collectWith(seg *mem.SegMem, opts CollectOptions, scan func(*collector) []interval) (*wire.SegmentDiff, error) {
+// collectWith is CollectSegment with the twin comparison and the
+// interval translation as parameters, so tests can hold them to the
+// page scan and to a per-interval block lookup.
+func collectWith(seg *mem.SegMem, opts CollectOptions, scan func(*collector) []interval, translate func(*collector, interval) error) (*wire.SegmentDiff, error) {
 	c := newCollector(seg, opts)
 	d := c.out
 
@@ -143,14 +159,14 @@ func collectWith(seg *mem.SegMem, opts CollectOptions, scan func(*collector) []i
 	} else {
 		// Word-by-word twin comparison over modified pages.
 		start := time.Now()
-		intervals := scan(c)
+		c.ivs = scan(c)
 		if opts.Stats != nil {
 			opts.Stats.WordDiff += time.Since(start)
 			opts.Stats.ScannedBytes += c.scanned
 		}
 		start = time.Now()
-		for _, iv := range intervals {
-			if err := c.translateInterval(iv); err != nil {
+		for _, iv := range c.ivs {
+			if err := translate(c, iv); err != nil {
 				return nil, err
 			}
 		}
@@ -165,8 +181,8 @@ func collectWith(seg *mem.SegMem, opts CollectOptions, scan func(*collector) []i
 	if opts.Stats != nil {
 		opts.Stats.Runs += len(c.runs)
 	}
-	if opts.RunBuf != nil {
-		*opts.RunBuf = c.buf
+	if rb := opts.RunBuf; rb != nil {
+		rb.data, rb.runs, rb.ivs = c.buf, c.runs, c.ivs
 	}
 	return d, nil
 }
@@ -193,6 +209,13 @@ type collector struct {
 	// at index first.
 	runs  []wire.Run
 	first int
+	// ivs holds the scan's intervals.
+	ivs []interval
+	// last is the block the last interval ended in.
+	last *mem.Block
+	// swap is set when local multi-byte values are little-endian,
+	// the reverse of wire order.
+	swap bool
 }
 
 // minRunChunk is the smallest chunk of run data a collection
@@ -208,9 +231,10 @@ func newCollector(seg *mem.SegMem, opts CollectOptions) *collector {
 		opts:   opts,
 		out:    &wire.SegmentDiff{Version: opts.Version, Freed: opts.Freed},
 		splice: opts.SpliceWords,
+		swap:   !seg.Heap().Profile().BigEndian(),
 	}
-	if opts.RunBuf != nil {
-		c.buf = (*opts.RunBuf)[:0]
+	if rb := opts.RunBuf; rb != nil {
+		c.buf, c.runs, c.ivs = rb.data[:0], rb.runs[:0], rb.ivs[:0]
 	}
 	if c.splice == 0 {
 		c.splice = DefaultSpliceWords
@@ -229,7 +253,7 @@ func newCollector(seg *mem.SegMem, opts CollectOptions) *collector {
 // gap between changed words (at most splice unchanged words between
 // them) yields exactly the intervals of a word-by-word page scan.
 func (c *collector) wordDiff() []interval {
-	var out []interval
+	out := c.ivs
 	for _, mr := range c.seg.ModifiedRanges() {
 		ss := mr.Sub
 		// Runs of changed words (indices within ss) with gaps <=
@@ -288,37 +312,63 @@ func (c *collector) wordDiff() []interval {
 }
 
 // translateInterval maps one modified byte interval onto the blocks
-// it overlaps and emits wire runs for each.
+// it overlaps and emits wire runs for each. Intervals arrive in
+// address order, so it starts from the block the previous interval
+// ended in, or the one after it, and follows the blocks in address
+// order; only an interval starting outside those two looks its first
+// block up in the address trees.
 func (c *collector) translateInterval(iv interval) error {
 	lo := iv.sub.Base + mem.Addr(iv.lo)
 	hi := iv.sub.Base + mem.Addr(iv.hi)
-	var firstErr error
-	visit := func(b *mem.Block) bool {
-		if b.Addr >= hi {
-			return false
+	b := c.last
+	if b != nil && (b.Sub != iv.sub || lo < b.Addr) {
+		b = nil
+	}
+	if b != nil && lo >= b.End() {
+		b = b.NextByAddr() // lo may sit in the gap before it
+		if b != nil && lo >= b.End() {
+			b = nil
 		}
+	}
+	if b == nil {
+		b = firstBlockFrom(c.heap, iv.sub, lo)
+	}
+	for ; b != nil && b.Addr < hi; b = b.NextByAddr() {
+		c.last = b
 		if b.Pending {
-			return true // travels whole already
+			continue // travels whole already
 		}
-		if firstErr = c.blockRuns(b, lo, hi); firstErr != nil {
-			return false
+		if err := c.blockRuns(b, lo, hi); err != nil {
+			return err
 		}
-		return true
 	}
-	// Start with the block spanning lo (if any), then ascend.
-	if b, ok := c.heap.BlockAt(lo); ok && b.Sub == iv.sub {
-		if !visit(b) {
-			return firstErr
-		}
-		iv.sub.AscendBlocks(b.Addr+1, func(nb *mem.Block) bool { return visit(nb) })
-		return firstErr
+	return nil
+}
+
+// firstBlockFrom returns the first block of ss whose extent ends
+// after lo: the block holding lo, else the first one starting after it
+// (lo may lie in a gap, or in a block freed since it was modified).
+func firstBlockFrom(heap *mem.Heap, ss *mem.SubSeg, lo mem.Addr) *mem.Block {
+	if b, ok := heap.BlockAt(lo); ok {
+		return b
 	}
-	iv.sub.AscendBlocks(lo, func(nb *mem.Block) bool { return visit(nb) })
-	return firstErr
+	var first *mem.Block
+	ss.AscendBlocks(lo, func(b *mem.Block) bool {
+		first = b
+		return false
+	})
+	return first
+}
+
+// blockBytes returns the local bytes of block b.
+func blockBytes(b *mem.Block) []byte {
+	off := int(b.Addr - b.Sub.Base)
+	return b.Sub.Data[off : off+b.Size() : off+b.Size()]
 }
 
 // blockRuns emits wire runs for the part of [lo, hi) that overlaps
-// block b.
+// block b. The units of consecutive elements merge into one run when
+// contiguous; an element covered whole spans all its units.
 func (c *collector) blockRuns(b *mem.Block, lo, hi mem.Addr) error {
 	rb0 := 0
 	if lo > b.Addr {
@@ -331,48 +381,42 @@ func (c *collector) blockRuns(b *mem.Block, lo, hi mem.Addr) error {
 	if rb0 >= rb1 {
 		return nil
 	}
+	view := blockBytes(b)
 	l := b.Layout
-	pc := l.PrimCount
-	// Collect the unit ranges element by element, merging across
-	// element boundaries when contiguous.
+	size, pc := l.Size, l.PrimCount
 	u0, u1 := -1, -1
-	emit := func() error {
-		if u0 < 0 {
-			return nil
-		}
-		err := c.emitRun(b, u0, u1)
-		u0, u1 = -1, -1
-		return err
-	}
-	for e := rb0 / l.Size; e <= (rb1-1)/l.Size; e++ {
-		lb0 := rb0 - e*l.Size
-		if lb0 < 0 {
-			lb0 = 0
-		}
-		lb1 := rb1 - e*l.Size
-		if lb1 > l.Size {
-			lb1 = l.Size
-		}
-		p0, p1, ok := l.PrimSpan(lb0, lb1)
-		if !ok {
-			continue
+	e := rb0 / size
+	for at := e * size; at < rb1; e, at = e+1, at+size {
+		lb0, lb1 := max(rb0-at, 0), min(rb1-at, size)
+		p0, p1 := 0, pc
+		if lb0 > 0 || lb1 < size {
+			var ok bool
+			if p0, p1, ok = l.PrimSpan(lb0, lb1); !ok {
+				continue
+			}
 		}
 		g0, g1 := e*pc+p0, e*pc+p1
 		if u1 == g0 {
 			u1 = g1 // contiguous with previous element's span
 			continue
 		}
-		if err := emit(); err != nil {
-			return err
+		if u0 >= 0 {
+			if err := c.emitRun(b, view, u0, u1); err != nil {
+				return err
+			}
 		}
 		u0, u1 = g0, g1
 	}
-	return emit()
+	if u0 < 0 {
+		return nil
+	}
+	return c.emitRun(b, view, u0, u1)
 }
 
-// emitRun translates units [u0, u1) of block b into one wire run.
-func (c *collector) emitRun(b *mem.Block, u0, u1 int) error {
-	data, err := c.translateUnits(b, u0, u1)
+// emitRun translates units [u0, u1) of block b, whose local bytes are
+// view, into one wire run.
+func (c *collector) emitRun(b *mem.Block, view []byte, u0, u1 int) error {
+	data, err := c.translateUnits(b, view, u0, u1)
 	if err != nil {
 		return err
 	}
@@ -406,22 +450,18 @@ func (c *collector) blockDiff(serial uint32) *wire.BlockDiff {
 // fullBlockRun emits a single run covering all of b.
 func (c *collector) fullBlockRun(b *mem.Block) error {
 	start := time.Now()
-	err := c.emitRun(b, 0, b.PrimCount())
+	err := c.emitRun(b, blockBytes(b), 0, b.PrimCount())
 	if c.opts.Stats != nil {
 		c.opts.Stats.Translate += time.Since(start)
 	}
 	return err
 }
 
-// translateUnits converts units [u0, u1) of b from local format to
-// canonical wire format, appending them to the collector's chunk.
-func (c *collector) translateUnits(b *mem.Block, u0, u1 int) ([]byte, error) {
-	view, err := c.heap.View(b.Addr, b.Size())
-	if err != nil {
-		return nil, err
-	}
-	l := b.Layout
-	order := c.prof.Order
+// translateUnits converts units [u0, u1) of b, whose local bytes are
+// view, from local format to canonical wire format, appending them to
+// the collector's chunk.
+func (c *collector) translateUnits(b *mem.Block, view []byte, u0, u1 int) ([]byte, error) {
+	l, swap := b.Layout, c.swap
 	if bound := wireSizeBound(l, u0, u1); cap(c.buf)-len(c.buf) < bound {
 		c.buf = make([]byte, 0, max(bound, 2*cap(c.buf), minRunChunk))
 	}
@@ -437,15 +477,15 @@ func (c *collector) translateUnits(b *mem.Block, u0, u1 int) ([]byte, error) {
 			}
 		case types.KindInt16:
 			for i := 0; i < n; i++ {
-				buf = wire.AppendU16(buf, order.Uint16(view[absByte+i*stride:]))
+				buf = wire.AppendU16(buf, swap16(binary.BigEndian.Uint16(view[absByte+i*stride:]), swap))
 			}
 		case types.KindInt32, types.KindFloat32:
 			for i := 0; i < n; i++ {
-				buf = wire.AppendU32(buf, order.Uint32(view[absByte+i*stride:]))
+				buf = wire.AppendU32(buf, swap32(binary.BigEndian.Uint32(view[absByte+i*stride:]), swap))
 			}
 		case types.KindInt64, types.KindFloat64:
 			for i := 0; i < n; i++ {
-				buf = wire.AppendU64(buf, order.Uint64(view[absByte+i*stride:]))
+				buf = wire.AppendU64(buf, swap64(binary.BigEndian.Uint64(view[absByte+i*stride:]), swap))
 			}
 		case types.KindString:
 			for i := 0; i < n; i++ {
@@ -459,9 +499,9 @@ func (c *collector) translateUnits(b *mem.Block, u0, u1 int) ([]byte, error) {
 			for i := 0; i < n; i++ {
 				var a mem.Addr
 				if c.prof.WordSize == 4 {
-					a = mem.Addr(order.Uint32(view[absByte+i*stride:]))
+					a = mem.Addr(swap32(binary.BigEndian.Uint32(view[absByte+i*stride:]), swap))
 				} else {
-					a = mem.Addr(order.Uint64(view[absByte+i*stride:]))
+					a = mem.Addr(swap64(binary.BigEndian.Uint64(view[absByte+i*stride:]), swap))
 				}
 				mip, err := c.opts.Swizzle(a)
 				if err != nil {
@@ -476,50 +516,50 @@ func (c *collector) translateUnits(b *mem.Block, u0, u1 int) ([]byte, error) {
 	if cap(buf) == avail {
 		c.buf = c.buf[:start+len(buf)]
 	} else {
-		// MIPs longer than mipSizeEstimate outgrew the chunk, and
-		// append moved this run alone to a larger buffer: that buffer
-		// is the chunk from here on.
+		// MIPs longer than types.MIPSizeEstimate outgrew the chunk,
+		// and append moved this run alone to a larger buffer: that
+		// buffer is the chunk from here on.
 		c.buf = buf
 	}
 	return buf[:len(buf):len(buf)], nil
 }
 
-// mipSizeEstimate is the wire size wireSizeBound assumes for a
-// pointer: a length word and a MIP of typical length. Longer MIPs
-// may move their run to a chunk of its own.
-const mipSizeEstimate = 4 + 44
-
-// wireSizeBound returns a capacity for the wire encoding of units
-// [u0, u1) of a block with layout l, the room a run needs in its
-// chunk: exact for fixed-width kinds, the length word plus the cell
-// capacity for strings, mipSizeEstimate for pointers. The whole
-// elements inside a long run are priced from one element's walk, so
-// the cost does not grow with the run.
-func wireSizeBound(l *types.Layout, u0, u1 int) int {
-	pc := l.PrimCount
-	if u1-u0 <= 2*pc {
-		return walkSizeBound(l, u0, u1)
+// swap16, swap32 and swap64 convert between a value read big-endian
+// and the local value, reversing its bytes when swap is set: the local
+// order is little-endian.
+func swap16(v uint16, swap bool) uint16 {
+	if swap {
+		return bits.ReverseBytes16(v)
 	}
-	head, tail := (u0/pc+1)*pc, u1/pc*pc
-	return walkSizeBound(l, u0, head) + (tail-head)/pc*walkSizeBound(l, 0, pc) + walkSizeBound(l, tail, u1)
+	return v
 }
 
-// walkSizeBound is wireSizeBound by walking every step of the run.
-func walkSizeBound(l *types.Layout, u0, u1 int) int {
-	n := 0
-	var it types.UnitIter
-	for it.Seek(l, u0, u1); it.Next(); {
-		switch s := it.Step; s.Kind {
-		case types.KindString:
-			n += it.N * (4 + s.Cap)
-		case types.KindPointer:
-			n += it.N * mipSizeEstimate
-		default:
-			sz, _ := types.FixedWireSize(s.Kind)
-			n += it.N * sz
-		}
+func swap32(v uint32, swap bool) uint32 {
+	if swap {
+		return bits.ReverseBytes32(v)
 	}
-	return n
+	return v
+}
+
+func swap64(v uint64, swap bool) uint64 {
+	if swap {
+		return bits.ReverseBytes64(v)
+	}
+	return v
+}
+
+// wireSizeBound returns a capacity for the wire encoding of units
+// [u0, u1) of a block with layout l, u0 < u1, the room a run needs in
+// its chunk: the lesser of the units each priced as the widest and the
+// elements touched each priced whole, which is exact for whole
+// elements (types.Layout.WireBound).
+func wireSizeBound(l *types.Layout, u0, u1 int) int {
+	n := (u1 - u0) * l.UnitWireBound
+	if n <= l.WireBound {
+		return n // no fewer than one element is touched
+	}
+	pc := l.PrimCount
+	return min(n, ((u1-1)/pc-u0/pc+1)*l.WireBound)
 }
 
 // cstr trims a fixed-capacity string cell at its NUL terminator.

@@ -22,7 +22,7 @@ type client struct {
 	descs map[uint32]*types.Type
 }
 
-func newClient(t *testing.T, prof *arch.Profile, segName string) *client {
+func newClient(t testing.TB, prof *arch.Profile, segName string) *client {
 	t.Helper()
 	h, err := mem.NewHeap(prof)
 	if err != nil {
@@ -35,7 +35,7 @@ func newClient(t *testing.T, prof *arch.Profile, segName string) *client {
 	return &client{heap: h, seg: s, descs: make(map[uint32]*types.Type)}
 }
 
-func (c *client) layoutFor(t *testing.T) func(uint32) (*types.Layout, error) {
+func (c *client) layoutFor(t testing.TB) func(uint32) (*types.Layout, error) {
 	return func(serial uint32) (*types.Layout, error) {
 		typ, ok := c.descs[serial]
 		if !ok {
@@ -55,7 +55,7 @@ func (c *client) swizzler() SwizzleFunc {
 	}
 }
 
-func (c *client) resolver(t *testing.T) ResolveFunc {
+func (c *client) resolver(t testing.TB) ResolveFunc {
 	return func(s string) (mem.Addr, error) {
 		m, err := swizzle.Parse(s)
 		if err != nil {
@@ -73,7 +73,7 @@ func (c *client) resolver(t *testing.T) ResolveFunc {
 }
 
 // alloc allocates a block and registers its type under descSerial.
-func (c *client) alloc(t *testing.T, typ *types.Type, descSerial uint32, count int, name string) *mem.Block {
+func (c *client) alloc(t testing.TB, typ *types.Type, descSerial uint32, count int, name string) *mem.Block {
 	t.Helper()
 	l, err := types.Of(typ, c.heap.Profile())
 	if err != nil {
@@ -121,7 +121,7 @@ func mixType(t *testing.T) *types.Type {
 
 // transfer collects from src and applies to dst, registering dst's
 // descriptor table from the src client's.
-func transfer(t *testing.T, src, dst *client, copts CollectOptions) (*wire.SegmentDiff, *ApplyResult) {
+func transfer(t testing.TB, src, dst *client, copts CollectOptions) (*wire.SegmentDiff, *ApplyResult) {
 	t.Helper()
 	if copts.Swizzle == nil {
 		copts.Swizzle = src.swizzler()
@@ -252,7 +252,7 @@ func TestFullTransferHeterogeneous(t *testing.T) {
 	}
 }
 
-func mustOK(t *testing.T, err error) {
+func mustOK(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ type fig4Mix struct {
 }
 
 // fig4Mixes returns the nine mixes of Figure 4.
-func fig4Mixes(t *testing.T) []fig4Mix {
+func fig4Mixes(t testing.TB) []fig4Mix {
 	t.Helper()
 	must := func(typ *types.Type, err error) *types.Type {
 		t.Helper()
@@ -72,7 +72,7 @@ func fig4Mixes(t *testing.T) []fig4Mix {
 // fillUnits stores a value derived from seed into every unit of the
 // elements of b whose index is a multiple of every; pointer cells aim
 // into targets.
-func fillUnits(t *testing.T, heap *mem.Heap, b, targets *mem.Block, every, seed int) {
+func fillUnits(t testing.TB, heap *mem.Heap, b, targets *mem.Block, every, seed int) {
 	t.Helper()
 	l := b.Layout
 	var it types.UnitIter
@@ -120,7 +120,7 @@ type mixRig struct {
 	targets *mem.Block
 }
 
-func newMixRig(t *testing.T, prof *arch.Profile, mix fig4Mix, name string, count, singles int) *mixRig {
+func newMixRig(t testing.TB, prof *arch.Profile, mix fig4Mix, name string, count, singles int) *mixRig {
 	t.Helper()
 	r := &mixRig{c: newClient(t, prof, name)}
 	if mix.pointers {
@@ -136,7 +136,7 @@ func newMixRig(t *testing.T, prof *arch.Profile, mix fig4Mix, name string, count
 
 // fill rewrites every element of every block whose index is a
 // multiple of every.
-func (r *mixRig) fill(t *testing.T, every, seed int) {
+func (r *mixRig) fill(t testing.TB, every, seed int) {
 	t.Helper()
 	for _, b := range r.blocks {
 		fillUnits(t, r.c.heap, b, r.targets, every, seed)
@@ -178,7 +178,7 @@ func TestCollectRunBufMatchesFresh(t *testing.T) {
 				l, err := types.Of(mix.typ, prof)
 				mustOK(t, err)
 				r := newMixRig(t, prof, mix, "h/rb", max(1, 3*arch.PageSize/l.Size), 3)
-				var buf []byte
+				var buf RunBuf
 				for round := 0; round < 3; round++ {
 					if round > 0 {
 						r.c.seg.WriteProtect()
@@ -236,7 +236,7 @@ func TestCollectRunBufWarmAllocs(t *testing.T) {
 					mips[a] = s
 					return s, err
 				}}
-				var buf []byte
+				var buf RunBuf
 				opts.RunBuf = &buf
 				d, err := CollectSegment(r.c.seg, opts)
 				mustOK(t, err)
@@ -255,7 +255,7 @@ func TestCollectRunBufWarmAllocs(t *testing.T) {
 }
 
 // TestCollectRunBufLongMIPs moves pointers whose MIPs are several
-// times mipSizeEstimate through a reused buffer: the creating
+// times types.MIPSizeEstimate through a reused buffer: the creating
 // collection outgrows the chunk sized by the estimate and moves the
 // run to a buffer of its own, which later collections reuse. Every
 // diff applies to the same pointer targets on another machine.
@@ -268,7 +268,7 @@ func TestCollectRunBufLongMIPs(t *testing.T) {
 		t.Run(mix.name, func(t *testing.T) {
 			r := newMixRig(t, arch.AMD64(), mix, name, 64, 2)
 			dst := newClient(t, arch.Sparc(), name)
-			buf := make([]byte, 0, 16)
+			buf := RunBuf{data: make([]byte, 0, 16)}
 			var warm int
 			// Round 0 creates the blocks, round 1 rewrites every
 			// element, round 2 sends the same whole blocks again.
@@ -284,10 +284,10 @@ func TestCollectRunBufLongMIPs(t *testing.T) {
 						t.Fatalf("round %d block %d: run of %d bytes fits its bound %d; the MIPs are too short to spill", round, b.Serial, len(run.Data), bound)
 					}
 				}
-				if round == 2 && cap(buf) != warm {
-					t.Errorf("collecting the same blocks again grew the buffer from %d to %d bytes", warm, cap(buf))
+				if round == 2 && buf.Cap() != warm {
+					t.Errorf("collecting the same blocks again grew the buffer from %d to %d bytes", warm, buf.Cap())
 				}
-				warm = cap(buf)
+				warm = buf.Cap()
 				checkPointers(t, r, dst)
 			}
 		})

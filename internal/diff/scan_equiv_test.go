@@ -1,12 +1,19 @@
 package diff
 
-// Equivalence of the hinted scan and the page scan. The production
-// wordDiff compares only the dirty-hinted 64-byte chunks of each
-// twinned page; referenceWordDiff below is the word-by-word page scan
-// it replaced, kept verbatim. On random store histories both must
-// produce identical intervals and identical CollectSegment output, for
-// every splicing setting, on a fresh and on an already collected twin
-// state.
+// Equivalence of the hinted scan and the page scan, and of the
+// translation that follows blocks by address and the one that looks
+// every interval's block up. The production wordDiff compares only the
+// dirty-hinted 64-byte chunks of each twinned page; referenceWordDiff
+// below is the word-by-word page scan it replaced, kept verbatim. The
+// production translateInterval starts from the block the previous
+// interval ended in; referenceTranslateInterval is the per-interval
+// path it replaced: a BlockAt lookup per interval, a PrimSpan per
+// element, a heap view, an exact size walk and a cursor seek per run,
+// and a byte-order interface call per unit. On random store histories
+// both scans must produce identical intervals, and CollectSegment must
+// produce what the two references together produce, byte for byte,
+// for every splicing setting, on a fresh and on an already collected
+// twin state.
 
 import (
 	"bytes"
@@ -19,6 +26,7 @@ import (
 	"interweave/internal/arch"
 	"interweave/internal/mem"
 	"interweave/internal/types"
+	"interweave/internal/wire"
 )
 
 // referenceWordDiff scans the pagemaps and produces spliced modified
@@ -63,6 +71,137 @@ func referenceWordDiff(c *collector) []interval {
 		flush()
 	}
 	return out
+}
+
+// referenceTranslateInterval maps one modified byte interval onto the
+// blocks it overlaps and emits wire runs for each, looking up the
+// block spanning lo, then ascending the address tree.
+func referenceTranslateInterval(c *collector, iv interval) error {
+	lo := iv.sub.Base + mem.Addr(iv.lo)
+	hi := iv.sub.Base + mem.Addr(iv.hi)
+	var firstErr error
+	visit := func(b *mem.Block) bool {
+		if b.Addr >= hi {
+			return false
+		}
+		if b.Pending {
+			return true // travels whole already
+		}
+		if firstErr = referenceBlockRuns(c, b, lo, hi); firstErr != nil {
+			return false
+		}
+		return true
+	}
+	// Start with the block spanning lo (if any), then ascend.
+	if b, ok := c.heap.BlockAt(lo); ok && b.Sub == iv.sub {
+		if !visit(b) {
+			return firstErr
+		}
+		iv.sub.AscendBlocks(b.Addr+1, func(nb *mem.Block) bool { return visit(nb) })
+		return firstErr
+	}
+	iv.sub.AscendBlocks(lo, func(nb *mem.Block) bool { return visit(nb) })
+	return firstErr
+}
+
+// referenceBlockRuns emits wire runs for the part of [lo, hi) that
+// overlaps block b, spanning every element with PrimSpan.
+func referenceBlockRuns(c *collector, b *mem.Block, lo, hi mem.Addr) error {
+	rb0 := 0
+	if lo > b.Addr {
+		rb0 = int(lo - b.Addr)
+	}
+	rb1 := b.Size()
+	if hi < b.End() {
+		rb1 = int(hi - b.Addr)
+	}
+	if rb0 >= rb1 {
+		return nil
+	}
+	l := b.Layout
+	pc := l.PrimCount
+	u0, u1 := -1, -1
+	emit := func() error {
+		if u0 < 0 {
+			return nil
+		}
+		err := referenceEmitRun(c, b, u0, u1)
+		u0, u1 = -1, -1
+		return err
+	}
+	for e := rb0 / l.Size; e <= (rb1-1)/l.Size; e++ {
+		lb0 := rb0 - e*l.Size
+		if lb0 < 0 {
+			lb0 = 0
+		}
+		lb1 := rb1 - e*l.Size
+		if lb1 > l.Size {
+			lb1 = l.Size
+		}
+		p0, p1, ok := l.PrimSpan(lb0, lb1)
+		if !ok {
+			continue
+		}
+		g0, g1 := e*pc+p0, e*pc+p1
+		if u1 == g0 {
+			u1 = g1 // contiguous with previous element's span
+			continue
+		}
+		if err := emit(); err != nil {
+			return err
+		}
+		u0, u1 = g0, g1
+	}
+	return emit()
+}
+
+// referenceEmitRun translates units [u0, u1) of block b into one wire
+// run, through a heap view of the block, a size walk of the run and a
+// cursor of its own.
+func referenceEmitRun(c *collector, b *mem.Block, u0, u1 int) error {
+	view, err := c.heap.View(b.Addr, b.Size())
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 0, walkSizeBound(b.Layout, u0, u1))
+	order := c.prof.Order
+	var it types.UnitIter
+	for it.Seek(b.Layout, u0, u1); it.Next(); {
+		absByte, n, stride, strCap := it.Off, it.N, it.Step.ByteStride, it.Step.Cap
+		for i := 0; i < n; i++ {
+			at := view[absByte+i*stride:]
+			switch it.Step.Kind {
+			case types.KindChar:
+				buf = append(buf, at[0])
+			case types.KindInt16:
+				buf = wire.AppendU16(buf, order.Uint16(at))
+			case types.KindInt32, types.KindFloat32:
+				buf = wire.AppendU32(buf, order.Uint32(at))
+			case types.KindInt64, types.KindFloat64:
+				buf = wire.AppendU64(buf, order.Uint64(at))
+			case types.KindString:
+				buf = wire.AppendBytes(buf, cstr(at[:strCap]))
+			case types.KindPointer:
+				var a mem.Addr
+				if c.prof.WordSize == 4 {
+					a = mem.Addr(order.Uint32(at))
+				} else {
+					a = mem.Addr(order.Uint64(at))
+				}
+				mip, err := c.opts.Swizzle(a)
+				if err != nil {
+					return err
+				}
+				buf = wire.AppendString(buf, mip)
+			default:
+				return fmt.Errorf("unexpected kind %v", it.Step.Kind)
+			}
+		}
+	}
+	bd := c.blockDiff(b.Serial)
+	c.runs = append(c.runs, wire.Run{Start: uint32(u0), Count: uint32(u1 - u0), Data: buf})
+	bd.Runs = c.runs[c.first:len(c.runs):len(c.runs)]
+	return nil
 }
 
 // equivSplices are the splicing settings every comparison runs under;
@@ -111,6 +250,38 @@ type equivRig struct {
 	mixes   []*mem.Block // blocks of mix elements
 	scratch []*mem.Block // allocated by the history; may be freed
 	freed   []uint32
+	gone    []*mem.Block // the blocks freed this round
+	seen    equivCases
+}
+
+// equivCases counts the intervals the reference translation met that
+// start in a block freed after it was modified, and those that span
+// more than one block.
+type equivCases struct {
+	inFreed, spanning int
+}
+
+// referenceTranslate is referenceTranslateInterval, counting the
+// intervals of each case.
+func (r *equivRig) referenceTranslate(c *collector, iv interval) error {
+	lo := iv.sub.Base + mem.Addr(iv.lo)
+	hi := iv.sub.Base + mem.Addr(iv.hi)
+	if _, ok := c.heap.BlockAt(lo); !ok && slices.ContainsFunc(r.gone, func(b *mem.Block) bool {
+		return b.Addr <= lo && lo < b.End()
+	}) {
+		r.seen.inFreed++
+	}
+	blocks := 0
+	r.c.seg.Blocks(func(b *mem.Block) bool {
+		if !b.Pending && b.Addr < hi && lo < b.End() {
+			blocks++
+		}
+		return true
+	})
+	if blocks > 1 {
+		r.seen.spanning++
+	}
+	return referenceTranslateInterval(c, iv)
 }
 
 const (
@@ -147,8 +318,10 @@ func (r *equivRig) step() {
 	switch op := h.intn(16); {
 	case op < 5:
 		r.fieldStore()
+	case op < 10:
+		r.rawStore(r.raw[h.intn(len(r.raw))])
 	case op < 11:
-		r.rawStore()
+		r.straddleStore()
 	case op < 13:
 		r.silentStore()
 	case op < 15:
@@ -172,8 +345,14 @@ func (r *equivRig) step() {
 		r.scratch = slices.Delete(r.scratch, i, i+1)
 		r.raw = slices.DeleteFunc(r.raw, func(x *mem.Block) bool { return x == b })
 		r.mixes = slices.DeleteFunc(r.mixes, func(x *mem.Block) bool { return x == b })
+		if h.intn(2) == 0 {
+			// Modified, then freed in the same round: the scan still
+			// reports the changed bytes.
+			mustOK(t, r.c.heap.WriteU8(b.Addr+mem.Addr(h.intn(b.Size())), byte(1+h.intn(255))))
+		}
 		mustOK(t, r.c.seg.Free(b))
 		r.freed = append(r.freed, b.Serial)
+		r.gone = append(r.gone, b)
 	}
 }
 
@@ -209,12 +388,11 @@ func (r *equivRig) fieldStore() {
 	}
 }
 
-// rawStore writes a value of random width into a block any byte
+// rawStore writes a value of random width into b, a block any byte
 // pattern is valid in, half the time straddling a chunk or page
 // boundary.
-func (r *equivRig) rawStore() {
+func (r *equivRig) rawStore(b *mem.Block) {
 	t, h, heap := r.t, r.h, r.c.heap
-	b := r.raw[h.intn(len(r.raw))]
 	widths := []int{1, 2, 4, 8, 4, 8, 0} // 0: a C string of random capacity
 	width := widths[h.intn(len(widths))]
 	if width == 0 {
@@ -258,6 +436,27 @@ func (r *equivRig) rawStore() {
 		s := fmt.Sprint(v)
 		mustOK(t, heap.WriteCString(a, width, s[:min(width-1, len(s))]))
 	}
+}
+
+// straddleStore writes a few bytes across the end of a block any byte
+// pattern is valid in and the start of the block after it, when that
+// one is such a block too, so that one interval spans both; otherwise
+// it is a rawStore.
+func (r *equivRig) straddleStore() {
+	h := r.h
+	b := r.raw[h.intn(len(r.raw))]
+	n := b.NextByAddr()
+	if n == nil || !slices.Contains(r.raw, n) {
+		r.rawStore(b)
+		return
+	}
+	a := b.End() - mem.Addr(1+h.intn(min(4, b.Size())))
+	end := n.Addr + mem.Addr(1+h.intn(min(4, n.Size())))
+	v := make([]byte, end-a)
+	for i := range v {
+		v[i] = byte(1 + h.intn(255))
+	}
+	mustOK(r.t, r.c.heap.Write(a, v))
 }
 
 // silentStore writes back the value already stored in a cell, pointer
@@ -304,7 +503,7 @@ func (r *equivRig) compare(round int) {
 			for _, b := range pending {
 				b.Pending = true
 			}
-			ref, err := collectWith(seg, opts, referenceWordDiff)
+			ref, err := collectWith(seg, opts, referenceWordDiff, r.referenceTranslate)
 			mustOK(t, err)
 			for _, b := range pending {
 				b.Pending = true
@@ -329,18 +528,18 @@ func spans(ivs []interval) []string {
 
 // checkCollectEquivalence runs the store history encoded in data:
 // initial contents, then rounds of write-protect, stores, comparison
-// and twin drop.
-func checkCollectEquivalence(t *testing.T, data []byte) {
+// and twin drop. It returns the cases the history met.
+func checkCollectEquivalence(t *testing.T, data []byte) equivCases {
 	h := &history{b: data}
 	r := newEquivRig(t, h)
 	for i := 0; i < 8; i++ {
-		r.rawStore()
+		r.rawStore(r.raw[h.intn(len(r.raw))])
 		r.fieldStore()
 	}
 	_, err := CollectSegment(r.c.seg, CollectOptions{Version: 1, Swizzle: r.c.swizzler()})
 	mustOK(t, err)
 	for round := 0; round < 3; round++ {
-		r.freed = nil
+		r.freed, r.gone = nil, nil
 		r.c.seg.WriteProtect()
 		for n := 1 + h.intn(48); n > 0; n-- {
 			r.step()
@@ -349,9 +548,11 @@ func checkCollectEquivalence(t *testing.T, data []byte) {
 		r.c.seg.DropTwins()
 		r.c.seg.Unprotect()
 	}
+	return r.seen
 }
 
 func TestHintedScanMatchesPageScan(t *testing.T) {
+	var seen equivCases
 	rng := rand.New(rand.NewSource(26))
 	profiles := arch.Profiles()
 	for trial := 0; trial < 200; trial++ {
@@ -360,8 +561,18 @@ func TestHintedScanMatchesPageScan(t *testing.T) {
 		// The leading two bytes pick the profile: cycle through all,
 		// so 4- and 8-byte pointer words are both covered.
 		data[0], data[1] = 0, byte(trial%len(profiles))
-		t.Run(fmt.Sprint(trial), func(t *testing.T) { checkCollectEquivalence(t, data) })
+		t.Run(fmt.Sprint(trial), func(t *testing.T) {
+			c := checkCollectEquivalence(t, data)
+			seen.inFreed += c.inFreed
+			seen.spanning += c.spanning
+		})
 	}
+	// The histories must reach both paths the reference takes apart
+	// from a plain interval inside one block.
+	if seen.inFreed == 0 || seen.spanning == 0 {
+		t.Errorf("histories met %d intervals in a freed block and %d spanning blocks; want both", seen.inFreed, seen.spanning)
+	}
+	t.Logf("%d intervals in a freed block, %d spanning blocks", seen.inFreed, seen.spanning)
 }
 
 // FuzzCollectEquivalence explores store histories beyond the seeded

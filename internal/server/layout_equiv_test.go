@@ -213,8 +213,8 @@ func TestDescLayoutEquivalence(t *testing.T) {
 			u0 := rng.Intn(units + 1)
 			u1 := u0 + rng.Intn(units+1-u0)
 			var g, w []walkEvent
-			it := got.wire.Units(u0, u1)
-			for it.Next() {
+			var it types.UnitIter
+			for it.Seek(got.wire, u0, u1); it.Next(); {
 				maxSize, ok := item(it.Step)
 				switch {
 				case ok:

@@ -3,7 +3,6 @@ package types
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"interweave/internal/arch"
@@ -41,6 +40,16 @@ func (s *Step) end() int {
 	return s.ByteOff + (s.Count-1)*s.ByteStride + s.Size
 }
 
+// unitAt returns the index of the unit or value whose stride holds
+// byte off >= 0 of the step, the last one for an offset past them; a
+// step of one needs no division.
+func (s *Step) unitAt(off int) int {
+	if s.Count == 1 {
+		return 0
+	}
+	return min(off/s.ByteStride, s.Count-1)
+}
+
 // FieldLoc locates a top-level struct field within a layout.
 type FieldLoc struct {
 	Name    string
@@ -73,6 +82,28 @@ type Layout struct {
 	// VarLen reports whether some unit is a string or pointer, whose
 	// wire form varies in length.
 	VarLen bool
+	// WireBound bounds the wire encoding of one value and
+	// UnitWireBound that of its widest unit, each unit priced by
+	// unitWireBound: the room a run of them needs in a buffer.
+	WireBound, UnitWireBound int
+}
+
+// MIPSizeEstimate is the wire size a bound assumes for a pointer: a
+// length word and a MIP of typical length. A longer MIP outgrows it.
+const MIPSizeEstimate = 4 + 44
+
+// unitWireBound bounds the wire encoding of one unit of kind k: exact
+// for fixed-width kinds, the length word plus the cell capacity for a
+// string of capacity cap, MIPSizeEstimate for a pointer.
+func unitWireBound(k Kind, cap int) int {
+	switch k {
+	case KindString:
+		return 4 + cap
+	case KindPointer:
+		return MIPSizeEstimate
+	}
+	sz, _ := FixedWireSize(k)
+	return sz
 }
 
 // Of computes the layout of t under profile p.
@@ -202,15 +233,18 @@ func (c *layoutCalc) layout(t *Type) *Layout {
 // the walk as that run; any other composite value is a repeat step.
 func (c *layoutCalc) place(l *Layout, t *Type, off, prim, n int) (at, size int) {
 	var s Step
-	align := 1
+	align, bound, unitBound := 1, 0, 0
 	if t.kind.IsPrimitive() {
 		size, align = c.primSizeAlign(t)
 		s = Step{Kind: t.kind, Cap: t.cap, Count: 1, Size: size, ByteStride: size}
 		l.VarLen = l.VarLen || t.kind == KindString || t.kind == KindPointer
+		bound = unitWireBound(t.kind, t.cap)
+		unitBound = bound
 	} else {
 		el := c.layout(t)
 		size, align = el.Size, el.Align
 		l.VarLen = l.VarLen || el.VarLen
+		bound, unitBound = el.WireBound, el.UnitWireBound
 		if w := el.Walk; !c.noMerge && len(w) == 1 && w[0].Count*w[0].ByteStride == size {
 			s = w[0]
 		} else {
@@ -225,6 +259,8 @@ func (c *layoutCalc) place(l *Layout, t *Type, off, prim, n int) (at, size int) 
 		pushStep(&l.Walk, s)
 	}
 	l.Align = max(l.Align, align)
+	l.WireBound += n * bound
+	l.UnitWireBound = max(l.UnitWireBound, unitBound)
 	return at, size
 }
 
@@ -278,11 +314,34 @@ func alignUp(v, a int) int {
 }
 
 // stepAt returns the index of the walk step holding primitive offset
-// prim of one value, 0 <= prim < PrimCount.
+// prim of one value, 0 <= prim < PrimCount: the last step starting at
+// or before it.
 func (l *Layout) stepAt(prim int) int {
-	return sort.Search(len(l.Walk), func(i int) bool {
-		return l.Walk[i].PrimOff > prim
-	}) - 1
+	lo, hi := 0, len(l.Walk) // Walk[lo].PrimOff <= prim < Walk[hi].PrimOff
+	for hi-lo > 1 {
+		m := int(uint(lo+hi) >> 1)
+		if l.Walk[m].PrimOff <= prim {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// stepAtByte returns the index of the last walk step starting at or
+// before byte b >= 0 of one value.
+func (l *Layout) stepAtByte(b int) int {
+	lo, hi := 0, len(l.Walk) // Walk[lo].ByteOff <= b < Walk[hi].ByteOff
+	for hi-lo > 1 {
+		m := int(uint(lo+hi) >> 1)
+		if l.Walk[m].ByteOff <= b {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // StepAtPrim returns the run holding the given primitive offset of one
@@ -325,11 +384,8 @@ func (l *Layout) ByteToPrim(byteOff int) (int, error) {
 // byteToPrim is ByteToPrim for 0 <= b < l.Size, descending into the
 // repeat step that holds b.
 func (l *Layout) byteToPrim(b int) (int, bool) {
-	i := sort.Search(len(l.Walk), func(i int) bool {
-		return l.Walk[i].ByteOff > b
-	}) - 1
-	s := &l.Walk[i] // the first unit is at byte 0
-	j := min((b-s.ByteOff)/s.ByteStride, s.Count-1)
+	s := &l.Walk[l.stepAtByte(b)] // the first unit is at byte 0
+	j := s.unitAt(b - s.ByteOff)
 	if b -= s.ByteOff + j*s.ByteStride; b >= s.Size {
 		return 0, false
 	}
@@ -358,16 +414,22 @@ func (l *Layout) PrimSpan(b0, b1 int) (p0, p1 int, ok bool) {
 // firstEnding returns the first unit of one value whose extent ends
 // after byte b: its primitive offset and its first byte.
 func (l *Layout) firstEnding(b int) (p, start int, ok bool) {
-	i := sort.Search(len(l.Walk), func(i int) bool {
-		return l.Walk[i].end() > b
-	})
-	if i == len(l.Walk) {
+	lo, hi := 0, len(l.Walk) // Walk[lo-1].end() <= b < Walk[hi].end()
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if l.Walk[m].end() > b {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo == len(l.Walk) {
 		return 0, 0, false
 	}
-	s := &l.Walk[i]
+	s := &l.Walk[lo]
 	j := 0
 	if b > s.ByteOff {
-		j = (b - s.ByteOff) / s.ByteStride
+		j = s.unitAt(b - s.ByteOff)
 		if b >= s.ByteOff+j*s.ByteStride+s.Size {
 			j++ // b sits in the gap after unit j
 		}
@@ -383,11 +445,8 @@ func (l *Layout) firstEnding(b int) (p, start int, ok bool) {
 // lastStarting returns the primitive offset of the last unit of one
 // value that starts before byte b > 0.
 func (l *Layout) lastStarting(b int) int {
-	i := sort.Search(len(l.Walk), func(i int) bool {
-		return l.Walk[i].ByteOff >= b
-	}) - 1
-	s := &l.Walk[i]
-	j := min((b-1-s.ByteOff)/s.ByteStride, s.Count-1)
+	s := &l.Walk[l.stepAtByte(b-1)]
+	j := s.unitAt(b - 1 - s.ByteOff)
 	if s.Elem == nil {
 		return s.PrimOff + j
 	}
@@ -434,14 +493,6 @@ func (it *UnitIter) Seek(l *Layout, u0, u1 int) {
 	it.descend(u0)
 }
 
-// Units returns a cursor seeked to units [u0, u1) of a block of
-// elements of layout l. A loop run per diff run keeps its own cursor
-// and seeks it instead of copying one out.
-func (l *Layout) Units(u0, u1 int) (it UnitIter) {
-	it.Seek(l, u0, u1)
-	return
-}
-
 // descend makes the run starting at unit u the current one, finding it
 // from the block's element down through repeat steps.
 func (it *UnitIter) descend(u int) {
@@ -466,6 +517,7 @@ func (it *UnitIter) descend(u int) {
 }
 
 // Next advances to the next run, reporting false when none is left.
+// It inlines, so a range of one run costs no call to step through.
 func (it *UnitIter) Next() bool {
 	if it.primed {
 		it.primed = false
@@ -474,18 +526,23 @@ func (it *UnitIter) Next() bool {
 	if it.left == 0 {
 		return false
 	}
-	// The current run ended its step.
+	it.advance()
+	return true
+}
+
+// advance makes the run after the current one, which ended its step,
+// the current one.
+func (it *UnitIter) advance() {
 	if it.si++; it.si == len(it.in.Walk) {
 		it.si, it.base, it.reps = 0, it.base+it.stride, it.reps-1
 	}
 	s := &it.in.Walk[it.si]
 	if s.Elem != nil || it.reps < 0 {
 		it.descend(it.end - it.left)
-		return true
+		return
 	}
 	it.Step, it.Off, it.N = s, it.base+s.ByteOff, min(s.Count, it.left)
 	it.left -= it.N
-	return true
 }
 
 // Cache memoizes layouts per (type, profile). The zero value is ready
